@@ -9,8 +9,8 @@ and recovers every input shear exactly through the four-point bracket.
 import numpy as np
 
 from shearfield import (ExtRational, INFINITY, ShearFunction, assemble_field,
-                        edge_quadrilateral, oriented_edge, shear_recover,
-                        tail_bound, zygmund_condition_sup)
+                        edge_quadrilateral, halved_terms, oriented_edge,
+                        shear_recover, tail_bound, zygmund_condition_sup)
 
 rng = np.random.default_rng(5)
 
@@ -35,7 +35,7 @@ report = zygmund_condition_sup(sdot, sdot.support_tips(), K=12)
 print(f"\nfan condition sup over windows k <= 12: {report.sup_value:.3f} "
       f"at (tip, m, k) = {report.witness}")
 
-V = assemble_field(sdot, max_order=6, N=40)
+V = assemble_field(halved_terms(sdot, max_order=6, N=40))
 print("\nfield samples (x, V(x)):")
 for x in np.linspace(-1.5, 3.5, 11):
     print(f"  {x:+.2f}  {V(x):+.6f}")

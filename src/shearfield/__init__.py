@@ -11,11 +11,11 @@ from .farey import (ExtRational, FareyEdge, Geodesic, IntegerMoebius,
                     INFINITY, apply_moebius, enumerate_vertices, fan_edge,
                     fan_edges, fan_index, fan_moebius, farey_order,
                     farey_parents, in_ccw_arc, mediant, oriented_edge)
-from .fields import (FieldExpr, ShearFunction, ZygmundReport, assemble_field,
-                     descriptor_for_edge, elementary_eval, fan_field_eval,
-                     normalize_at, partial_sum_diag, qs_ratio, sum_field_eval,
-                     tail_bound, tip_field, zygmund_condition_sup,
-                     zygmund_quotient_sup)
+from .fields import (FieldExpr, HalfTerm, ShearFunction, ZygmundReport,
+                     assemble_field, descriptor_for_edge, elementary_eval,
+                     fan_field_eval, halved_terms, normalize_at,
+                     partial_sum_diag, qs_ratio, tail_bound, tip_field,
+                     zygmund_condition_sup, zygmund_quotient_sup)
 from .fourier import (CircleArc, FourierCoefficient, circle_elementary_eval,
                       edge_to_arc, elementary_fourier, field_fourier,
                       fourier_quadrature_oracle)

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field
 
 from .farey import ExtRational, FareyEdge, enumerate_vertices, farey_order, oriented_edge
-from .fields import (ShearFunction, assemble_field, sum_field_eval,
-                     tail_bound, zygmund_condition_sup)
+from .fields import (ShearFunction, assemble_field, halved_terms, tail_bound,
+                     zygmund_condition_sup)
 from .fourier import FourierCoefficient, field_fourier
 from .hilbert import (PVOracleConfig, hilbert_pv_oracle, hilbert_series_eval,
                       hilbert_shear_series)
@@ -35,25 +35,14 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass
-class RunConfig:
-    subcommand: list
-    input_path: str | None = None
-    max_order: int = 6
-    window: int = 20
-    depth: int = 6
-    tolerance: float = 1e-8
-    out_format: str = "csv"
-    output: str | None = None
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.max_order < 1:
-            raise CliError("max-order must be >= 1", "max-order")
-        if self.window < 0:
-            raise CliError("window must be >= 0", "window")
-        if self.tolerance <= 0:
-            raise CliError("tolerance must be positive", "tolerance")
+def _check_knobs(args) -> None:
+    """Central validation of the numeric knobs shared by the subcommands."""
+    if getattr(args, "max_order", 6) < 1:
+        raise CliError("max-order must be >= 1", "max-order")
+    if getattr(args, "window", 20) < 0:
+        raise CliError("window must be >= 0", "window")
+    if getattr(args, "tolerance", 1e-8) <= 0:
+        raise CliError("tolerance must be positive", "tolerance")
 
 
 def fmt(x: float) -> str:
@@ -94,9 +83,11 @@ def parse_shear_file(path: str) -> ShearFunction:
         seen.add(key)
         try:
             value = float(entry["value"])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise CliError(f"{where}: value is not a number",
                            f"{where}.value")
+        if not math.isfinite(value):
+            raise CliError(f"{where}: value is not finite", f"{where}.value")
         sdot.set(edge, value)
     return sdot
 
@@ -132,24 +123,31 @@ def _grid(args) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
-def _emit(cfg_format: str, output, header, rows, meta):
-    """Write CSV (header + rows) or a JSON envelope; deterministic bytes."""
-    if cfg_format == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(fmt(v) if isinstance(v, float) else str(v)
-                                  for v in row))
-        text = "\n".join(lines) + "\n"
-    else:
-        data = [dict(zip(header, row)) for row in rows]
-        text = json.dumps({"meta": meta, "data": data},
-                          sort_keys=True, separators=(",", ":"),
-                          default=lambda v: float(v)) + "\n"
+def _write(output, text: str) -> None:
     if output:
         with open(output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(output, meta, data) -> None:
+    """Write the JSON envelope {"meta": ..., "data": ...}; deterministic bytes."""
+    _write(output, json.dumps({"meta": meta, "data": data},
+                              sort_keys=True, separators=(",", ":"),
+                              default=float) + "\n")
+
+
+def _emit(cfg_format: str, output, header, rows, meta):
+    """Write CSV (header + rows) or a JSON envelope of row objects."""
+    if cfg_format == "csv":
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join(fmt(v) if isinstance(v, float) else str(v)
+                                  for v in row))
+        _write(output, "\n".join(lines) + "\n")
+    else:
+        _emit_json(output, meta, [dict(zip(header, row)) for row in rows])
 
 
 def _meta(**kw):
@@ -175,14 +173,8 @@ def cmd_farey(args) -> int:
     edges = enumerate_edges(args.max_order)
     if args.format == "json":
         # an edge serializes as the flat array [p_num, p_den, q_num, q_den]
-        doc = {"meta": _meta(max_order=args.max_order),
-               "data": [e.to_json() for e in edges]}
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _emit_json(args.output, _meta(max_order=args.max_order),
+                   [e.to_json() for e in edges])
         return 0
     rows = [tuple(e.to_json()) for e in edges]
     _emit(args.format, args.output,
@@ -193,11 +185,9 @@ def cmd_farey(args) -> int:
 
 def cmd_field(args) -> int:
     sdot = parse_shear_file(args.shears)
-    rows = []
     bound = tail_bound(args.max_order + 1, 1.0)
-    for x in _grid(args):
-        v = sum_field_eval(sdot, args.max_order, args.window, x)
-        rows.append((float(x), float(v)))
+    V = assemble_field(halved_terms(sdot, args.max_order, args.window))
+    rows = [(float(x), float(V(x))) for x in _grid(args)]
     _emit(args.format, args.output, ["x", "value"], rows,
           _meta(max_order=args.max_order, window=args.window,
                 unit_tail_bound=bound))
@@ -219,37 +209,28 @@ def cmd_zygmund(args) -> int:
 
 def cmd_hilbert(args) -> int:
     sdot = parse_shear_file(args.shears)
+    terms = halved_terms(sdot, args.max_order, args.window)
     if args.action == "eval":
-        rows = []
         if args.mode == "oracle":
-            V = assemble_field(sdot, args.max_order, args.window)
+            V = assemble_field(terms)
             cfg = PVOracleConfig(tolerance=args.tolerance)
-            for x in _grid(args):
-                rows.append((float(x), hilbert_pv_oracle(V, x, cfg)))
-        else:   # closed forms; "series" reports the same truncated double sum
-            for x in _grid(args):
-                rows.append((float(x),
-                             hilbert_series_eval(sdot, args.max_order,
-                                                 args.window, x)))
+            rows = [(float(x), hilbert_pv_oracle(V, x, cfg))
+                    for x in _grid(args)]
+        else:
+            rows = [(float(x), hilbert_series_eval(terms, x))
+                    for x in _grid(args)]
         _emit(args.format, args.output, ["x", "value"], rows,
               _meta(mode=args.mode, max_order=args.max_order,
                     window=args.window))
         return 0
     # shear: recovered transform shear on one edge, with partials per order
     edge = _parse_edge_arg(args.edge)
-    partials = [hilbert_shear_series(sdot, edge, k, args.window)
-                for k in range(1, args.max_order + 1)]
-    value = partials[-1]
-    doc = {"meta": _meta(max_order=args.max_order, window=args.window,
-                         unit_tail_bound=tail_bound(args.max_order + 1, 1.0)),
-           "data": {"edge": edge.to_json(), "value": value,
-                    "partials_by_order": partials}}
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    partials = hilbert_shear_series(terms, edge, args.max_order)
+    _emit_json(args.output,
+               _meta(max_order=args.max_order, window=args.window,
+                     unit_tail_bound=tail_bound(args.max_order + 1, 1.0)),
+               {"edge": edge.to_json(), "value": partials[-1],
+                "partials_by_order": partials})
     return 0
 
 
@@ -258,10 +239,10 @@ def cmd_fourier(args) -> int:
     lo, hi = args.n_min, args.n_max
     if hi < lo:
         raise CliError("need --n-max >= --n-min", "n")
+    terms = halved_terms(sdot, args.max_order, args.window)
     rows = []
     for n in range(lo, hi + 1):
-        c = FourierCoefficient(n, field_fourier(sdot, args.max_order,
-                                                args.window, n))
+        c = FourierCoefficient(n, field_fourier(terms, n))
         rows.append((c.n, c.value.real, c.value.imag))
     low_mass = sum(abs(v) for e, v in sdot
                    if min(farey_order(e.initial), farey_order(e.terminal)) <= 2)
@@ -285,21 +266,13 @@ def cmd_wp(args) -> int:
                                f"(components must sum to 0)", name)
         value = wp_pairing(t1, t2, args.depth)
         prev = wp_pairing(t1, t2, args.depth - 1) if args.depth > 1 else None
-        doc = {"meta": _meta(depth=args.depth),
-               "data": {"t1": list(t1.values), "t2": list(t2.values),
-                        "value": value, "value_prev_depth": prev}}
+        data = {"t1": list(t1.values), "t2": list(t2.values),
+                "value": value, "value_prev_depth": prev}
     else:
         gram = wp_gram(args.depth)
         prev = wp_gram(args.depth - 1) if args.depth > 1 else None
-        doc = {"meta": _meta(depth=args.depth),
-               "data": {**gram,
-                        "depth_prev_gram": prev["gram"] if prev else None}}
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        data = {**gram, "depth_prev_gram": prev["gram"] if prev else None}
+    _emit_json(args.output, _meta(depth=args.depth), data)
     return 0
 
 
@@ -350,8 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hilbert", help="Hilbert transform of the field")
     p.add_argument("action", choices=["eval", "shear"])
     _add_common(p, grid=True)
-    p.add_argument("--mode", choices=["closed", "series", "oracle"],
-                   default="closed")
+    p.add_argument("--mode", choices=["closed", "oracle"], default="closed")
     p.add_argument("--edge", default="0,1,1,0",
                    help="target edge as p_num,p_den,q_num,q_den")
     p.set_defaults(func=cmd_hilbert)
@@ -373,19 +345,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _attach_triples(argv: list) -> list:
+    """Join "--t1 -3,2,1" into "--t1=-3,2,1": argparse would otherwise read
+    a triple with a leading minus sign as an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--t1", "--t2") and tok.startswith("-"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def run(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-        # central validation of the shared numeric knobs
-        RunConfig(subcommand=[args.command, getattr(args, "action", "")],
-                  input_path=getattr(args, "shears", None),
-                  max_order=getattr(args, "max_order", 6),
-                  window=getattr(args, "window", 20),
-                  depth=getattr(args, "depth", 6),
-                  tolerance=getattr(args, "tolerance", 1e-8),
-                  out_format=getattr(args, "format", "csv"),
-                  output=args.output)
+        args = ap.parse_args(_attach_triples(
+            sys.argv[1:] if argv is None else list(argv)))
+        _check_knobs(args)
         return args.func(args)
     except CliError as exc:
         diag = {"error": str(exc), "field": exc.field_name}

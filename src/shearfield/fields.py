@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .farey import (ExtRational, FareyEdge, as_extrational, fan_index,
                     farey_order, oriented_edge)
@@ -37,10 +38,15 @@ def _edge_key(e: FareyEdge):
 
 
 class ShearFunction:
-    """Finite-support real-valued function on (unoriented) tessellation edges."""
+    """Finite-support real-valued function on (unoriented) tessellation edges.
+
+    The canonically oriented support and the fan index of every tip are
+    built on first use and kept until the next set().
+    """
 
     def __init__(self, assignments=None):
         self._data = {}
+        self._cache = None
         if assignments:
             for edge, value in assignments:
                 self.set(edge, value)
@@ -53,24 +59,44 @@ class ShearFunction:
             self._data.pop(key, None)
         else:
             self._data[key] = float(value)
+        self._cache = None
 
     def value(self, edge) -> float:
         if not isinstance(edge, FareyEdge):
             edge = oriented_edge(*edge)
         return self._data.get(_edge_key(edge), 0.0)
 
+    def _index(self):
+        """The pair (edges, fans): the support edges, canonically oriented,
+        in key order; and tip -> (Farey order, [(fan index, value, edge),
+        ...]), tips in (order, circular position), each fan's edges in
+        support order."""
+        if self._cache is None:
+            keys = sorted(self._data)
+            edges = [oriented_edge(ExtRational(*u), ExtRational(*v))
+                     for u, v in keys]
+            fans = {}
+            for key, edge in zip(keys, edges):
+                for p, q in ((edge.initial, edge.terminal),
+                             (edge.terminal, edge.initial)):
+                    fans.setdefault(p, []).append(
+                        (fan_index(p, q), self._data[key], edge))
+            tips = {p: tip_sort_key(p) for p in fans}
+            self._cache = (edges, {p: (tips[p][0], fans[p])
+                                   for p in sorted(fans, key=tips.get)})
+        return self._cache
+
     def edges(self) -> list[FareyEdge]:
         """Support edges, canonically oriented, in deterministic order."""
-        keys = sorted(self._data)
-        return [oriented_edge(ExtRational(*k[0]), ExtRational(*k[1]))
-                for k in keys]
+        return list(self._index()[0])
+
+    def fan(self, tip) -> list[tuple[int, float, FareyEdge]]:
+        """(fan index, value, edge) of each support edge at tip."""
+        entry = self._index()[1].get(as_extrational(tip))
+        return entry[1] if entry else []
 
     def support_tips(self) -> list[ExtRational]:
-        tips = {}
-        for e in self.edges():
-            for p in (e.initial, e.terminal):
-                tips[(p.num, p.den)] = p
-        return sorted(tips.values(), key=tip_sort_key)
+        return list(self._index()[1])
 
     def __len__(self):
         return len(self._data)
@@ -189,46 +215,46 @@ def fan_field_eval(shears, x: float) -> float:
     return total
 
 
+class HalfTerm(NamedTuple):
+    """One halved elementary term of the truncated field sum."""
+
+    order: int          # Farey order of the tip
+    tip: ExtRational
+    coef: float         # half the edge's shear
+    edge: FareyEdge     # canonically oriented
+    desc: tuple         # descriptor_for_edge(edge)
+
+
 def tip_field(p, sdot: ShearFunction, N: int) -> FieldExpr:
     """Field contributed by the fan with tip p, with halved shears on fan
     indices |n| <= N.  Vanishes at 0, 1 and infinity by construction; a
     degenerate window (N <= 0) is the zero field, not an error."""
     if N <= 0:
         return FieldExpr()
-    p = as_extrational(p)
+    return FieldExpr((0.5 * value, descriptor_for_edge(edge))
+                     for n, value, edge in sdot.fan(p) if abs(n) <= N)
+
+
+def halved_terms(sdot: ShearFunction, max_order: int, N: int) -> list[HalfTerm]:
+    """The truncated field sum as one ordered term list: tips of Farey order
+    <= max_order in increasing (order, circular position), each with its
+    fan edges of index |n| <= N at half their shear.  Field, Hilbert,
+    shear-series and Fourier evaluation all sum this list in this order."""
     terms = []
-    for edge in sdot.edges():
-        if p not in (edge.initial, edge.terminal):
-            continue
-        q = edge.terminal if edge.initial == p else edge.initial
-        n = fan_index(p, q)
-        if abs(n) > N:
-            continue
-        value = sdot.value(edge)
-        terms.append((0.5 * value, descriptor_for_edge(edge)))
-    return FieldExpr(terms)
+    if N <= 0:
+        return terms
+    for p, (order, fan) in sdot._index()[1].items():
+        if order > max_order:
+            break
+        terms += [HalfTerm(order, p, 0.5 * value, edge,
+                           descriptor_for_edge(edge))
+                  for n, value, edge in fan if abs(n) <= N]
+    return terms
 
 
-def assemble_field(sdot: ShearFunction, max_order: int, N: int) -> FieldExpr:
-    """Sum of tip fields over all tips of Farey order <= max_order, in
-    increasing (order, circular position)."""
-    total = FieldExpr()
-    for p in sdot.support_tips():
-        if farey_order(p) > max_order:
-            continue
-        total = total + tip_field(p, sdot, N)
-    return total
-
-
-def sum_field_eval(sdot: ShearFunction, max_order: int, N: int,
-                   x: float) -> float:
-    """Value at x of the order-truncated field sum (deterministic order)."""
-    total = 0.0
-    for p in sdot.support_tips():
-        if farey_order(p) > max_order:
-            continue
-        total += tip_field(p, sdot, N)(x)
-    return total
+def assemble_field(terms) -> FieldExpr:
+    """The field of a halved term list (see halved_terms)."""
+    return FieldExpr((t.coef, t.desc) for t in terms)
 
 
 def tail_bound(n: int, C: float) -> float:
@@ -252,14 +278,7 @@ class ZygmundReport:
 
 def fan_shears_at_tip(sdot: ShearFunction, tip) -> dict[int, float]:
     """Shear values of sdot on the fan at tip, indexed by fan position."""
-    tip = as_extrational(tip)
-    out = {}
-    for edge in sdot.edges():
-        if tip == edge.initial:
-            out[fan_index(tip, edge.terminal)] = sdot.value(edge)
-        elif tip == edge.terminal:
-            out[fan_index(tip, edge.initial)] = sdot.value(edge)
-    return out
+    return {n: value for n, value, _ in sdot.fan(tip)}
 
 
 def averaged_coefficient_sum(shears, m: int, k: int) -> float:

@@ -24,10 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.integrate import IntegrationWarning, quad as _quad
-
 from .farey import FareyEdge
-from .fields import ShearFunction, farey_order, tip_field
 from .moebius import cayley_angle
 
 TWO_PI = 2.0 * math.pi
@@ -97,6 +94,8 @@ def elementary_fourier(arc, n: int) -> complex:
 def fourier_quadrature_oracle(V, n: int, breakpoints=()) -> complex:
     """(1/2pi) Integral_0^{2pi} V(e^{i phi}) e^{-i n phi} d phi by adaptive
     quadrature, splitting at the provided arc endpoints."""
+    from scipy.integrate import IntegrationWarning, quad as _quad
+
     cuts = sorted({0.0, TWO_PI} | {float(b) % TWO_PI for b in breakpoints})
 
     def integrand(phi: float, pick) -> float:
@@ -133,51 +132,24 @@ def edge_to_arc(edge: FareyEdge) -> CircleArc:
     return CircleArc(phi0, phi1)
 
 
-def field_fourier(sdot: ShearFunction, max_order: int, N: int,
-                  n: int) -> complex:
-    """n-th coefficient of the truncated field sum: fans in increasing Farey
-    order, halved shears, closed-form arc coefficients."""
+def field_fourier(terms, n: int) -> complex:
+    """n-th coefficient of the truncated field sum of a halved term list
+    (see fields.halved_terms): closed-form arc coefficients summed in list
+    order."""
     total = 0j
-    for p in sdot.support_tips():
-        if farey_order(p) > max_order:
-            continue
-        F = tip_field(p, sdot, N)
-        for coef, desc in F.terms:
-            edge = _descriptor_edge(desc)
-            total += coef * elementary_fourier(edge, n)
+    for t in terms:
+        total += t.coef * elementary_fourier(edge_to_arc(t.edge), n)
     return total
 
 
-def _descriptor_edge(desc) -> CircleArc:
-    """Arc of the oriented geodesic underlying an elementary descriptor."""
-    kind = desc[0]
-    if kind == "interval":
-        phi0, phi1 = cayley_angle(desc[1]), cayley_angle(desc[2])
-    elif kind == "rray":
-        phi0, phi1 = cayley_angle(desc[1]), math.pi
-    else:
-        phi0, phi1 = math.pi, cayley_angle(desc[1])
-    if phi1 == 0.0:
-        phi1 = TWO_PI
-    return CircleArc(phi0, phi1)
-
-
-def assemble_circle_field(sdot: ShearFunction, max_order: int, N: int):
-    """Evaluable circle field of the truncated sum, with its arc endpoints
+def assemble_circle_field(terms):
+    """Evaluable circle field of a halved term list, with its arc endpoints
     exposed for quadrature splitting."""
-    pieces = []
-    cuts = set()
-    for p in sdot.support_tips():
-        if farey_order(p) > max_order:
-            continue
-        F = tip_field(p, sdot, N)
-        for coef, desc in F.terms:
-            arc = _descriptor_edge(desc)
-            pieces.append((coef, arc))
-            cuts.update((arc.phi0, arc.phi1))
+    pieces = [(t.coef, edge_to_arc(t.edge)) for t in terms]
 
     def V(z: complex) -> complex:
         return sum(c * circle_elementary_eval(arc, z) for c, arc in pieces)
 
-    V.breakpoints = sorted(cuts)
+    V.breakpoints = sorted({phi for _, arc in pieces
+                            for phi in (arc.phi0, arc.phi1)})
     return V

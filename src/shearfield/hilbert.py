@@ -22,22 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad as _quad
-
-from .farey import ExtRational, FareyEdge, edge_neighbors, in_ccw_arc
-from .fields import FieldExpr, ShearFunction, farey_order, tip_field
+from .farey import FareyEdge, edge_neighbors, in_ccw_arc
+from .fields import FieldExpr
 from .moebius import HalfPlaneGeodesic, geodesic_cosh_distance
 
 
 def _xlogx(t: float) -> float:
     return 0.0 if t == 0.0 else t * math.log(abs(t))
-
-
-def _pt(x) -> float:
-    """Extended point as float (oo -> math.inf)."""
-    if isinstance(x, ExtRational):
-        return float(x)
-    return float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +136,8 @@ def hilbert_pv_oracle(V, x: float, cfg: PVOracleConfig | None = None) -> float:
     here).  Raises PVConvergenceError when the excision extrapolation does
     not settle below the configured tolerance.
     """
+    from scipy.integrate import quad as _quad
+
     cfg = cfg or PVOracleConfig()
     x = float(x)
     brk = sorted(set(getattr(V, "breakpoints", list)() or []))
@@ -219,11 +212,6 @@ def hilbert_pv_oracle(V, x: float, cfg: PVOracleConfig | None = None) -> float:
     return -(r2[-1] + tail) / math.pi
 
 
-def pv_tail_estimate(x: float, R: float, growth: float = 1.0) -> float:
-    """A priori bound on the discarded tail for |V(xi)| <= growth*|xi|log|xi|."""
-    return abs(x * (x - 1.0)) * growth * (math.log(R) + 1.0) / R
-
-
 # ---------------------------------------------------------------------------
 # quadrilaterals and the recovery bracket
 # ---------------------------------------------------------------------------
@@ -251,7 +239,7 @@ class Quadrilateral:
                              "(a, b, c, d)")
 
     def points(self) -> tuple[float, float, float, float]:
-        return tuple(_pt(p) for p in (self.a, self.b, self.c, self.d))
+        return tuple(float(p) for p in (self.a, self.b, self.c, self.d))
 
 
 def edge_quadrilateral(edge: FareyEdge) -> Quadrilateral:
@@ -366,12 +354,10 @@ def delta_weight(edge, Q: Quadrilateral, route: str = "bracket") -> float:
 
 
 def _edge_endpoints(edge):
-    if isinstance(edge, FareyEdge):
-        return float(edge.initial), float(edge.terminal)
     if hasattr(edge, "initial"):
-        return _pt(edge.initial), _pt(edge.terminal)
+        return float(edge.initial), float(edge.terminal)
     u, v = edge
-    return _pt(u), _pt(v)
+    return float(u), float(v)
 
 
 def _delta_hyperbolic(u: float, v: float, Q: Quadrilateral) -> float:
@@ -449,36 +435,29 @@ def _delta_hyperbolic(u: float, v: float, Q: Quadrilateral) -> float:
 # series
 # ---------------------------------------------------------------------------
 
-def _tip_terms(sdot: ShearFunction, max_order: int, N: int):
-    """(tip, halved coefficient, descriptor edge) triples in canonical order."""
-    for p in sdot.support_tips():
-        if farey_order(p) > max_order:
-            continue
-        F = tip_field(p, sdot, N)
-        yield p, F
-
-
-def hilbert_series_eval(sdot: ShearFunction, max_order: int, N: int,
-                        x: float) -> float:
-    """Transform of the truncated field sum: fans in increasing Farey order,
-    halved shears inside each fan, elementary closed forms per edge."""
+def hilbert_series_eval(terms, x: float) -> float:
+    """Transform of the truncated field sum of a halved term list (see
+    fields.halved_terms): elementary closed forms summed in list order."""
     total = 0.0
-    for _, F in _tip_terms(sdot, max_order, N):
-        for coef, desc in F.terms:
-            total += coef * elementary_hilbert(desc, x)
+    for t in terms:
+        total += t.coef * elementary_hilbert(t.desc, x)
     return total
 
 
-def hilbert_shear_series(sdot: ShearFunction, edge: FareyEdge,
-                         max_order: int, N: int) -> float:
-    """Recovered shear of the transform on `edge`: the double sum of halved
-    fan shears times the edge weights over the quadrilateral of `edge`,
-    scaled so that a unit shear on a single edge e returns exactly the
-    bracket of e's normalized closed-form transform."""
+def hilbert_shear_series(terms, edge: FareyEdge, max_order: int) -> list[float]:
+    """Recovered shear of the transform on `edge`, truncated at each Farey
+    order 1..max_order: prefix sums over a halved term list (see
+    fields.halved_terms) of each term's coefficient times its edge weight
+    over the quadrilateral of `edge`, scaled so that a unit shear on a
+    single edge e returns exactly the bracket of e's normalized closed-form
+    transform."""
     Q = edge_quadrilateral(edge)
+    partials = []
     total = 0.0
-    for _, F in _tip_terms(sdot, max_order, N):
-        for coef, desc in F.terms:
-            u, v = desc[1], (math.inf if desc[0] != "interval" else desc[2])
-            total += coef * delta_weight((u, v), Q)
-    return total / math.pi
+    for t in terms:
+        if t.order > max_order:
+            break
+        partials += [total / math.pi] * (t.order - 1 - len(partials))
+        u, v = t.desc[1], (math.inf if t.desc[0] != "interval" else t.desc[2])
+        total += t.coef * delta_weight((u, v), Q)
+    return partials + [total / math.pi] * (max_order - len(partials))

@@ -14,7 +14,7 @@ from shearfield.farey import (ExtRational, enumerate_edges, fan_index,
                               farey_order, oriented_edge)
 from shearfield.fields import (ShearFunction, assemble_field,
                                averaged_coefficient_sum, fan_field_eval,
-                               tail_bound, zygmund_quotient_sup)
+                               halved_terms, tail_bound, zygmund_quotient_sup)
 from shearfield.fourier import (CircleArc, assemble_circle_field,
                                 circle_elementary_eval, elementary_fourier,
                                 field_fourier, fourier_quadrature_oracle)
@@ -96,7 +96,7 @@ def test_criterion_2_round_trip_recovery():
             v = float(RNG.uniform(-2, 2))
             sdot.set(pool[i], v)
             vals[i] = v
-        V = assemble_field(sdot, 5, window)
+        V = assemble_field(halved_terms(sdot, 5, window))
         for i in idx:
             got = shear_recover(V, edge_quadrilateral(pool[i]))
             worst = max(worst, abs(got - vals[i]))
@@ -283,11 +283,11 @@ def test_criterion_6_tail_bound():
         grid = list(base_grid)
         for a, b in supports:      # sample inside each (narrow) bump
             grid += [a + f * (b - a) for f in (0.25, 0.5, 0.75)]
-        full = assemble_field(sdot, 9, window)
+        full = assemble_field(halved_terms(sdot, 9, window))
         full_vals = np.array([full(x) for x in grid])
         measured = {}
         for n in range(3, 8):
-            part = assemble_field(sdot, n, window)
+            part = assemble_field(halved_terms(sdot, n, window))
             vals = np.array([part(x) for x in grid])
             measured[n] = float(np.max(np.abs(full_vals - vals)))
         assert measured[3] > 0.0
@@ -353,9 +353,10 @@ def test_criterion_8_fourier():
         sdot = ShearFunction()
         for i in idx:
             sdot.set(pool[i], float(RNG.uniform(-1, 1)))
-        V = assemble_circle_field(sdot, 5, 64)
+        terms = halved_terms(sdot, 5, 64)
+        V = assemble_circle_field(terms)
         for n in (int(RNG.integers(-20, 21)) for _ in range(3)):
-            closed = field_fourier(sdot, 5, 64, n)
+            closed = field_fourier(terms, n)
             oracle = fourier_quadrature_oracle(V, n,
                                                breakpoints=V.breakpoints)
             err = abs(closed - oracle)

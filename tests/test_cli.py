@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -56,6 +59,29 @@ def test_parse_missing_field_named(tmp_path):
     with pytest.raises(CliError) as err:
         parse_shear_file(path)
     assert err.value.field_name == "edges[0].q"
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_value_rejected(tmp_path, capsys, token):
+    path = tmp_path / "shears.json"
+    path.write_text('{"edges": [{"p": [0, 1], "q": [1, 0], "value": 1.0}, '
+                    '{"p": [0, 1], "q": [1, 1], "value": %s}]}' % token)
+    assert run(["field", "eval", "--shears", str(path), "--format",
+                "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["field"] == "edges[1].value"
+
+
+def test_import_leaves_scipy_unloaded():
+    """Only the quadrature oracles need scipy; the CLI imports it lazily."""
+    import shearfield
+    src = os.path.dirname(os.path.dirname(shearfield.__file__))
+    code = "import sys, shearfield.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
 
 
 def test_field_eval_zero_file(tmp_path, capsys):
@@ -140,6 +166,17 @@ def test_wp_pair_cusp_violation_exit(tmp_path, capsys):
     err = capsys.readouterr().err
     diag = json.loads(err)
     assert diag["field"] == "t1"
+
+
+def test_wp_pair_negative_triple_as_separate_argument(capsys):
+    attached = ["wp", "pair", "--depth", "3", "--t1=-3,2,1", "--t2=1,-2,1"]
+    separate = ["wp", "pair", "--depth", "3", "--t1", "-3,2,1",
+                "--t2", "1,-2,1"]
+    assert run(attached) == 0
+    want = capsys.readouterr().out
+    assert run(separate) == 0
+    assert capsys.readouterr().out == want
+    assert json.loads(want)["data"]["t1"] == [-3.0, 2.0, 1.0]
 
 
 def test_farey_commands(tmp_path):

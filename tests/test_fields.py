@@ -10,9 +10,8 @@ from shearfield.farey import (ExtRational, INFINITY, ONE, ZERO, farey_order,
 from shearfield.fields import (DELTA_GAP, FieldExpr, ShearFunction,
                                assemble_field, averaged_coefficient_sum,
                                elementary_eval, fan_field_eval,
-                               fan_shears_at_tip, normalize_at,
-                               partial_sum_diag, qs_ratio, sum_field_eval,
-                               tail_bound, tip_field, zygmund_condition_sup,
+                               fan_shears_at_tip, halved_terms, normalize_at,
+                               partial_sum_diag, qs_ratio, tail_bound, tip_field, zygmund_condition_sup,
                                zygmund_quotient_sup)
 from shearfield.hilbert import edge_quadrilateral, shear_recover
 
@@ -102,7 +101,7 @@ def test_tip_field_support_and_normalization():
 def test_sum_field_zero_shears():
     sdot = ShearFunction()
     for x in np.linspace(-3, 3, 13):
-        assert sum_field_eval(sdot, 5, 10, x) == 0.0
+        assert assemble_field(halved_terms(sdot, 5, 10))(x) == 0.0
 
 
 def test_round_trip_recovery_exact_at_modest_truncation():
@@ -115,7 +114,7 @@ def test_round_trip_recovery_exact_at_modest_truncation():
     vals = RNG.uniform(-2, 2, len(pool))
     for e, v in zip(pool, vals):
         sdot.set(e, float(v))
-    V = assemble_field(sdot, 6, 40)
+    V = assemble_field(halved_terms(sdot, 6, 40))
     for e, v in zip(pool, vals):
         got = shear_recover(V, edge_quadrilateral(e))
         assert got == pytest.approx(float(v), abs=1e-9)
@@ -268,9 +267,9 @@ def test_tail_rate_is_not_uniform_over_shallow_nested_edges():
     sdot = ShearFunction()
     sdot.set(deep, 1.0)
     mid = 2.0 + 0.5 / k
-    full = assemble_field(sdot, order, 50)
+    full = assemble_field(halved_terms(sdot, order, 50))
     # truncating just below the deep tip's order leaves the entire half-bump
-    part = assemble_field(sdot, order - 1, 50)
+    part = assemble_field(halved_terms(sdot, order - 1, 50))
     missing = abs(full(mid) - part(mid))
     assert missing > 0.5 / (8 * k)          # half a bump of width 1/k
     # ... which is far above the geometric tail at that order with the

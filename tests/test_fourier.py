@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from shearfield.farey import ExtRational, FareyEdge, INFINITY, ONE, ZERO, oriented_edge
-from shearfield.fields import ShearFunction
+from shearfield.fields import ShearFunction, halved_terms
 from shearfield.fourier import (CircleArc, assemble_circle_field,
                                 circle_elementary_eval, edge_to_arc,
                                 elementary_fourier, field_fourier,
@@ -113,15 +113,16 @@ def _arc_interior_point(e: FareyEdge) -> float:
 
 def test_field_fourier_zero():
     for n in range(-3, 4):
-        assert field_fourier(ShearFunction(), 5, 10, n) == 0
+        assert field_fourier(halved_terms(ShearFunction(), 5, 10), n) == 0
 
 
 def test_field_fourier_single_edge_bookkeeping():
     e = oriented_edge(ExtRational(1, 2), ONE)
     sdot = ShearFunction()
     sdot.set(e, 1.0)
+    terms = halved_terms(sdot, 6, 10)
     for n in (-7, -1, 0, 1, 2, 3, 9):
-        got = field_fourier(sdot, 6, 10, n)
+        got = field_fourier(terms, n)
         want = elementary_fourier(edge_to_arc(e), n)
         assert got == pytest.approx(want, abs=1e-13)
 
@@ -134,9 +135,10 @@ def test_field_fourier_linearity():
     s2.set(e2, -1.1)
     s12.set(e1, 0.8)
     s12.set(e2, -1.1)
+    t1, t2, t12 = (halved_terms(s, 6, 10) for s in (s1, s2, s12))
     for n in (-4, 0, 2, 5):
-        lhs = field_fourier(s12, 6, 10, n)
-        rhs = field_fourier(s1, 6, 10, n) + field_fourier(s2, 6, 10, n)
+        lhs = field_fourier(t12, n)
+        rhs = field_fourier(t1, n) + field_fourier(t2, n)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -146,9 +148,10 @@ def test_field_fourier_matches_assembled_oracle():
                  (oriented_edge(ExtRational(1, 2), ONE), -0.4),
                  (oriented_edge(ExtRational(-1), ZERO), 1.2)]:
         sdot.set(e, v)
-    V = assemble_circle_field(sdot, 6, 20)
+    terms = halved_terms(sdot, 6, 20)
+    V = assemble_circle_field(terms)
     for n in (-3, 0, 2, 7):
-        closed = field_fourier(sdot, 6, 20, n)
+        closed = field_fourier(terms, n)
         oracle = fourier_quadrature_oracle(V, n, breakpoints=V.breakpoints)
         assert abs(closed - oracle) < 1e-8
 
@@ -160,7 +163,8 @@ def test_partial_sums_cauchy_in_order():
     for e in edges[::5]:
         sdot.set(e, float(RNG.uniform(-1, 1)))
     n = 3
-    partials = [field_fourier(sdot, k, 64, n) for k in range(1, 8)]
+    partials = [field_fourier(halved_terms(sdot, k, 64), n)
+                for k in range(1, 8)]
     increments = [abs(b - a) for a, b in zip(partials[:-1], partials[1:])]
     tail = [i for i in increments if i > 0]
     # increments eventually vanish (the support is exhausted)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from shearfield.farey import ExtRational, INFINITY, ONE, ZERO, oriented_edge
-from shearfield.fields import FieldExpr, ShearFunction, assemble_field
+from shearfield.fields import (FieldExpr, ShearFunction, assemble_field,
+                               halved_terms)
 from shearfield.hilbert import (PVOracleConfig, Quadrilateral,
                                 closed_hilbert_field, delta_weight,
                                 edge_quadrilateral, elementary_hilbert,
@@ -286,7 +287,8 @@ def _random_shears(n_edges=4, seed_pool=None):
 
 
 def test_series_zero():
-    assert hilbert_series_eval(ShearFunction(), 5, 10, 0.3) == 0.0
+    assert hilbert_series_eval(halved_terms(ShearFunction(), 5, 10),
+                               0.3) == 0.0
 
 
 def test_series_single_fan_matches_direct_sum():
@@ -298,8 +300,9 @@ def test_series_single_fan_matches_direct_sum():
         e = fan_edge(INFINITY, n)
         sdot.set(e, v)
         vals[n] = v
+    terms = halved_terms(sdot, 6, 10)
     for x in np.linspace(-3.3, 3.3, 11):
-        got = hilbert_series_eval(sdot, 6, 10, x)
+        got = hilbert_series_eval(terms, x)
         # direct single-fan sum: halved shears on the infinity fan plus the
         # other tips' fans (integer tips), all of whose edges are the same
         direct = 0.0
@@ -315,16 +318,18 @@ def test_series_single_fan_matches_direct_sum():
 
 def test_series_matches_oracle_on_grid():
     sdot = _random_shears(4)
-    V = assemble_field(sdot, 6, 40)
+    terms = halved_terms(sdot, 6, 40)
+    V = assemble_field(terms)
     for x in (-2.37, -0.41, 0.63, 2.29, 4.11):
-        closed = hilbert_series_eval(sdot, 6, 40, x)
+        closed = hilbert_series_eval(terms, x)
         oracle = hilbert_pv_oracle(V, x)
         assert closed == pytest.approx(oracle, abs=1e-4)
 
 
 def test_shear_series_zero():
     e = oriented_edge(ZERO, ONE)
-    assert hilbert_shear_series(ShearFunction(), e, 5, 10) == 0.0
+    assert hilbert_shear_series(halved_terms(ShearFunction(), 5, 10),
+                                e, 5)[-1] == 0.0
 
 
 def test_shear_series_single_edge_identity():
@@ -332,7 +337,7 @@ def test_shear_series_single_edge_identity():
     target = oriented_edge(ZERO, ONE)
     sdot = ShearFunction()
     sdot.set(e, 1.0)
-    got = hilbert_shear_series(sdot, target, 4, 10)
+    got = hilbert_shear_series(halved_terms(sdot, 4, 10), target, 4)[-1]
     Q = edge_quadrilateral(target)
     want_dw = delta_weight(e, Q) / math.pi
     H = closed_hilbert_field(FieldExpr([(1.0, ("interval", 2.0, 3.0))]))
@@ -345,9 +350,10 @@ def test_shear_series_matches_recovered_closed_transform():
     sdot = _random_shears(5)
     targets = [oriented_edge(ZERO, INFINITY), oriented_edge(ZERO, ONE),
                oriented_edge(ExtRational(1), ExtRational(2))]
+    terms = halved_terms(sdot, 6, 40)
     for target in targets:
-        got = hilbert_shear_series(sdot, target, 6, 40)
-        V = assemble_field(sdot, 6, 40)
+        got = hilbert_shear_series(terms, target, 6)[-1]
+        V = assemble_field(terms)
         H = closed_hilbert_field(V)
         want = shear_recover(H, edge_quadrilateral(target))
         assert got == pytest.approx(want, abs=1e-6)
