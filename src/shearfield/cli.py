@@ -28,6 +28,10 @@ from .torus import TangentShear, wp_gram, wp_pairing
 from . import __version__ as VERSION
 
 
+# deepest word ball `wp` walks: 3 (2 * 3^10 - 1) = 354,291 lifted edges
+MAX_WP_DEPTH = 10
+
+
 class CliError(Exception):
     def __init__(self, message: str, field_name: str = "", code: int = 2):
         super().__init__(message)
@@ -41,8 +45,9 @@ def _check_knobs(args) -> None:
         raise CliError("max-order must be >= 1", "max-order")
     if getattr(args, "window", 20) < 0:
         raise CliError("window must be >= 0", "window")
-    if getattr(args, "tolerance", 1e-8) <= 0:
-        raise CliError("tolerance must be positive", "tolerance")
+    tolerance = getattr(args, "tolerance", 1e-8)
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise CliError("tolerance must be finite and positive", "tolerance")
 
 
 def fmt(x: float) -> str:
@@ -254,8 +259,8 @@ def cmd_fourier(args) -> int:
 
 
 def cmd_wp(args) -> int:
-    if args.depth < 1:
-        raise CliError("depth must be >= 1", "depth")
+    if not 1 <= args.depth <= MAX_WP_DEPTH:
+        raise CliError(f"depth must be between 1 and {MAX_WP_DEPTH}", "depth")
     if args.action == "pair":
         t1 = _parse_triple(args.t1, "t1")
         t2 = _parse_triple(args.t2, "t2")

@@ -110,8 +110,9 @@ class PVOracleConfig:
     quad_tol: float = 1e-11
 
     def __post_init__(self):
-        if self.eps0 <= 0 or self.tolerance <= 0:
-            raise ValueError("eps0 and tolerance must be positive")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.eps0, self.tolerance)):
+            raise ValueError("eps0 and tolerance must be finite and positive")
         if self.tail_radius < 2.0:
             raise ValueError("tail radius must exceed 2")
 

@@ -16,14 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .farey import ExtRational
-
-
-def _as_float(x) -> float:
-    if isinstance(x, ExtRational):
-        return float(x)
-    return float(x)
-
 
 @dataclass(frozen=True)
 class RealMoebius:
@@ -39,7 +31,7 @@ class RealMoebius:
             raise ValueError("RealMoebius requires positive determinant")
 
     def __call__(self, x) -> float:
-        x = _as_float(x)
+        x = float(x)
         if math.isinf(x):
             return self.a / self.c if self.c != 0 else math.inf
         den = self.c * x + self.d
@@ -71,17 +63,17 @@ class HalfPlaneGeodesic:
     e2: object
 
     def __post_init__(self):
-        a, b = _as_float(self.e1), _as_float(self.e2)
+        a, b = float(self.e1), float(self.e2)
         if a == b or (math.isinf(a) and math.isinf(b)):
             raise ValueError("geodesic endpoints must be distinct")
 
     def floats(self):
-        return (_as_float(self.e1), _as_float(self.e2))
+        return (float(self.e1), float(self.e2))
 
 
 def cross_ratio(a, b, c, d) -> float:
     """(c - b)(d - a) / ((b - a)(d - c)), with exact limits at infinity."""
-    pts = [_as_float(x) for x in (a, b, c, d)]
+    pts = [float(x) for x in (a, b, c, d)]
     for i in range(4):
         for j in range(i + 1, 4):
             if pts[i] == pts[j]:
@@ -100,7 +92,7 @@ def cross_ratio(a, b, c, d) -> float:
 
 def cross_ratio_sym(a, b, c, d) -> float:
     """(c - a)(d - b) / ((d - a)(c - b)), the symmetric-quadruple convention."""
-    pts = [_as_float(x) for x in (a, b, c, d)]
+    pts = [float(x) for x in (a, b, c, d)]
     for i in range(4):
         for j in range(i + 1, 4):
             if pts[i] == pts[j]:
@@ -191,7 +183,7 @@ def pushforward_field(B: RealMoebius, V):
     pole = B(math.inf)
 
     def pushed(x):
-        x = _as_float(x)
+        x = float(x)
         if math.isinf(x):
             raise ValueError("pushforward not evaluable at infinity")
         if not math.isinf(pole) and x == pole:
@@ -211,7 +203,7 @@ def pushforward_field(B: RealMoebius, V):
 
 def cayley_to_disk(x) -> complex:
     """Boundary Cayley map sending 0, 1, oo to 1, i, -1 on the unit circle."""
-    x = _as_float(x)
+    x = float(x)
     if math.isinf(x):
         return complex(-1.0, 0.0)
     return (1 + 1j * x) / (1 - 1j * x)
@@ -219,7 +211,7 @@ def cayley_to_disk(x) -> complex:
 
 def cayley_angle(x) -> float:
     """Argument in [0, 2*pi) of the Cayley image of an extended real."""
-    x = _as_float(x)
+    x = float(x)
     if math.isinf(x):
         return math.pi
     phi = 2.0 * math.atan(x)

@@ -13,11 +13,15 @@ edge corresponds to a unique group element, and its residue in Z/6 (kernel
 the base triangle land in the three distinct unordered-residue classes
 {0,3}, {2,5}, {1,4}.
 
-The transformed shear of a quotient edge is the single sum, over lifted
-edges by word length, of shear times edge weight over the quadrilateral of
-the chosen representative (unhalved: the invariant field is a plain sum of
-elementary fields over all edges, one per edge).  The pairing is twice the
-antisymmetric corner form of the triangulation applied against it.
+Everything the pairing needs at a truncation depth comes from one walk of
+the word ball: the 3x3 edge-weight matrix W, with W[i][k] the sum of edge
+weights of the distinct class-k lifts over the quadrilateral of fundamental
+edge i.  The transformed shear vector of a tangent triple t is W t / pi
+(unhalved shears: the invariant field is a plain sum of elementary fields,
+one per edge).  Weights are invariant under the covering group, so a lifted
+representative of a class has its class's transformed shear.  The pairing
+is twice the antisymmetric corner form of the triangulation applied against
+the transformed shears.
 """
 
 from __future__ import annotations
@@ -200,36 +204,59 @@ def _reduced_words(group: CoveringGroup, depth: int):
         frontier = nxt
 
 
+def _lifts(group: CoveringGroup, depth: int, tri: SurfaceTriangulation):
+    """Distinct word-translates of the fundamental edges up to the given
+    word length, each with its quotient edge index, in walk order; one walk
+    of the word ball."""
+    seen = set()
+    for _, g in _reduced_words(group, depth):
+        for j, e in enumerate(tri.edges):
+            img = g.map_edge(e)
+            u, v = img.unordered()
+            key = (u.num, u.den, v.num, v.den)
+            if key not in seen:
+                seen.add(key)
+                yield img, j
+
+
 def lift_edges(group: CoveringGroup, depth: int,
                tri: SurfaceTriangulation | None = None):
     """All word-translates of the fundamental edges up to the given word
     length, deduplicated, each tagged with its quotient edge index."""
-    tri = tri or punctured_torus()[0]
-    seen = set()
-    out = []
-    for _, g in _reduced_words(group, depth):
-        for j, e in enumerate(tri.edges):
-            img = g.map_edge(e)
-            key = img.unordered()
-            key = ((key[0].num, key[0].den), (key[1].num, key[1].den))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append((img, j))
-    return out
+    return list(_lifts(group, depth, tri or punctured_torus()[0]))
 
 
-def _representative_shift(edge: FareyEdge, tri: SurfaceTriangulation) -> tuple[IntegerMoebius, int]:
-    """Covering-group element h and class j with h(fundamental_j) = edge."""
-    j = edge_class(edge)
-    base = tri.edges[j]
-    g_base = edge_group_element(base.initial, base.terminal)
-    for (u, v) in ((edge.initial, edge.terminal),
-                   (edge.terminal, edge.initial)):
-        h = edge_group_element(u, v).compose(g_base.inverse())
-        if moebius_abelianized(h) == 0:
-            return h, j
-    raise RuntimeError("edge orientation classification failed")
+def _weight_matrix(depth: int, tri: SurfaceTriangulation | None,
+                   group: CoveringGroup | None) -> list:
+    """W[i][k]: summed weight of the class-k lifts on the quadrilateral of
+    fundamental edge i, over the word ball of the given depth."""
+    if tri is None or group is None:
+        tri0, group0 = punctured_torus()
+        tri = tri or tri0
+        group = group or group0
+    quads = [edge_quadrilateral(e) for e in tri.edges]
+    W = [[0.0] * len(tri.edges) for _ in quads]
+    for lift, k in _lifts(group, depth, tri):
+        for i, Q in enumerate(quads):
+            W[i][k] += delta_weight(lift, Q)
+    return W
+
+
+def _transform(W: list, t: TangentShear) -> TangentShear:
+    """W t / pi, summed in a fixed order."""
+    return TangentShear(*(sum(w * v for w, v in zip(row, t.values)) / math.pi
+                          for row in W))
+
+
+def hilbert_shear_vector(t: TangentShear, depth: int,
+                         tri: SurfaceTriangulation | None = None,
+                         group: CoveringGroup | None = None) -> TangentShear:
+    """Transformed shears of all three quotient edges at truncation
+    ``depth``: the weight matrix applied to the (unhalved) shears, divided
+    by pi to match the normalized transform."""
+    if not cusp_condition_check(t):
+        raise ValueError("shear triple violates the cusp condition")
+    return _transform(_weight_matrix(depth, tri, group), t)
 
 
 def invariant_hilbert_shear(t: TangentShear, edge, depth: int,
@@ -237,49 +264,12 @@ def invariant_hilbert_shear(t: TangentShear, edge, depth: int,
                             group: CoveringGroup | None = None) -> float:
     """Transformed shear of one quotient edge at truncation ``depth``.
 
-    ``edge`` is a quotient index (0, 1, 2) or any lifted representative;
-    for a representative the word ball is shifted along with it, so the
-    answer does not depend on the choice.  The sum runs over per-edge
-    (unhalved) shears times bracket weights, divided by pi to match the
-    normalized transform.
+    ``edge`` is a quotient index (0, 1, 2) or any lifted representative,
+    which stands for its class: the weights are invariant under the
+    covering group, so every representative has its class's value.
     """
-    if tri is None or group is None:
-        tri0, group0 = punctured_torus()
-        tri = tri or tri0
-        group = group or group0
-    if not cusp_condition_check(t):
-        raise ValueError("shear triple violates the cusp condition")
-    if isinstance(edge, int):
-        shift, rep = IDENTITY, tri.edges[edge]
-    else:
-        shift, _ = _representative_shift(edge, tri)
-        rep = edge
-    Q = edge_quadrilateral(rep)
-    total = 0.0
-    seen = set()
-    for _, g in _reduced_words(group, depth):
-        hg = shift.compose(g)
-        for j, e in enumerate(tri.edges):
-            if t[j] == 0.0:
-                continue
-            img = hg.map_edge(e)
-            key = img.unordered()
-            key = ((key[0].num, key[0].den), (key[1].num, key[1].den))
-            if key in seen:
-                continue
-            seen.add(key)
-            total += t[j] * delta_weight(img, Q)
-    return total / math.pi
-
-
-def hilbert_shear_vector(t: TangentShear, depth: int,
-                         tri: SurfaceTriangulation | None = None,
-                         group: CoveringGroup | None = None) -> TangentShear:
-    """Transformed shears of all three quotient edges (restriction of the
-    transformed field's shear function to the quotient)."""
-    vals = [invariant_hilbert_shear(t, j, depth, tri, group)
-            for j in range(3)]
-    return TangentShear(*vals)
+    j = edge if isinstance(edge, int) else edge_class(edge)
+    return hilbert_shear_vector(t, depth, tri, group)[j]
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +307,8 @@ def wp_gram(depth: int, tri: SurfaceTriangulation | None = None,
     """Gram matrix of the pairing on the standard cusp-subspace basis
     (1, -1, 0), (0, 1, -1), with eigenvalues, at the given depth."""
     basis = [TangentShear(1.0, -1.0, 0.0), TangentShear(0.0, 1.0, -1.0)]
-    hs = [hilbert_shear_vector(b, depth, tri, group) for b in basis]
+    W = _weight_matrix(depth, tri, group)
+    hs = [_transform(W, b) for b in basis]
     gram = np.array([[2.0 * thurston_form(bi, hj, tri) for hj in hs]
                      for bi in basis])
     eigenvalues = np.linalg.eigvalsh(0.5 * (gram + gram.T))

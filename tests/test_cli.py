@@ -218,6 +218,27 @@ def test_bad_numeric_knobs_rejected(tmp_path, capsys):
     assert run(["field", "eval", "--shears", path, "--window", "-1"]) == 2
     diag = json.loads(capsys.readouterr().err)
     assert diag["field"] == "window"
+    for value in ("nan", "inf", "0", "-1"):
+        assert run(["hilbert", "eval", "--shears", path, "--mode", "oracle",
+                    "--samples", "1", f"--tolerance={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["field"] == "tolerance"
+
+
+@pytest.mark.parametrize("action", ["gram", "pair"])
+@pytest.mark.parametrize("depth", ["11", "20"])
+def test_wp_depth_beyond_limit_rejected(monkeypatch, capsys, action, depth):
+    import shearfield.torus
+
+    def no_walk(*args):
+        raise AssertionError("the word ball was walked")
+
+    monkeypatch.setattr(shearfield.torus, "_reduced_words", no_walk)
+    assert run(["wp", action, "--depth", depth]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["field"] == "depth"
 
 
 def test_error_exit_codes(tmp_path, capsys):

@@ -101,6 +101,8 @@ def test_oracle_config_validation():
         PVOracleConfig(eps0=-1.0)
     with pytest.raises(ValueError):
         PVOracleConfig(tail_radius=1.0)
+    with pytest.raises(ValueError):
+        PVOracleConfig(tolerance=float("nan"))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ import pytest
 
 from shearfield.farey import (IDENTITY, INFINITY, IntegerMoebius, ONE,
                               ZERO, oriented_edge)
+from shearfield.hilbert import delta_weight, edge_quadrilateral
 from shearfield.torus import (CoveringGroup, SurfaceTriangulation,
-                              TangentShear, cusp_condition_check, edge_class,
+                              TangentShear, _reduced_words,
+                              cusp_condition_check, edge_class,
                               hilbert_shear_vector, invariant_hilbert_shear,
                               lift_edges, moebius_abelianized,
                               punctured_torus, thurston_form, wp_gram,
@@ -81,7 +83,6 @@ def test_lift_edges_triangle_closure():
     """Every word's three fundamental-edge images appear together."""
     tri, grp = punctured_torus()
     lifted = {e.unordered() for e, _ in lift_edges(grp, 3)}
-    from shearfield.torus import _reduced_words
     for _, g in _reduced_words(grp, 3):
         for e in tri.edges:
             assert g.map_edge(e).unordered() in lifted
@@ -128,6 +129,44 @@ def test_invariant_hilbert_representative_free():
         v_canon = invariant_hilbert_shear(t, cls, 4)
         v_rep = invariant_hilbert_shear(t, img, 4)
         assert v_rep == pytest.approx(v_canon, abs=1e-8)
+
+
+def test_delta_weight_covering_invariance():
+    """The class reduction rests on delta_weight(g e, g Q) = delta_weight(e,
+    Q) for covering-group elements g.  Some weights vanish and others come
+    from cancelling brackets, so the error is measured relative to the
+    largest weight on the quadrilateral, the scale of the sum they enter."""
+    tri, grp = punctured_torus()
+    lifted = lift_edges(grp, 3)
+    for _, g in _reduced_words(grp, 2):
+        for f in tri.edges:
+            Q = edge_quadrilateral(f)
+            gQ = edge_quadrilateral(g.map_edge(f))
+            want = [delta_weight(e, Q) for e, _ in lifted]
+            got = [delta_weight(g.map_edge(e), gQ) for e, _ in lifted]
+            scale = max(abs(w) for w in want)
+            assert max(abs(a - b) for a, b in zip(got, want)) \
+                <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+def test_hilbert_shear_vector_matches_per_lift_sum(depth):
+    tri, grp = punctured_torus()
+    t = TangentShear(1.0, 0.5, -1.5)
+    quads = [edge_quadrilateral(e) for e in tri.edges]
+    want = [0.0, 0.0, 0.0]
+    seen = set()
+    for _, g in _reduced_words(grp, depth):
+        for j, e in enumerate(tri.edges):
+            img = g.map_edge(e)
+            if img.unordered() in seen:
+                continue
+            seen.add(img.unordered())
+            for i, Q in enumerate(quads):
+                want[i] += t[j] * delta_weight(img, Q) / math.pi
+    got = hilbert_shear_vector(t, depth)
+    for i in range(3):
+        assert got[i] == pytest.approx(want[i], rel=1e-12, abs=0.0)
 
 
 def test_thurston_form_structure():
