@@ -18,13 +18,14 @@ import json
 import math
 import sys
 
-from .farey import ExtRational, FareyEdge, enumerate_vertices, farey_order, oriented_edge
+from .farey import (ExtRational, FareyEdge, enumerate_edges,
+                    enumerate_vertices, farey_order, oriented_edge)
 from .fields import (ShearFunction, assemble_field, halved_terms, tail_bound,
                      zygmund_condition_sup)
 from .fourier import FourierCoefficient, field_fourier
 from .hilbert import (PVOracleConfig, hilbert_pv_oracle, hilbert_series_eval,
                       hilbert_shear_series)
-from .torus import TangentShear, wp_gram, wp_pairing
+from .torus import TangentShear, cusp_condition_check, wp_gram, wp_pairing
 from . import __version__ as VERSION
 
 
@@ -63,21 +64,20 @@ def parse_shear_file(path: str) -> ShearFunction:
         raise CliError(f"no such file: {path}", "input")
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {path}: {exc}", "input")
-    if not isinstance(doc, dict) or "edges" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("edges"), list):
         raise CliError("shear file must be an object with an 'edges' list",
                        "edges")
     sdot = ShearFunction()
     seen = set()
     for idx, entry in enumerate(doc["edges"]):
         where = f"edges[{idx}]"
+        if not isinstance(entry, dict):
+            raise CliError(f"{where} is not an object", where)
         for key in ("p", "q", "value"):
             if key not in entry:
                 raise CliError(f"{where} is missing '{key}'", f"{where}.{key}")
-        try:
-            p = ExtRational(*entry["p"])
-            q = ExtRational(*entry["q"])
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"{where}: bad endpoint ({exc})", where)
+        p = _parse_endpoint(entry["p"], where)
+        q = _parse_endpoint(entry["q"], where)
         try:
             edge = oriented_edge(p, q)
         except ValueError as exc:
@@ -95,6 +95,18 @@ def parse_shear_file(path: str) -> ShearFunction:
             raise CliError(f"{where}: value is not finite", f"{where}.value")
         sdot.set(edge, value)
     return sdot
+
+
+def _parse_endpoint(raw, where: str) -> ExtRational:
+    """An endpoint [num, den] of two JSON integers (not floats or booleans)."""
+    if not (isinstance(raw, list) and len(raw) == 2 and
+            all(type(v) is int for v in raw)):
+        raise CliError(f"{where}: endpoint {json.dumps(raw)} is not a pair "
+                       "of integers", where)
+    try:
+        return ExtRational(*raw)
+    except ZeroDivisionError as exc:
+        raise CliError(f"{where}: bad endpoint ({exc})", where)
 
 
 def _parse_edge_arg(text: str) -> FareyEdge:
@@ -174,7 +186,6 @@ def cmd_farey(args) -> int:
               _meta(max_order=args.max_order))
         return 0
     # edges: every tessellation edge with both endpoints of order <= max_order
-    from .farey import enumerate_edges
     edges = enumerate_edges(args.max_order)
     if args.format == "json":
         # an edge serializes as the flat array [p_num, p_den, q_num, q_den]
@@ -264,7 +275,6 @@ def cmd_wp(args) -> int:
     if args.action == "pair":
         t1 = _parse_triple(args.t1, "t1")
         t2 = _parse_triple(args.t2, "t2")
-        from .torus import cusp_condition_check
         for name, t in (("t1", t1), ("t2", t2)):
             if not cusp_condition_check(t):
                 raise CliError(f"{name} violates the cusp condition "

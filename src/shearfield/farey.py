@@ -299,26 +299,39 @@ def mediant(p, q, infinity_sign: int = 1) -> ExtRational:
     return ExtRational(pn + qn, pd + qd)
 
 
+def _stern_brocot(p: ExtRational) -> tuple[int, ExtRational, ExtRational]:
+    """(order, lo, hi) of a finite nonzero p from its continued fraction.
+
+    The Stern-Brocot walk towards |p| starts at lo = 0/1, hi = 1/0 and
+    replaces one endpoint by the mediant until the mediant is |p|.  Each
+    partial quotient q of |p| is a block of q steps in one direction, taken
+    at once, so the cost is O(log) in the size of p; the last block stops one
+    step short, where lo and hi are the parents.  The order is 1 plus the
+    sum of the partial quotients.  For negative p the result is mirrored.
+    """
+    x, y = abs(p.num), p.den
+    lo, hi = (0, 1), (1, 0)
+    order, right = 1, True
+    while y:
+        q, r = divmod(x, y)
+        order += q
+        steps = q if r else q - 1
+        if right:
+            lo = (lo[0] + steps * hi[0], lo[1] + steps * hi[1])
+        else:
+            hi = (hi[0] + steps * lo[0], hi[1] + steps * lo[1])
+        x, y, right = y, r, not right
+    sign = -1 if p.num < 0 else 1
+    return (order, ExtRational(sign * lo[0], lo[1]),
+            ExtRational(sign * hi[0], hi[1]))
+
+
 def farey_parents(p) -> tuple[ExtRational, ExtRational]:
     """The two lower-order neighbours whose mediant is p (order >= 2 only)."""
     p = as_extrational(p)
     if p in (ZERO, INFINITY):
         raise ValueError("0 and oo have no parents")
-    neg = not p.is_infinity and p.num < 0
-    target = -p if neg else p
-    lo, hi = (0, 1), (1, 0)   # as (num, den) pairs
-    for _ in range(10_000_000):
-        m = (lo[0] + hi[0], lo[1] + hi[1])
-        if m == (target.num, target.den):
-            par = (ExtRational(*lo), ExtRational(*hi))
-            if neg:
-                par = (-par[0], -par[1])
-            return par
-        if target.num * m[1] < m[0] * target.den:
-            hi = m
-        else:
-            lo = m
-    raise RuntimeError("mediant search failed to terminate")
+    return _stern_brocot(p)[1:]
 
 
 def farey_order(p) -> int:
@@ -326,20 +339,23 @@ def farey_order(p) -> int:
     1 and -1 order 2, and the mediant of adjacent vertices of maximal order
     n has order n + 1."""
     p = as_extrational(p)
-    if p in (ZERO, INFINITY):
-        return 1
-    target = -p if p.num < 0 else p
-    lo, hi = (0, 1), (1, 0)
-    steps = 0
-    while True:
-        m = (lo[0] + hi[0], lo[1] + hi[1])
-        steps += 1
-        if m == (target.num, target.den):
-            return steps + 1
-        if target.num * m[1] < m[0] * target.den:
-            hi = m
-        else:
-            lo = m
+    return 1 if p in (ZERO, INFINITY) else _stern_brocot(p)[0]
+
+
+def _mediant_sweep(max_order: int):
+    """The (u, m, v) gaps of generations 2..max_order: m is the mediant born
+    between counterclockwise-consecutive vertices u and v of the previous
+    generation's circle, which starts at 0, so each generation's mediants
+    come out in circular order from 0."""
+    circle = [ZERO, INFINITY]
+    for _ in range(2, max_order + 1):
+        nxt = []
+        for u, v in zip(circle, circle[1:] + circle[:1]):
+            # oo is +1/0 on the positive side (before it), -1/0 after it
+            m = mediant(u, v, infinity_sign=-1 if u.is_infinity else 1)
+            nxt.extend((u, m))
+            yield u, m, v
+        circle = nxt
 
 
 def enumerate_vertices(max_order: int) -> list[ExtRational]:
@@ -348,30 +364,7 @@ def enumerate_vertices(max_order: int) -> list[ExtRational]:
     (increasing reals first, then oo, then the negative reals)."""
     if max_order < 1:
         return []
-    # circular list in ccw order starting at 0: [0, positives..., oo, negatives...]
-    circle = [ZERO, INFINITY]
-    by_order = [[ZERO, INFINITY]]
-    for _ in range(2, max_order + 1):
-        new_circle = []
-        born = []
-        n = len(circle)
-        for i in range(n):
-            u, v = circle[i], circle[(i + 1) % n]
-            # sign of the infinity in this gap: positive side before oo,
-            # negative side after it
-            sign = 1
-            if u.is_infinity:
-                sign = -1
-            m = mediant(u, v, infinity_sign=sign)
-            new_circle.extend([u, m])
-            born.append(m)
-        circle = new_circle
-        by_order.append(born)
-    position = {v: i for i, v in enumerate(circle)}
-    out = []
-    for level in by_order:
-        out.extend(sorted(level, key=position.__getitem__))
-    return out
+    return [ZERO, INFINITY] + [m for _, m, _ in _mediant_sweep(max_order)]
 
 
 def enumerate_edges(max_order: int) -> list[FareyEdge]:
@@ -381,18 +374,8 @@ def enumerate_edges(max_order: int) -> list[FareyEdge]:
     if max_order < 1:
         return []
     out = [oriented_edge(ZERO, INFINITY)]
-    circle = [ZERO, INFINITY]
-    for _ in range(2, max_order + 1):
-        new_circle = []
-        n = len(circle)
-        for i in range(n):
-            u, v = circle[i], circle[(i + 1) % n]
-            sign = -1 if u.is_infinity else 1
-            m = mediant(u, v, infinity_sign=sign)
-            out.append(oriented_edge(u, m))
-            out.append(oriented_edge(m, v))
-            new_circle.extend([u, m])
-        circle = new_circle
+    for u, m, v in _mediant_sweep(max_order):
+        out.extend((oriented_edge(u, m), oriented_edge(m, v)))
     return out
 
 
@@ -401,17 +384,13 @@ def enumerate_edges(max_order: int) -> list[FareyEdge]:
 # ---------------------------------------------------------------------------
 
 def _fan_anchor(p: ExtRational) -> ExtRational:
-    """Terminal endpoint of e_0 at tip p, i.e. B(0) for the fan map."""
-    if p.is_infinity:
-        return ZERO
+    """Terminal endpoint of e_0 at a finite tip p, i.e. B(0) for the fan map:
+    1 at p = 0, else the parent above p on the real line (oo counts as +oo
+    for p > 0; for p < 0 the mirrored walk puts it below)."""
     if p == ZERO:
         return ONE
-    u, v = farey_parents(p)
-    for cand in (u, v):
-        edge = oriented_edge(p, cand)
-        if edge.initial == p:
-            return cand
-    raise RuntimeError(f"no outgoing parent edge at {p}")
+    _, lo, hi = _stern_brocot(p)
+    return hi if p.num > 0 else lo
 
 
 def fan_moebius(p) -> IntegerMoebius:
@@ -431,11 +410,7 @@ def fan_moebius(p) -> IntegerMoebius:
 def fan_edge(p, n: int) -> FareyEdge:
     """The n-th edge of the fan with tip p (e_0 leaves p, e_1 enters p)."""
     p = as_extrational(p)
-    if p.is_infinity:
-        other = ExtRational(n, 1)
-        return FareyEdge(other, p) if n >= 1 else FareyEdge(p, other)
-    B = fan_moebius(p)
-    other = B(ExtRational(n, 1))
+    other = fan_moebius(p)(ExtRational(n, 1))
     return FareyEdge(other, p) if n >= 1 else FareyEdge(p, other)
 
 
@@ -447,10 +422,6 @@ def fan_edges(p, n_lo: int, n_hi: int) -> list[FareyEdge]:
 def fan_index(p, q) -> int:
     """Index n with fan_edge(p, n) joining p and q (q adjacent to p)."""
     p, q = as_extrational(p), as_extrational(q)
-    if p.is_infinity:
-        if q.den != 1:
-            raise ValueError(f"{q} is not adjacent to oo")
-        return q.num
     pre = fan_moebius(p).inverse()(q)
     if pre.den != 1:
         raise ValueError(f"{q} is not adjacent to {p}")

@@ -205,24 +205,21 @@ def _reduced_words(group: CoveringGroup, depth: int):
 
 
 def _lifts(group: CoveringGroup, depth: int, tri: SurfaceTriangulation):
-    """Distinct word-translates of the fundamental edges up to the given
-    word length, each with its quotient edge index, in walk order; one walk
-    of the word ball."""
-    seen = set()
+    """Word-translates of the fundamental edges up to the given word length,
+    each with its quotient edge index, in walk order; one walk of the word
+    ball.  No lift repeats: the covering group is free, so no element but
+    the identity fixes an edge (an edge flip has order 2), and the
+    fundamental edges lie in distinct orbits; distinct reduced words thus
+    give distinct lifts."""
     for _, g in _reduced_words(group, depth):
         for j, e in enumerate(tri.edges):
-            img = g.map_edge(e)
-            u, v = img.unordered()
-            key = (u.num, u.den, v.num, v.den)
-            if key not in seen:
-                seen.add(key)
-                yield img, j
+            yield g.map_edge(e), j
 
 
 def lift_edges(group: CoveringGroup, depth: int,
                tri: SurfaceTriangulation | None = None):
     """All word-translates of the fundamental edges up to the given word
-    length, deduplicated, each tagged with its quotient edge index."""
+    length (pairwise distinct), each tagged with its quotient edge index."""
     return list(_lifts(group, depth, tri or punctured_torus()[0]))
 
 

@@ -73,6 +73,37 @@ def test_non_finite_value_rejected(tmp_path, capsys, token):
     assert json.loads(captured.err)["field"] == "edges[1].value"
 
 
+@pytest.mark.parametrize("doc, field", [
+    ('{"edges": 5}', "edges"),
+    ('{"edges": {"p": [0, 1]}}', "edges"),
+    ('{"edges": [1]}', "edges[0]"),
+    ('{"edges": [{"p": [0, 1], "q": [1, 0], "value": 1}, "x"]}', "edges[1]"),
+    ('{"edges": [{"p": [1e400, 1], "q": [1, 0], "value": 1}]}', "edges[0]"),
+    ('{"edges": [{"p": [0.5, 1], "q": [1, 0], "value": 1}]}', "edges[0]"),
+    ('{"edges": [{"p": [0, 1], "q": [1, 1.0], "value": 1}]}', "edges[0]"),
+    ('{"edges": [{"p": [true, 1], "q": [1, 0], "value": 1}]}', "edges[0]"),
+    ('{"edges": [{"p": ["0", 1], "q": [1, 0], "value": 1}]}', "edges[0]"),
+    ('{"edges": [{"p": [0, 1, 1], "q": [1, 0], "value": 1}]}', "edges[0]"),
+    ('{"edges": [{"p": 0, "q": [1, 0], "value": 1}]}', "edges[0]"),
+])
+def test_malformed_entry_rejected(tmp_path, capsys, doc, field):
+    path = tmp_path / "shears.json"
+    path.write_text(doc)
+    assert run(["field", "eval", "--shears", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["field"] == field
+
+
+def test_field_eval_huge_denominator_edge(tmp_path, capsys):
+    """The tip 1/10^9 has Farey order 10^9 + 1; finding that is O(log)."""
+    path = write_shears(tmp_path, [{"p": [0, 1], "q": [1, 10 ** 9],
+                                    "value": 1.0}])
+    assert run(["field", "eval", "--shears", path, "--samples", "3"]) == 0
+    assert capsys.readouterr().out.startswith("x,value\n")
+
+
 def test_import_leaves_scipy_unloaded():
     """Only the quadrature oracles need scipy; the CLI imports it lazily."""
     import shearfield

@@ -44,6 +44,7 @@ def test_farey_order_examples():
     assert farey_order(ExtRational(1, 2)) == 3
     assert farey_order(ExtRational(2)) == 3
     assert farey_order(ExtRational(3, 2)) == 4
+    assert farey_order(ExtRational(1, 10 ** 9)) == 10 ** 9 + 1
 
 
 def test_farey_parents():
@@ -52,6 +53,8 @@ def test_farey_parents():
     assert set(farey_parents(ExtRational(-1))) == {ZERO, INFINITY}
     u, v = farey_parents(ExtRational(3, 5))
     assert mediant(u, v) == ExtRational(3, 5)
+    assert set(farey_parents(ExtRational(1, 10 ** 9))) == \
+        {ZERO, ExtRational(1, 10 ** 9 - 1)}
 
 
 def test_enumerate_vertices_low_orders():
@@ -185,6 +188,27 @@ def test_in_ccw_arc_basic():
     assert not in_ccw_arc(float("inf"), 3.0, 0.0)
 
 
+def stern_brocot_walk(p):
+    """Reference: (order, parents) of p by the one-step Stern-Brocot walk,
+    one mediant per step; linear in the size of p, so small p only."""
+    neg = p.num < 0
+    target = (abs(p.num), p.den)
+    lo, hi = (0, 1), (1, 0)   # as (num, den) pairs
+    steps = 0
+    while True:
+        m = (lo[0] + hi[0], lo[1] + hi[1])
+        steps += 1
+        if m == target:
+            par = (ExtRational(*lo), ExtRational(*hi))
+            if neg:
+                par = (-par[0], -par[1])
+            return steps + 1, par
+        if target[0] * m[1] < m[0] * target[1]:
+            hi = m
+        else:
+            lo = m
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=-40, max_value=40),
        st.integers(min_value=1, max_value=40))
@@ -195,6 +219,12 @@ def test_order_of_mediant_with_parents(num, den):
     u, v = farey_parents(p)
     assert mediant(u, v, infinity_sign=1 if (p.num >= 0) else -1) == p
     assert farey_order(p) == max(farey_order(u), farey_order(v)) + 1
+    order, parents = stern_brocot_walk(p)
+    assert farey_order(p) == order
+    assert (u, v) == parents
+    # the fan anchor B(0) is the parent that the canonical edge leaves p for
+    anchor, = [q for q in parents if oriented_edge(p, q).initial == p]
+    assert fan_moebius(p)(ZERO) == anchor
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shearfield.farey import (ExtRational, INFINITY, ONE, ZERO, farey_order,
-                              oriented_edge)
+from shearfield.farey import (ExtRational, INFINITY, ONE, ZERO, fan_edge,
+                              farey_order, oriented_edge)
 from shearfield.fields import (DELTA_GAP, FieldExpr, ShearFunction,
                                assemble_field, averaged_coefficient_sum,
                                elementary_eval, fan_field_eval,
@@ -159,6 +159,33 @@ def test_zygmund_condition_sup_alternating_fan():
         sdot.set(oriented_edge(ExtRational(n), INFINITY), float((-1) ** n))
     report = zygmund_condition_sup(sdot, [INFINITY], K)
     assert report.sup_value <= 2.0 + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([INFINITY, ZERO, ONE, ExtRational(-2, 3)]),
+       st.dictionaries(st.integers(min_value=-8, max_value=8),
+                       st.floats(min_value=-5.0, max_value=5.0),
+                       min_size=1, max_size=10),
+       st.integers(min_value=1, max_value=8))
+def test_zygmund_condition_sup_matches_brute_force(tip, fan, K):
+    """The running-sum scan equals the max of averaged_coefficient_sum."""
+    sdot = ShearFunction()
+    for n, v in fan.items():
+        sdot.set(fan_edge(tip, n), v)
+    shears = fan_shears_at_tip(sdot, tip)
+    brute = max(abs(averaged_coefficient_sum(shears, m, k))
+                for m in range(min(fan) - K, max(fan) + K + 1)
+                for k in range(1, K + 1))
+    report = zygmund_condition_sup(sdot, [tip], K)
+    assert report.sup_value == pytest.approx(brute, rel=1e-12, abs=0.0)
+    if brute == 0.0:
+        assert report.witness is None
+        return
+    # ties may pick another (m, k): check the witness by the value it gives
+    w_tip, m, k = report.witness
+    assert w_tip == tip
+    assert abs(averaged_coefficient_sum(shears, m, k)) == pytest.approx(
+        report.sup_value, rel=1e-12, abs=0.0)
 
 
 def test_qs_ratio_examples():

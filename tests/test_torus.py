@@ -73,10 +73,12 @@ def test_lift_edges_depth_zero_and_growth():
     assert len(lifted) == 3
     assert {e.unordered() for e, _ in lifted} == \
         {e.unordered() for e in tri.edges}
-    for d in (1, 2, 3):
+    for d in (1, 2, 3, 4):
         lifted = lift_edges(grp, d)
         assert len(lifted) <= 2 * 3 * 3 ** d
         assert len(lifted) == 3 * (2 * 3 ** d - 1)   # free action, no overlap
+        # distinct words give distinct edges, with no dedup in the walk
+        assert len({e.unordered() for e, _ in lifted}) == len(lifted)
 
 
 def test_lift_edges_triangle_closure():
