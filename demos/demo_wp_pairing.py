@@ -30,10 +30,11 @@ print(f"corner form i(t1, t2) = {thurston_form(t1, t2)} "
       f"(antisymmetric, nondegenerate on the cusp subspace)")
 
 print("\npairing at increasing depth (plateau):")
+pairing = wp_pairing(t1, t2, 6)
 for d in range(2, 7):
-    print(f"  depth {d}: g(t1, t2) = {wp_pairing(t1, t2, d):+.6f}")
+    print(f"  depth {d}: g(t1, t2) = {pairing[d]:+.6f}")
 
-out = wp_gram(6)
+out = wp_gram(6)[-1]
 gram = np.array(out["gram"])
 print("\nGram matrix at depth 6:")
 print(np.array_str(gram, precision=6))

@@ -7,10 +7,10 @@ independent numerical oracle), and assembles the Weil-Petersson pairing for
 the once-punctured torus from invariant shear data.
 """
 
-from .farey import (ExtRational, FareyEdge, Geodesic, IntegerMoebius,
-                    INFINITY, apply_moebius, enumerate_vertices, fan_edge,
-                    fan_edges, fan_index, fan_moebius, farey_order,
-                    farey_parents, in_ccw_arc, mediant, oriented_edge)
+from .farey import (ExtRational, FareyEdge, IntegerMoebius, INFINITY,
+                    apply_moebius, enumerate_vertices, fan_edge, fan_edges,
+                    fan_index, fan_moebius, farey_order, farey_parents,
+                    in_ccw_arc, mediant, oriented_edge)
 from .fields import (FieldExpr, HalfTerm, ShearFunction, ZygmundReport,
                      assemble_field, descriptor_for_edge, elementary_eval,
                      fan_field_eval, halved_terms, normalize_at,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from .farey import (ExtRational, FareyEdge, enumerate_edges,
@@ -86,11 +87,15 @@ def parse_shear_file(path: str) -> ShearFunction:
         if key in seen:
             raise CliError(f"{where}: duplicate edge {p}, {q}", where)
         seen.add(key)
-        try:
-            value = float(entry["value"])
-        except (TypeError, ValueError, OverflowError):
+        value = entry["value"]
+        # a JSON number only: bool is an int subclass, strings convert
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise CliError(f"{where}: value is not a number",
                            f"{where}.value")
+        try:
+            value = float(value)
+        except OverflowError:          # an integer beyond the float range
+            value = math.inf
         if not math.isfinite(value):
             raise CliError(f"{where}: value is not finite", f"{where}.value")
         sdot.set(edge, value)
@@ -279,14 +284,14 @@ def cmd_wp(args) -> int:
             if not cusp_condition_check(t):
                 raise CliError(f"{name} violates the cusp condition "
                                f"(components must sum to 0)", name)
-        value = wp_pairing(t1, t2, args.depth)
-        prev = wp_pairing(t1, t2, args.depth - 1) if args.depth > 1 else None
+        values = wp_pairing(t1, t2, args.depth)
+        prev = values[-2] if args.depth > 1 else None
         data = {"t1": list(t1.values), "t2": list(t2.values),
-                "value": value, "value_prev_depth": prev}
+                "value": values[-1], "value_prev_depth": prev}
     else:
-        gram = wp_gram(args.depth)
-        prev = wp_gram(args.depth - 1) if args.depth > 1 else None
-        data = {**gram, "depth_prev_gram": prev["gram"] if prev else None}
+        grams = wp_gram(args.depth)
+        prev = grams[-2]["gram"] if args.depth > 1 else None
+        data = {**grams[-1], "depth_prev_gram": prev}
     _emit_json(args.output, _meta(depth=args.depth), data)
     return 0
 
@@ -305,15 +310,25 @@ def _add_common(p, shears=True, grid=False):
                    help="fan index window |n| <= window")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--output", default=None, help="output path (default stdout)")
-    p.add_argument("--tolerance", type=float, default=1e-8)
     if grid:
         p.add_argument("--from", type=float, default=-3.0, dest="grid_from")
         p.add_argument("--to", type=float, default=3.0, dest="grid_to")
         p.add_argument("--samples", type=int, default=61)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a CliError (exit 2, one JSON line) instead
+    of printing the usage text; subparsers reuse the class."""
+
+    def error(self, message):
+        # "argument --depth: ...", "... required: --shears", "unrecognized
+        # arguments: --tolerance 1e-6": the first option argparse names
+        named = re.match(r"(?:argument |.*?: )-*([^\s:/,]+)", message)
+        raise CliError(message, named.group(1) if named else "")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="shearfield",
         description="Shear functions on the Farey tessellation: field "
                     "evaluation, Hilbert transform, Fourier coefficients, "
@@ -339,6 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["eval", "shear"])
     _add_common(p, grid=True)
     p.add_argument("--mode", choices=["closed", "oracle"], default="closed")
+    p.add_argument("--tolerance", type=float, default=1e-8,
+                   help="principal-value oracle tolerance")
     p.add_argument("--edge", default="0,1,1,0",
                    help="target edge as p_num,p_den,q_num,q_den")
     p.set_defaults(func=cmd_hilbert)
@@ -360,12 +377,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _attach_triples(argv: list) -> list:
-    """Join "--t1 -3,2,1" into "--t1=-3,2,1": argparse would otherwise read
-    a triple with a leading minus sign as an option."""
+def _attach_values(argv: list) -> list:
+    """Join "--t1 -3,2,1" into "--t1=-3,2,1" (likewise --t2 and --edge):
+    argparse would otherwise read a value with a leading minus sign as an
+    option."""
     out = []
     for tok in argv:
-        if out and out[-1] in ("--t1", "--t2") and tok.startswith("-"):
+        if (out and out[-1] in ("--t1", "--t2", "--edge")
+                and tok.startswith("-")):
             out[-1] += "=" + tok
         else:
             out.append(tok)
@@ -375,7 +394,7 @@ def _attach_triples(argv: list) -> list:
 def run(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(_attach_triples(
+        args = ap.parse_args(_attach_values(
             sys.argv[1:] if argv is None else list(argv)))
         _check_knobs(args)
         return args.func(args)

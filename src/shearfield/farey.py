@@ -100,25 +100,6 @@ def as_extrational(x) -> ExtRational:
 
 
 @dataclass(frozen=True)
-class Geodesic:
-    """Oriented geodesic of the hyperbolic plane, named by its two ideal
-    endpoints (initial, terminal).  Endpoints may be ExtRational or float."""
-
-    initial: object
-    terminal: object
-
-    def __post_init__(self):
-        if self.initial == self.terminal:
-            raise ValueError("geodesic endpoints must be distinct")
-
-    def endpoints(self):
-        return (self.initial, self.terminal)
-
-    def reversed(self) -> "Geodesic":
-        return Geodesic(self.terminal, self.initial)
-
-
-@dataclass(frozen=True)
 class FareyEdge:
     """Oriented tessellation edge with exact rational endpoints.
 
@@ -136,10 +117,6 @@ class FareyEdge:
             raise TypeError("FareyEdge endpoints must be ExtRational")
         if abs(i.num * t.den - t.num * i.den) != 1:
             raise ValueError(f"{i} and {t} are not Farey-adjacent")
-
-    @property
-    def geodesic(self) -> Geodesic:
-        return Geodesic(self.initial, self.terminal)
 
     def unordered(self):
         key = lambda r: (r.num, r.den)

@@ -459,6 +459,5 @@ def hilbert_shear_series(terms, edge: FareyEdge, max_order: int) -> list[float]:
         if t.order > max_order:
             break
         partials += [total / math.pi] * (t.order - 1 - len(partials))
-        u, v = t.desc[1], (math.inf if t.desc[0] != "interval" else t.desc[2])
-        total += t.coef * delta_weight((u, v), Q)
+        total += t.coef * delta_weight(t.edge, Q)
     return partials + [total / math.pi] * (max_order - len(partials))

@@ -13,12 +13,13 @@ edge corresponds to a unique group element, and its residue in Z/6 (kernel
 the base triangle land in the three distinct unordered-residue classes
 {0,3}, {2,5}, {1,4}.
 
-Everything the pairing needs at a truncation depth comes from one walk of
-the word ball: the 3x3 edge-weight matrix W, with W[i][k] the sum of edge
-weights of the distinct class-k lifts over the quadrilateral of fundamental
-edge i.  The transformed shear vector of a tangent triple t is W t / pi
-(unhalved shears: the invariant field is a plain sum of elementary fields,
-one per edge).  Weights are invariant under the covering group, so a lifted
+Everything the pairing needs at every truncation depth up to d comes from
+one walk of the word ball to depth d: the 3x3 edge-weight matrix W, copied
+as each shell of words closes, with W[i][k] the sum of edge weights of the
+distinct class-k lifts over the quadrilateral of fundamental edge i.  The
+transformed shear vector of a tangent triple t is W t / pi (unhalved
+shears: the invariant field is a plain sum of elementary fields, one per
+edge).  Weights are invariant under the covering group, so a lifted
 representative of a class has its class's transformed shear.  The pairing
 is twice the antisymmetric corner form of the triangulation applied against
 the transformed shears.
@@ -94,7 +95,6 @@ class SurfaceTriangulation:
 
     edges: tuple
     triangles: tuple
-    cusp_end_counts: tuple
 
     def __post_init__(self):
         slots = [s for tri in self.triangles for s in tri]
@@ -150,11 +150,14 @@ def punctured_torus() -> tuple[SurfaceTriangulation, CoveringGroup]:
     tri = SurfaceTriangulation(
         edges=(e0, e1, e2),
         triangles=((0, 1, 2), (0, 1, 2)),
-        cusp_end_counts=(2, 2, 2),
     )
     group = CoveringGroup(IntegerMoebius(2, 1, 1, 1),
                           IntegerMoebius(1, 1, 1, 2))
     return tri, group
+
+
+# the one punctured torus every function below works on
+_TRI, _GROUP = punctured_torus()
 
 
 # ---------------------------------------------------------------------------
@@ -186,57 +189,51 @@ def cusp_condition_check(t) -> bool:
 
 def _reduced_words(group: CoveringGroup, depth: int):
     """Freely reduced words of length <= depth, breadth-first, with the
-    generator order (a, b, a^-1, b^-1); deterministic."""
+    generator order (a, b, a^-1, b^-1); deterministic.  Yields (word length,
+    element); the frontier keeps only each word's last letter (the letter k
+    has inverse k ^ 2)."""
     gens = group.generators()
-    inverse_of = {0: 2, 1: 3, 2: 0, 3: 1}
-    frontier = [((), IDENTITY)]
-    yield (), IDENTITY
-    for _ in range(depth):
+    frontier = [(None, IDENTITY)]
+    yield 0, IDENTITY
+    for length in range(1, depth + 1):
         nxt = []
-        for word, g in frontier:
+        for last, g in frontier:
             for k, gen in enumerate(gens):
-                if word and inverse_of[word[-1]] == k:
+                if last is not None and k == last ^ 2:
                     continue
-                w2 = word + (k,)
                 g2 = g.compose(gen)
-                nxt.append((w2, g2))
-                yield w2, g2
+                nxt.append((k, g2))
+                yield length, g2
         frontier = nxt
 
 
-def _lifts(group: CoveringGroup, depth: int, tri: SurfaceTriangulation):
-    """Word-translates of the fundamental edges up to the given word length,
-    each with its quotient edge index, in walk order; one walk of the word
-    ball.  No lift repeats: the covering group is free, so no element but
-    the identity fixes an edge (an edge flip has order 2), and the
-    fundamental edges lie in distinct orbits; distinct reduced words thus
-    give distinct lifts."""
-    for _, g in _reduced_words(group, depth):
-        for j, e in enumerate(tri.edges):
-            yield g.map_edge(e), j
-
-
-def lift_edges(group: CoveringGroup, depth: int,
-               tri: SurfaceTriangulation | None = None):
+def lift_edges(group: CoveringGroup, depth: int):
     """All word-translates of the fundamental edges up to the given word
-    length (pairwise distinct), each tagged with its quotient edge index."""
-    return list(_lifts(group, depth, tri or punctured_torus()[0]))
+    length, each tagged with its quotient edge index, in walk order.  No
+    lift repeats: the covering group is free, so no element but the
+    identity fixes an edge (an edge flip has order 2), and the fundamental
+    edges lie in distinct orbits; distinct reduced words thus give distinct
+    lifts."""
+    return [(g.map_edge(e), j) for _, g in _reduced_words(group, depth)
+            for j, e in enumerate(_TRI.edges)]
 
 
-def _weight_matrix(depth: int, tri: SurfaceTriangulation | None,
-                   group: CoveringGroup | None) -> list:
-    """W[i][k]: summed weight of the class-k lifts on the quadrilateral of
-    fundamental edge i, over the word ball of the given depth."""
-    if tri is None or group is None:
-        tri0, group0 = punctured_torus()
-        tri = tri or tri0
-        group = group or group0
-    quads = [edge_quadrilateral(e) for e in tri.edges]
-    W = [[0.0] * len(tri.edges) for _ in quads]
-    for lift, k in _lifts(group, depth, tri):
-        for i, Q in enumerate(quads):
-            W[i][k] += delta_weight(lift, Q)
-    return W
+def _weight_matrices(depth: int) -> list:
+    """[W_0, ..., W_depth] from one walk of the word ball: W_d[i][k] is the
+    summed weight of the class-k lifts of word length <= d on the
+    quadrilateral of fundamental edge i.  The walk to depth d is a prefix
+    of the longer walk, so W_d is bitwise what a walk to depth d builds."""
+    quads = [edge_quadrilateral(e) for e in _TRI.edges]
+    W = [[0.0] * len(_TRI.edges) for _ in quads]
+    shells = []
+    for length, g in _reduced_words(_GROUP, depth):
+        if length > len(shells):       # the shell length - 1 is closed
+            shells.append([row[:] for row in W])
+        for k, e in enumerate(_TRI.edges):
+            lift = g.map_edge(e)
+            for i, Q in enumerate(quads):
+                W[i][k] += delta_weight(lift, Q)
+    return shells + [W]
 
 
 def _transform(W: list, t: TangentShear) -> TangentShear:
@@ -245,20 +242,16 @@ def _transform(W: list, t: TangentShear) -> TangentShear:
                           for row in W))
 
 
-def hilbert_shear_vector(t: TangentShear, depth: int,
-                         tri: SurfaceTriangulation | None = None,
-                         group: CoveringGroup | None = None) -> TangentShear:
+def hilbert_shear_vector(t: TangentShear, depth: int) -> TangentShear:
     """Transformed shears of all three quotient edges at truncation
     ``depth``: the weight matrix applied to the (unhalved) shears, divided
     by pi to match the normalized transform."""
     if not cusp_condition_check(t):
         raise ValueError("shear triple violates the cusp condition")
-    return _transform(_weight_matrix(depth, tri, group), t)
+    return _transform(_weight_matrices(depth)[-1], t)
 
 
-def invariant_hilbert_shear(t: TangentShear, edge, depth: int,
-                            tri: SurfaceTriangulation | None = None,
-                            group: CoveringGroup | None = None) -> float:
+def invariant_hilbert_shear(t: TangentShear, edge, depth: int) -> float:
     """Transformed shear of one quotient edge at truncation ``depth``.
 
     ``edge`` is a quotient index (0, 1, 2) or any lifted representative,
@@ -266,21 +259,20 @@ def invariant_hilbert_shear(t: TangentShear, edge, depth: int,
     covering group, so every representative has its class's value.
     """
     j = edge if isinstance(edge, int) else edge_class(edge)
-    return hilbert_shear_vector(t, depth, tri, group)[j]
+    return hilbert_shear_vector(t, depth)[j]
 
 
 # ---------------------------------------------------------------------------
 # the pairing
 # ---------------------------------------------------------------------------
 
-def thurston_form(t1, t2, tri: SurfaceTriangulation | None = None) -> float:
+def thurston_form(t1, t2) -> float:
     """Antisymmetric corner form: half the sum over triangle corners of the
     cross products of consecutive edge weights in the cyclic slot order."""
-    tri = tri or punctured_torus()[0]
     v1 = t1.values if isinstance(t1, TangentShear) else tuple(t1)
     v2 = t2.values if isinstance(t2, TangentShear) else tuple(t2)
     total = 0.0
-    for slots in tri.triangles:
+    for slots in _TRI.triangles:
         k = len(slots)
         for i in range(k):
             e, e2 = slots[i], slots[(i + 1) % k]
@@ -288,28 +280,29 @@ def thurston_form(t1, t2, tri: SurfaceTriangulation | None = None) -> float:
     return 0.5 * total
 
 
-def wp_pairing(t1: TangentShear, t2: TangentShear, depth: int,
-               tri: SurfaceTriangulation | None = None,
-               group: CoveringGroup | None = None) -> float:
-    """Weil-Petersson pairing: twice the corner form of the first vector
-    against the transformed shears of the second, at the given depth."""
+def wp_pairing(t1: TangentShear, t2: TangentShear, depth: int) -> list:
+    """Weil-Petersson pairing at every depth 0..depth, from one walk: twice
+    the corner form of the first vector against the transformed shears of
+    the second."""
     if not (cusp_condition_check(t1) and cusp_condition_check(t2)):
         raise ValueError("tangent vectors must satisfy the cusp condition")
-    h2 = hilbert_shear_vector(t2, depth, tri, group)
-    return 2.0 * thurston_form(t1, h2, tri)
+    return [2.0 * thurston_form(t1, _transform(W, t2))
+            for W in _weight_matrices(depth)]
 
 
-def wp_gram(depth: int, tri: SurfaceTriangulation | None = None,
-            group: CoveringGroup | None = None):
+def wp_gram(depth: int) -> list:
     """Gram matrix of the pairing on the standard cusp-subspace basis
-    (1, -1, 0), (0, 1, -1), with eigenvalues, at the given depth."""
+    (1, -1, 0), (0, 1, -1), with eigenvalues, at every depth 0..depth, from
+    one walk."""
     basis = [TangentShear(1.0, -1.0, 0.0), TangentShear(0.0, 1.0, -1.0)]
-    W = _weight_matrix(depth, tri, group)
-    hs = [_transform(W, b) for b in basis]
-    gram = np.array([[2.0 * thurston_form(bi, hj, tri) for hj in hs]
-                     for bi in basis])
-    eigenvalues = np.linalg.eigvalsh(0.5 * (gram + gram.T))
-    return {"basis": [list(b.values) for b in basis],
-            "gram": gram.tolist(),
-            "eigenvalues": eigenvalues.tolist(),
-            "depth": depth}
+    out = []
+    for d, W in enumerate(_weight_matrices(depth)):
+        hs = [_transform(W, b) for b in basis]
+        gram = np.array([[2.0 * thurston_form(bi, hj) for hj in hs]
+                         for bi in basis])
+        eigenvalues = np.linalg.eigvalsh(0.5 * (gram + gram.T))
+        out.append({"basis": [list(b.values) for b in basis],
+                    "gram": gram.tolist(),
+                    "eigenvalues": eigenvalues.tolist(),
+                    "depth": d})
+    return out

@@ -371,9 +371,10 @@ def test_criterion_8_fourier():
 # ---------------------------------------------------------------------------
 
 def test_criterion_9_wp_gram():
-    g4 = np.array(wp_gram(4)["gram"])
-    g5 = np.array(wp_gram(5)["gram"])
-    out6 = wp_gram(6)
+    grams = wp_gram(6)
+    g4 = np.array(grams[4]["gram"])
+    g5 = np.array(grams[5]["gram"])
+    out6 = grams[6]
     g6 = np.array(out6["gram"])
     asym = abs(g6[0, 1] - g6[1, 0]) / max(abs(g6[0, 1]), abs(g6[1, 0]))
     assert asym <= 1e-3

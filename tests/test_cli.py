@@ -61,7 +61,11 @@ def test_parse_missing_field_named(tmp_path):
     assert err.value.field_name == "edges[0].q"
 
 
-@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("token", [
+    "NaN", "Infinity", "-Infinity",
+    pytest.param("1" + "0" * 400, id="int-beyond-float"),
+    # not JSON numbers: bool is an int subclass, and float() reads strings
+    "true", "false", '"0.5"', "null"])
 def test_non_finite_value_rejected(tmp_path, capsys, token):
     path = tmp_path / "shears.json"
     path.write_text('{"edges": [{"p": [0, 1], "q": [1, 0], "value": 1.0}, '
@@ -71,6 +75,12 @@ def test_non_finite_value_rejected(tmp_path, capsys, token):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["field"] == "edges[1].value"
+
+
+def test_integer_value_accepted(tmp_path):
+    path = write_shears(tmp_path, [{"p": [0, 1], "q": [1, 0], "value": 1}])
+    [(_, value)] = list(parse_shear_file(path))
+    assert value == 1.0 and type(value) is float
 
 
 @pytest.mark.parametrize("doc, field", [
@@ -208,6 +218,55 @@ def test_wp_pair_negative_triple_as_separate_argument(capsys):
     assert run(separate) == 0
     assert capsys.readouterr().out == want
     assert json.loads(want)["data"]["t1"] == [-3.0, 2.0, 1.0]
+
+
+def test_hilbert_shear_negative_edge_as_separate_argument(tmp_path, capsys):
+    path = write_shears(tmp_path, [{"p": [-1, 1], "q": [0, 1], "value": 0.5},
+                                   {"p": [0, 1], "q": [1, 1], "value": -1.0}])
+    assert run(["hilbert", "shear", "--shears", path,
+                "--edge=-1,1,0,1"]) == 0
+    want = capsys.readouterr().out
+    assert run(["hilbert", "shear", "--shears", path,
+                "--edge", "-1,1,0,1"]) == 0
+    assert capsys.readouterr().out == want
+    assert json.loads(want)["data"]["edge"] == [-1, 1, 0, 1]
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["field", "eval", "--shears", "s.json", "--bogus"], "bogus"),
+    (["field", "eval"], "shears"),
+    (["wp", "gram", "--depth", "x"], "depth"),
+    (["nosuch"], "command"),
+    # --tolerance is read by the oracle only, so only `hilbert` takes it
+    (["field", "eval", "--shears", "s.json", "--tolerance", "1e-6"],
+     "tolerance"),
+])
+def test_usage_error_is_one_json_line(capsys, argv, field):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["field"] == field
+
+
+@pytest.mark.parametrize("argv", [
+    ["wp", "gram", "--depth", "3"],
+    ["wp", "pair", "--depth", "3", "--t1", "-3,2,1", "--t2", "1,-2,1"],
+])
+def test_wp_walks_the_word_ball_once(monkeypatch, capsys, argv):
+    """The reported depth and the one before come from one walk."""
+    import shearfield.torus
+    walks = []
+    walk = shearfield.torus._reduced_words
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(shearfield.torus, "_reduced_words", counted)
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["meta"]["depth"] == 3
+    assert len(walks) == 1
 
 
 def test_farey_commands(tmp_path):

@@ -7,12 +7,12 @@ from shearfield.farey import (IDENTITY, INFINITY, IntegerMoebius, ONE,
                               ZERO, oriented_edge)
 from shearfield.hilbert import delta_weight, edge_quadrilateral
 from shearfield.torus import (CoveringGroup, SurfaceTriangulation,
-                              TangentShear, _reduced_words,
-                              cusp_condition_check, edge_class,
-                              hilbert_shear_vector, invariant_hilbert_shear,
-                              lift_edges, moebius_abelianized,
-                              punctured_torus, thurston_form, wp_gram,
-                              wp_pairing)
+                              TangentShear, _reduced_words, _transform,
+                              _weight_matrices, cusp_condition_check,
+                              edge_class, hilbert_shear_vector,
+                              invariant_hilbert_shear, lift_edges,
+                              moebius_abelianized, punctured_torus,
+                              thurston_form, wp_gram, wp_pairing)
 
 RNG = np.random.default_rng(31)
 
@@ -63,8 +63,7 @@ def test_triangulation_validation():
     e2 = oriented_edge(ZERO, ONE)
     with pytest.raises(ValueError):
         SurfaceTriangulation(edges=(e0, e1, e2),
-                             triangles=((0, 1, 2), (0, 1, 1)),
-                             cusp_end_counts=(2, 2, 2))
+                             triangles=((0, 1, 2), (0, 1, 1)))
 
 
 def test_lift_edges_depth_zero_and_growth():
@@ -151,10 +150,9 @@ def test_delta_weight_covering_invariance():
                 <= 1e-10 * scale
 
 
-@pytest.mark.parametrize("depth", [3, 4])
-def test_hilbert_shear_vector_matches_per_lift_sum(depth):
+def _per_lift_shear_vector(t, depth):
+    """Transformed shears summed lift by lift over a walk to ``depth``."""
     tri, grp = punctured_torus()
-    t = TangentShear(1.0, 0.5, -1.5)
     quads = [edge_quadrilateral(e) for e in tri.edges]
     want = [0.0, 0.0, 0.0]
     seen = set()
@@ -166,9 +164,21 @@ def test_hilbert_shear_vector_matches_per_lift_sum(depth):
             seen.add(img.unordered())
             for i, Q in enumerate(quads):
                 want[i] += t[j] * delta_weight(img, Q) / math.pi
-    got = hilbert_shear_vector(t, depth)
-    for i in range(3):
-        assert got[i] == pytest.approx(want[i], rel=1e-12, abs=0.0)
+    return want
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+def test_hilbert_shear_vector_matches_per_lift_sum(depth):
+    """Every shell of the one walk matches its own per-lift loop."""
+    t = TangentShear(1.0, 0.5, -1.5)
+    shells = _weight_matrices(depth)
+    assert len(shells) == depth + 1
+    assert hilbert_shear_vector(t, depth) == _transform(shells[-1], t)
+    for d, W in enumerate(shells):
+        got = _transform(W, t)
+        want = _per_lift_shear_vector(t, d)
+        for i in range(3):
+            assert got[i] == pytest.approx(want[i], rel=1e-12, abs=0.0)
 
 
 def test_thurston_form_structure():
@@ -194,12 +204,12 @@ def test_thurston_nondegenerate_on_cusp_subspace():
 def test_wp_pairing_zero_and_bilinearity():
     t1 = TangentShear(1.0, -1.0, 0.0)
     zero = TangentShear(0.0, 0.0, 0.0)
-    assert wp_pairing(t1, zero, 4) == 0.0
+    assert wp_pairing(t1, zero, 4) == [0.0] * 5
     t2 = TangentShear(0.0, 1.0, -1.0)
     t3 = TangentShear(1.0, 1.0, -2.0)
     lhs = wp_pairing(t1, TangentShear(*(x + 0.5 * y for x, y in
-                                        zip(t2.values, t3.values))), 4)
-    rhs = wp_pairing(t1, t2, 4) + 0.5 * wp_pairing(t1, t3, 4)
+                                        zip(t2.values, t3.values))), 4)[-1]
+    rhs = wp_pairing(t1, t2, 4)[-1] + 0.5 * wp_pairing(t1, t3, 4)[-1]
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -211,15 +221,16 @@ def test_wp_pairing_rejects_cusp_violation():
 def test_wp_symmetry_at_depth():
     t1 = TangentShear(1.0, -1.0, 0.0)
     t2 = TangentShear(0.0, 1.0, -1.0)
-    v12 = wp_pairing(t1, t2, 6)
-    v21 = wp_pairing(t2, t1, 6)
+    v12 = wp_pairing(t1, t2, 6)[-1]
+    v21 = wp_pairing(t2, t1, 6)[-1]
     assert abs(v12 - v21) <= 1e-3 * max(abs(v12), abs(v21))
 
 
 def test_wp_gram_positive_definite_and_converging():
-    g4 = np.array(wp_gram(4)["gram"])
-    g5 = np.array(wp_gram(5)["gram"])
-    g6 = wp_gram(6)
+    grams = wp_gram(6)
+    g4 = np.array(grams[4]["gram"])
+    g5 = np.array(grams[5]["gram"])
+    g6 = grams[6]
     gram6 = np.array(g6["gram"])
     assert np.all(np.array(g6["eigenvalues"]) > 0)
     assert abs(gram6[0, 1] - gram6[1, 0]) <= 1e-3 * abs(gram6[0, 1])
@@ -234,7 +245,7 @@ def test_wp_gram_symmetric_point_structure():
     [[2,-1],[-1,2]]; one proportion (g22 = -2 g12, i.e. the middle
     transformed shear is the mean of the outer two) holds exactly at every
     depth, the other emerges as the depth sum settles."""
-    out = wp_gram(6)
+    out = wp_gram(6)[-1]
     g = np.array(out["gram"])
     assert abs(g[1, 1] + 2 * g[0, 1]) <= 1e-8 * abs(g[1, 1])
     assert abs(g[0, 0] - g[1, 1]) <= 0.05 * abs(g[0, 0])
@@ -246,3 +257,17 @@ def test_hilbert_shear_vector_components():
     for j in range(3):
         assert vec[j] == pytest.approx(invariant_hilbert_shear(t, j, 4),
                                        abs=1e-14)
+
+
+def test_one_walk_gives_every_depth():
+    """Entry k of a depth-6 call equals the last entry of a depth-k call:
+    the shells are snapshotted as they close, not one step early or late."""
+    t1 = TangentShear(-3.0, 2.0, 1.0)
+    t2 = TangentShear(1.0, -2.0, 1.0)
+    grams = wp_gram(6)
+    pairs = wp_pairing(t1, t2, 6)
+    assert len(grams) == len(pairs) == 7
+    for k in range(7):
+        assert grams[k] == wp_gram(k)[-1]
+        assert grams[k]["depth"] == k
+        assert pairs[k] == wp_pairing(t1, t2, k)[-1]
