@@ -14,12 +14,12 @@ from shearfield import (FieldExpr, closed_hilbert_field, elementary_hilbert,
                         hilbert_pv_oracle)
 from shearfield.fields import normalize_at
 
-desc = ("interval", 2.0, 3.0)
-V = FieldExpr([(1.0, desc)])
+ends = (2.0, 3.0)
+V = FieldExpr([(1.0, ends)])
 
 print(f"elementary field on (2, 3): closed form vs oracle")
 for x in (0.5, 2.5, 3.7, 5.0, -1.2):
-    c = elementary_hilbert(desc, x)
+    c = elementary_hilbert(ends, x)
     o = hilbert_pv_oracle(V, x)
     print(f"  x = {x:+.2f}:  closed {c:+.10f}   oracle {o:+.10f}   "
           f"diff {abs(c - o):.2e}")

@@ -12,7 +12,8 @@ transformed shear function is then a fan-ordered double sum of weights.
 import math
 
 from shearfield import (ExtRational, INFINITY, Quadrilateral, ShearFunction,
-                        delta_weight, edge_quadrilateral, halved_terms,
+                        delta_weight, delta_weight_hyperbolic,
+                        edge_quadrilateral, halved_terms,
                         hilbert_shear_series, oriented_edge)
 
 target = oriented_edge(ExtRational(0), ExtRational(1))
@@ -25,9 +26,9 @@ for other in [oriented_edge(ExtRational(1), ExtRational(2)),
               oriented_edge(ExtRational(1, 3), ExtRational(1, 2)),
               oriented_edge(ExtRational(-1), ExtRational(0)),
               oriented_edge(ExtRational(2), ExtRational(3))]:
-    br = delta_weight(other, Q, "bracket")
+    br = delta_weight(other, Q)
     try:
-        hy = delta_weight(other, Q, "hyperbolic")
+        hy = delta_weight_hyperbolic(other, Q)
         note = f"distance route {hy:+.12f}"
     except ValueError as exc:
         note = f"distance route refused: {exc}"

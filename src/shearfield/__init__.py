@@ -12,18 +12,18 @@ from .farey import (ExtRational, FareyEdge, IntegerMoebius, INFINITY,
                     fan_index, fan_moebius, farey_order, farey_parents,
                     in_ccw_arc, mediant, oriented_edge)
 from .fields import (FieldExpr, HalfTerm, ShearFunction, ZygmundReport,
-                     assemble_field, descriptor_for_edge, elementary_eval,
+                     assemble_field, edge_ends, elementary_eval,
                      fan_field_eval, halved_terms, normalize_at,
                      partial_sum_diag, qs_ratio, tail_bound, tip_field,
                      zygmund_condition_sup, zygmund_quotient_sup)
-from .fourier import (CircleArc, FourierCoefficient, circle_elementary_eval,
-                      edge_to_arc, elementary_fourier, field_fourier,
+from .fourier import (CircleArc, circle_elementary_eval, edge_to_arc,
+                      elementary_fourier, field_fourier,
                       fourier_quadrature_oracle)
-from .hilbert import (PVOracleConfig, Quadrilateral, closed_hilbert_field,
-                      delta_weight, edge_quadrilateral, elementary_hilbert,
-                      hilbert_main_term, hilbert_pv_oracle,
-                      hilbert_series_eval, hilbert_shear_series,
-                      shear_recover)
+from .hilbert import (Quadrilateral, closed_hilbert_field, delta_weight,
+                      delta_weight_hyperbolic, edge_quadrilateral,
+                      elementary_hilbert, hilbert_main_term,
+                      hilbert_pv_oracle, hilbert_series_eval,
+                      hilbert_shear_series, shear_recover)
 from .moebius import (HalfPlaneGeodesic, RealMoebius, cayley_to_disk,
                       cross_ratio, cross_ratio_sym, geodesic_angle,
                       geodesic_distance, geodesic_relation, pushforward_field)

@@ -23,8 +23,8 @@ from .farey import (ExtRational, FareyEdge, enumerate_edges,
                     enumerate_vertices, farey_order, oriented_edge)
 from .fields import (ShearFunction, assemble_field, halved_terms, tail_bound,
                      zygmund_condition_sup)
-from .fourier import FourierCoefficient, field_fourier
-from .hilbert import (PVOracleConfig, hilbert_pv_oracle, hilbert_series_eval,
+from .fourier import field_fourier
+from .hilbert import (hilbert_pv_oracle, hilbert_series_eval,
                       hilbert_shear_series)
 from .torus import TangentShear, cusp_condition_check, wp_gram, wp_pairing
 from . import __version__ as VERSION
@@ -32,6 +32,16 @@ from . import __version__ as VERSION
 
 # deepest word ball `wp` walks: 3 (2 * 3^10 - 1) = 354,291 lifted edges
 MAX_WP_DEPTH = 10
+# largest `farey --max-order`: the edge count doubles per order, 32,765
+# edges at order 14
+MAX_FAREY_ORDER = 14
+# most grid points: each costs a pass over the term list, or one
+# principal-value integration (tens of ms) with `--mode oracle`
+MAX_SAMPLES = 10_000
+# widest `zygmund check --window` K: the scan costs O((span + 2K) K) per fan
+MAX_ZYGMUND_WINDOW = 200
+# most coefficients in `fourier --n-min..--n-max`, each a pass over the terms
+MAX_FOURIER_COEFFICIENTS = 4_096
 
 
 class CliError(Exception):
@@ -47,6 +57,8 @@ def _check_knobs(args) -> None:
         raise CliError("max-order must be >= 1", "max-order")
     if getattr(args, "window", 20) < 0:
         raise CliError("window must be >= 0", "window")
+    if getattr(args, "samples", 1) > MAX_SAMPLES:
+        raise CliError(f"samples must be at most {MAX_SAMPLES}", "samples")
     tolerance = getattr(args, "tolerance", 1e-8)
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise CliError("tolerance must be finite and positive", "tolerance")
@@ -137,11 +149,16 @@ def _parse_triple(text: str, name: str) -> TangentShear:
 
 def _grid(args) -> list[float]:
     lo, hi, n = args.grid_from, args.grid_to, args.samples
+    for name, end in (("from", lo), ("to", hi)):
+        if not math.isfinite(end):
+            raise CliError(f"--{name} must be finite", name)
     if not (hi > lo) or n < 1:
         raise CliError("need --to > --from and --samples >= 1", "grid")
     if n == 1:
         return [lo]
     step = (hi - lo) / (n - 1)
+    if not math.isfinite(step):
+        raise CliError("grid step --to - --from overflows", "grid")
     return [lo + i * step for i in range(n)]
 
 
@@ -153,11 +170,20 @@ def _write(output, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _not_finite() -> CliError:
+    return CliError("the result holds a non-finite value", "value", code=1)
+
+
 def _emit_json(output, meta, data) -> None:
-    """Write the JSON envelope {"meta": ..., "data": ...}; deterministic bytes."""
-    _write(output, json.dumps({"meta": meta, "data": data},
-                              sort_keys=True, separators=(",", ":"),
-                              default=float) + "\n")
+    """Write the JSON envelope {"meta": ..., "data": ...}; deterministic bytes.
+    A non-finite float anywhere is an error, and nothing is written."""
+    try:
+        text = json.dumps({"meta": meta, "data": data}, sort_keys=True,
+                          separators=(",", ":"), default=float,
+                          allow_nan=False)
+    except ValueError:
+        raise _not_finite() from None
+    _write(output, text + "\n")
 
 
 def _emit(cfg_format: str, output, header, rows, meta):
@@ -165,6 +191,8 @@ def _emit(cfg_format: str, output, header, rows, meta):
     if cfg_format == "csv":
         lines = [",".join(header)]
         for row in rows:
+            if not all(math.isfinite(v) for v in row if isinstance(v, float)):
+                raise _not_finite()
             lines.append(",".join(fmt(v) if isinstance(v, float) else str(v)
                                   for v in row))
         _write(output, "\n".join(lines) + "\n")
@@ -183,6 +211,9 @@ def _meta(**kw):
 # ---------------------------------------------------------------------------
 
 def cmd_farey(args) -> int:
+    if args.max_order > MAX_FAREY_ORDER:
+        raise CliError(f"max-order must be at most {MAX_FAREY_ORDER}",
+                       "max-order")
     if args.action == "vertices":
         verts = enumerate_vertices(args.max_order)
         rows = [(str(v), v.num, v.den, farey_order(v)) for v in verts]
@@ -216,6 +247,9 @@ def cmd_field(args) -> int:
 
 
 def cmd_zygmund(args) -> int:
+    if args.window > MAX_ZYGMUND_WINDOW:
+        raise CliError(f"window must be at most {MAX_ZYGMUND_WINDOW}",
+                       "window")
     sdot = parse_shear_file(args.shears)
     report = zygmund_condition_sup(sdot, sdot.support_tips(), args.window)
     witness = None
@@ -234,8 +268,7 @@ def cmd_hilbert(args) -> int:
     if args.action == "eval":
         if args.mode == "oracle":
             V = assemble_field(terms)
-            cfg = PVOracleConfig(tolerance=args.tolerance)
-            rows = [(float(x), hilbert_pv_oracle(V, x, cfg))
+            rows = [(float(x), hilbert_pv_oracle(V, x, args.tolerance))
                     for x in _grid(args)]
         else:
             rows = [(float(x), hilbert_series_eval(terms, x))
@@ -260,11 +293,14 @@ def cmd_fourier(args) -> int:
     lo, hi = args.n_min, args.n_max
     if hi < lo:
         raise CliError("need --n-max >= --n-min", "n")
+    if hi - lo >= MAX_FOURIER_COEFFICIENTS:
+        raise CliError(f"--n-min..--n-max may span at most "
+                       f"{MAX_FOURIER_COEFFICIENTS} coefficients", "n-max")
     terms = halved_terms(sdot, args.max_order, args.window)
     rows = []
     for n in range(lo, hi + 1):
-        c = FourierCoefficient(n, field_fourier(terms, n))
-        rows.append((c.n, c.value.real, c.value.imag))
+        c = field_fourier(terms, n)
+        rows.append((n, c.real, c.imag))
     low_mass = sum(abs(v) for e, v in sdot
                    if min(farey_order(e.initial), farey_order(e.terminal)) <= 2)
     total_mass = sum(abs(v) for _, v in sdot) or 1.0
@@ -378,12 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _attach_values(argv: list) -> list:
-    """Join "--t1 -3,2,1" into "--t1=-3,2,1" (likewise --t2 and --edge):
-    argparse would otherwise read a value with a leading minus sign as an
-    option."""
+    """Join "--t1 -3,2,1" into "--t1=-3,2,1" (likewise --t2, --edge, --from
+    and --to): argparse would otherwise read a value with a leading minus
+    sign, such as -1e3, as an option."""
     out = []
     for tok in argv:
-        if (out and out[-1] in ("--t1", "--t2", "--edge")
+        if (out and out[-1] in ("--t1", "--t2", "--edge", "--from", "--to")
                 and tok.startswith("-")):
             out[-1] += "=" + tok
         else:

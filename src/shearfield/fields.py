@@ -125,63 +125,58 @@ def tip_sort_key(p: ExtRational):
 # elementary fields and field expressions
 # ---------------------------------------------------------------------------
 
-def descriptor_for_edge(edge: FareyEdge):
-    """Elementary-field descriptor for a canonically oriented edge."""
-    i, t = edge.initial, edge.terminal
-    if t.is_infinity:
-        return ("rray", float(i))
-    if i.is_infinity:
-        return ("lray", float(t))
-    return ("interval", float(i), float(t))
+def edge_ends(edge) -> tuple[float, float]:
+    """Name of an edge's elementary field: the float pair (initial,
+    terminal) of a canonically oriented FareyEdge, with infinity as
+    math.inf; a pair of numbers passes through as floats."""
+    if isinstance(edge, FareyEdge):
+        return float(edge.initial), float(edge.terminal)
+    u, v = edge
+    return float(u), float(v)
 
 
-def elementary_eval(desc, x: float) -> float:
-    """Evaluate one elementary shear field.
+def elementary_eval(ends, x: float) -> float:
+    """Evaluate the elementary shear field of ends = (a, b).
 
-    ("interval", a, b): (x-a)(x-b)/(a-b) between a and b, else 0.
-    ("rray", a):        x-a for x > a, else 0.
-    ("lray", a):        -(x-a) for x < a, else 0.
+    (a, b) finite:  (x-a)(x-b)/(a-b) between a and b, else 0.
+    (a, inf):       x-a for x > a, else 0 (right ray).
+    (inf, b):       -(x-b) for x < b, else 0 (left ray).
     """
-    kind = desc[0]
-    if kind == "interval":
-        _, a, b = desc
-        lo, hi = (a, b) if a < b else (b, a)
-        if lo < x < hi:
-            return (x - a) * (x - b) / (a - b)
-        return 0.0
-    if kind == "rray":
-        a = desc[1]
+    a, b = ends
+    if b == math.inf:
         return x - a if x > a else 0.0
-    if kind == "lray":
-        a = desc[1]
-        return -(x - a) if x < a else 0.0
-    raise ValueError(f"unknown descriptor {desc!r}")
+    if a == math.inf:
+        return -(x - b) if x < b else 0.0
+    lo, hi = (a, b) if a < b else (b, a)
+    if lo < x < hi:
+        return (x - a) * (x - b) / (a - b)
+    return 0.0
 
 
 class FieldExpr:
     """Finite combination of elementary fields plus a quadratic polynomial.
 
     Evaluable at every real x; the quadratic part is kept symbolic so that
-    normalization and growth questions stay exact.
+    normalization and growth questions stay exact.  Terms are (coefficient,
+    ends) pairs, ends naming an elementary field as edge_ends does.
     """
 
     def __init__(self, terms=(), quad=(0.0, 0.0, 0.0)):
-        self.terms = [(float(c), d) for c, d in terms if c != 0.0]
+        self.terms = [(float(c), ends) for c, ends in terms if c != 0.0]
         self.quad = (float(quad[0]), float(quad[1]), float(quad[2]))
 
     def __call__(self, x: float) -> float:
         x = float(x)
         a2, a1, a0 = self.quad
         total = (a2 * x + a1) * x + a0
-        for coef, desc in self.terms:
-            total += coef * elementary_eval(desc, x)
+        for coef, ends in self.terms:
+            total += coef * elementary_eval(ends, x)
         return total
 
     def breakpoints(self) -> list[float]:
-        pts = set()
-        for _, desc in self.terms:
-            pts.update(desc[1:])
-        return sorted(pts)
+        """The finite endpoints of the terms, sorted."""
+        return sorted({p for _, ends in self.terms for p in ends
+                       if p != math.inf})
 
     def plus_quad(self, quad) -> "FieldExpr":
         a2, a1, a0 = self.quad
@@ -193,7 +188,7 @@ class FieldExpr:
         return FieldExpr(self.terms + other.terms, q)
 
     def scaled(self, factor: float) -> "FieldExpr":
-        return FieldExpr([(factor * c, d) for c, d in self.terms],
+        return FieldExpr([(factor * c, ends) for c, ends in self.terms],
                          tuple(factor * q for q in self.quad))
 
 
@@ -219,10 +214,8 @@ class HalfTerm(NamedTuple):
     """One halved elementary term of the truncated field sum."""
 
     order: int          # Farey order of the tip
-    tip: ExtRational
     coef: float         # half the edge's shear
-    edge: FareyEdge     # canonically oriented
-    desc: tuple         # descriptor_for_edge(edge)
+    ends: tuple         # edge_ends(edge), edge canonically oriented
 
 
 def tip_field(p, sdot: ShearFunction, N: int) -> FieldExpr:
@@ -231,7 +224,7 @@ def tip_field(p, sdot: ShearFunction, N: int) -> FieldExpr:
     degenerate window (N <= 0) is the zero field, not an error."""
     if N <= 0:
         return FieldExpr()
-    return FieldExpr((0.5 * value, descriptor_for_edge(edge))
+    return FieldExpr((0.5 * value, edge_ends(edge))
                      for n, value, edge in sdot.fan(p) if abs(n) <= N)
 
 
@@ -243,18 +236,17 @@ def halved_terms(sdot: ShearFunction, max_order: int, N: int) -> list[HalfTerm]:
     terms = []
     if N <= 0:
         return terms
-    for p, (order, fan) in sdot._index()[1].items():
+    for order, fan in sdot._index()[1].values():
         if order > max_order:
             break
-        terms += [HalfTerm(order, p, 0.5 * value, edge,
-                           descriptor_for_edge(edge))
+        terms += [HalfTerm(order, 0.5 * value, edge_ends(edge))
                   for n, value, edge in fan if abs(n) <= N]
     return terms
 
 
 def assemble_field(terms) -> FieldExpr:
     """The field of a halved term list (see halved_terms)."""
-    return FieldExpr((t.coef, t.desc) for t in terms)
+    return FieldExpr((t.coef, t.ends) for t in terms)
 
 
 def tail_bound(n: int, C: float) -> float:

@@ -24,7 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .farey import FareyEdge
+from .fields import edge_ends
 from .moebius import cayley_angle
 
 TWO_PI = 2.0 * math.pi
@@ -42,12 +42,6 @@ class CircleArc:
             raise ValueError("need 0 <= phi0 < phi1 <= 2*pi")
         if self.phi1 - self.phi0 >= TWO_PI:
             raise ValueError("arc must be proper")
-
-
-@dataclass(frozen=True)
-class FourierCoefficient:
-    n: int
-    value: complex
 
 
 def _angles(arc) -> tuple[float, float]:
@@ -118,15 +112,15 @@ def fourier_quadrature_oracle(V, n: int, breakpoints=()) -> complex:
     return total / TWO_PI
 
 
-def edge_to_arc(edge: FareyEdge) -> CircleArc:
-    """Support arc of an edge's elementary field under the Cayley map.
+def edge_to_arc(edge) -> CircleArc:
+    """Support arc of an edge's elementary field under the Cayley map; the
+    edge is a canonically oriented FareyEdge or its ends.
 
     The initial endpoint maps to phi0 and the terminal one to phi1, with the
     angle of the point 0 read as 2*pi when it closes an arc from the
     negative reals; canonical orientations always give phi0 < phi1.
     """
-    phi0 = cayley_angle(edge.initial)
-    phi1 = cayley_angle(edge.terminal)
+    phi0, phi1 = map(cayley_angle, edge_ends(edge))
     if phi1 == 0.0:
         phi1 = TWO_PI
     return CircleArc(phi0, phi1)
@@ -138,14 +132,14 @@ def field_fourier(terms, n: int) -> complex:
     order."""
     total = 0j
     for t in terms:
-        total += t.coef * elementary_fourier(edge_to_arc(t.edge), n)
+        total += t.coef * elementary_fourier(edge_to_arc(t.ends), n)
     return total
 
 
 def assemble_circle_field(terms):
     """Evaluable circle field of a halved term list, with its arc endpoints
     exposed for quadrature splitting."""
-    pieces = [(t.coef, edge_to_arc(t.edge)) for t in terms]
+    pieces = [(t.coef, edge_to_arc(t.ends)) for t in terms]
 
     def V(z: complex) -> complex:
         return sum(c * circle_elementary_eval(arc, z) for c, arc in pieces)

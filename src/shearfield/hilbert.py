@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .farey import FareyEdge, edge_neighbors, in_ccw_arc
-from .fields import FieldExpr
+from .fields import FieldExpr, edge_ends
 from .moebius import HalfPlaneGeodesic, geodesic_cosh_distance
 
 
@@ -35,31 +35,34 @@ def _xlogx(t: float) -> float:
 # closed forms
 # ---------------------------------------------------------------------------
 
-def hilbert_main_term(desc, x: float) -> float:
+def hilbert_main_term(ends, x: float) -> float:
     """Unnormalized main term (no 1/pi, no affine part) of the transform of
-    one elementary field.  Rays at a give (x-a) log|x-a| for either side;
-    the interval (a, b) gives -(x-a)(x-b)/(a-b) log|(x-b)/(x-a)|, with the
-    removable singularities at x = a, b set to their limit 0."""
-    kind = desc[0]
-    if kind in ("rray", "lray"):
-        return _xlogx(x - desc[1])
-    _, a, b = desc
+    the elementary field of ends = (a, b).  A ray with finite end a gives
+    (x-a) log|x-a| for either side; the interval (a, b) gives
+    -(x-a)(x-b)/(a-b) log|(x-b)/(x-a)|, with the removable singularities at
+    x = a, b set to their limit 0.  The main term is orientation-free."""
+    a, b = ends
+    if b == math.inf:
+        return _xlogx(x - a)
+    if a == math.inf:
+        return _xlogx(x - b)
     if x == a or x == b:
         return 0.0
     r = (x - a) * (x - b) / (a - b)
     return -r * (math.log(abs(x - b)) - math.log(abs(x - a)))
 
 
-def elementary_hilbert(desc, x: float) -> float:
-    """Closed-form Hilbert transform of one elementary field, normalized to
-    vanish at 0 and 1 (and at infinity in the x log|x| growth sense)."""
+def elementary_hilbert(ends, x: float) -> float:
+    """Closed-form Hilbert transform of the elementary field of ends,
+    normalized to vanish at 0 and 1 (and at infinity in the x log|x| growth
+    sense)."""
     x = float(x)
-    kind = desc[0]
-    if kind in ("rray", "lray"):
-        a = desc[1]
+    a, b = ends
+    if a == math.inf:                   # a left ray: its finite end is b
+        a, b = b, a
+    if b == math.inf:
         return (_xlogx(x - a) + _xlogx(a - 1.0) * x - _xlogx(a) * (x - 1.0)) / math.pi
-    _, a, b = desc
-    main = hilbert_main_term(desc, x)
+    main = hilbert_main_term(ends, x)
     t1 = 0.0 if b == 1.0 else (1.0 - a) * (1.0 - b) * math.log(abs(b - 1.0))
     t1 -= 0.0 if a == 1.0 else (1.0 - a) * (1.0 - b) * math.log(abs(a - 1.0))
     t0 = 0.0 if b == 0.0 else a * b * math.log(abs(b))
@@ -79,7 +82,7 @@ def closed_hilbert_field(F: FieldExpr):
     terms = list(F.terms)
 
     def H(x: float) -> float:
-        return sum(c * elementary_hilbert(d, x) for c, d in terms)
+        return sum(c * elementary_hilbert(ends, x) for c, ends in terms)
 
     H.breakpoints = F.breakpoints
     H.quad = (0.0, 0.0, 0.0)
@@ -90,31 +93,17 @@ def closed_hilbert_field(F: FieldExpr):
 # principal-value oracle
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PVOracleConfig:
-    """Excision schedule and quadrature budget for the numerical transform.
-
-    The excision radius starts at eps0 and is halved `halvings` times with
-    the same radius applied symmetrically at every pole of the integrand;
-    the excised integrals are Richardson-extrapolated twice (error model
-    c1*eps + c2*eps^2 + ...).  Beyond tail_radius the integrand is mapped
-    through xi -> 1/u and the two tails are integrated jointly, which both
-    bounds and evaluates the o(R^-alpha) remainder exactly up to quadrature
-    tolerance.
-    """
-
-    eps0: float = 1e-2
-    halvings: int = 8
-    tail_radius: float = 1e3
-    tolerance: float = 1e-8
-    quad_tol: float = 1e-11
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0
-                   for v in (self.eps0, self.tolerance)):
-            raise ValueError("eps0 and tolerance must be finite and positive")
-        if self.tail_radius < 2.0:
-            raise ValueError("tail radius must exceed 2")
+# Excision schedule and quadrature budget of the oracle.  The excision
+# radius starts at PV_EPS0 and is halved PV_HALVINGS times with the same
+# radius applied symmetrically at every pole of the integrand; the excised
+# integrals are Richardson-extrapolated twice (error model c1*eps + c2*eps^2
+# + ...).  Beyond PV_TAIL_RADIUS the integrand is mapped through xi -> 1/u
+# and the two tails are integrated jointly, which both bounds and evaluates
+# the o(R^-alpha) remainder exactly up to quadrature tolerance.
+PV_EPS0 = 1e-2
+PV_HALVINGS = 8
+PV_TAIL_RADIUS = 1e3
+PV_QUAD_TOL = 1e-11
 
 
 class PVConvergenceError(RuntimeError):
@@ -128,21 +117,22 @@ def _kernel(x: float, xi: float) -> float:
     return x * (x - 1.0) / (xi * (xi - 1.0) * (xi - x))
 
 
-def hilbert_pv_oracle(V, x: float, cfg: PVOracleConfig | None = None) -> float:
+def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
     """Numerical principal-value Hilbert transform of an evaluable field.
 
     V must grow strictly slower than quadratically; if it fails to vanish at
     0 or 1 the kernel poles there are excised symmetrically as well (the
     principal value still exists for the piecewise-quadratic fields used
     here).  Raises PVConvergenceError when the excision extrapolation does
-    not settle below the configured tolerance.
+    not settle below the tolerance.
     """
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError("tolerance must be finite and positive")
     from scipy.integrate import quad as _quad
 
-    cfg = cfg or PVOracleConfig()
     x = float(x)
     brk = sorted(set(getattr(V, "breakpoints", list)() or []))
-    R = max(cfg.tail_radius, abs(x) + 5.0,
+    R = max(PV_TAIL_RADIUS, abs(x) + 5.0,
             max((abs(b) for b in brk), default=0.0) + 5.0)
 
     # growth gate: V(x)/x^2 must decay between two probe radii, else the
@@ -171,11 +161,11 @@ def hilbert_pv_oracle(V, x: float, cfg: PVOracleConfig | None = None) -> float:
         total = 0.0
         for u, v in zip(inner[:-1], inner[1:]):
             val, _ = _quad(f, u, v, limit=200,
-                           epsabs=cfg.quad_tol, epsrel=cfg.quad_tol)
+                           epsabs=PV_QUAD_TOL, epsrel=PV_QUAD_TOL)
             total += val
         return total
 
-    eps_list = [cfg.eps0 * 0.5 ** k for k in range(cfg.halvings + 1)]
+    eps_list = [PV_EPS0 * 0.5 ** k for k in range(PV_HALVINGS + 1)]
 
     # widest excision once, then add back strips as eps shrinks
     def excised(eps: float) -> list[tuple[float, float]]:
@@ -200,7 +190,7 @@ def hilbert_pv_oracle(V, x: float, cfg: PVOracleConfig | None = None) -> float:
     r2 = [(4.0 * r1[i + 1] - r1[i]) / 3.0 for i in range(len(r1) - 1)]
     residual = abs(r2[-1] - r2[-2]) if len(r2) >= 2 else math.inf
     scale = max(1.0, abs(r2[-1]))
-    if not residual < max(cfg.tolerance * 1e3, 1e-12) * scale:
+    if not residual < max(tolerance * 1e3, 1e-12) * scale:
         raise PVConvergenceError(residual)
 
     def tails(u: float) -> float:
@@ -208,7 +198,7 @@ def hilbert_pv_oracle(V, x: float, cfg: PVOracleConfig | None = None) -> float:
         return (f(xi1) + f(-xi1)) / u ** 2
 
     tail, _ = _quad(tails, 1e-12, 1.0 / R, limit=200,
-                    epsabs=cfg.quad_tol, epsrel=cfg.quad_tol)
+                    epsabs=PV_QUAD_TOL, epsrel=PV_QUAD_TOL)
 
     return -(r2[-1] + tail) / math.pi
 
@@ -316,15 +306,6 @@ def shear_recover(V, Q: Quadrilateral, quadratic_coefficient=None) -> float:
 # edge weights
 # ---------------------------------------------------------------------------
 
-def _main_of_geodesic(u: float, v: float):
-    """Main-term transform of the elementary field on the geodesic {u, v}
-    (orientation-free: both orientations share a transform mod linear)."""
-    if math.isinf(u) or math.isinf(v):
-        a = v if math.isinf(u) else u
-        return ("rray", a)
-    return ("interval", u, v)
-
-
 def _cosh_factors(e_geo: HalfPlaneGeodesic, u: float, v: float):
     """(sinh^2(d/2), cosh^2(d/2), log coth^2(d/2)) for d = dist(e, {u,v})."""
     ch = geodesic_cosh_distance(e_geo, HalfPlaneGeodesic(u, v))
@@ -335,33 +316,21 @@ def _cosh_factors(e_geo: HalfPlaneGeodesic, u: float, v: float):
     return s2, c2, math.log(c2 / s2)
 
 
-def delta_weight(edge, Q: Quadrilateral, route: str = "bracket") -> float:
-    """Weight with which the shear on `edge` feeds the recovered transform
-    shear on the diagonal of Q: the bracket of the unnormalized main-term
-    transform of the edge's elementary field over Q.
-
-    route="bracket" evaluates that definition directly and covers every
-    admissible position including the edge crossing the diagonal.
-    route="hyperbolic" evaluates the equivalent hyperbolic-distance
-    expressions (disjoint and shared-endpoint positions only).
-    """
-    u, v = _edge_endpoints(edge)
-    if route == "bracket":
-        desc = _main_of_geodesic(u, v)
-        return recovery_bracket(lambda x: hilbert_main_term(desc, x), Q)
-    if route != "hyperbolic":
-        raise ValueError(f"unknown route {route!r}")
-    return _delta_hyperbolic(u, v, Q)
+def delta_weight(edge, Q: Quadrilateral) -> float:
+    """Weight with which the shear on `edge` (a FareyEdge or its ends) feeds
+    the recovered transform shear on the diagonal of Q: the bracket of the
+    unnormalized main-term transform of the edge's elementary field over Q.
+    Covers every admissible position, the edge crossing the diagonal
+    included."""
+    ends = edge_ends(edge)
+    return recovery_bracket(lambda x: hilbert_main_term(ends, x), Q)
 
 
-def _edge_endpoints(edge):
-    if hasattr(edge, "initial"):
-        return float(edge.initial), float(edge.terminal)
-    u, v = edge
-    return float(u), float(v)
-
-
-def _delta_hyperbolic(u: float, v: float, Q: Quadrilateral) -> float:
+def delta_weight_hyperbolic(edge, Q: Quadrilateral) -> float:
+    """delta_weight by the equivalent hyperbolic-distance expressions, an
+    independent second route for the disjoint and shared-endpoint positions;
+    raises ValueError where only the bracket applies."""
+    u, v = edge_ends(edge)
     pts = list(Q.points())
     e_geo = HalfPlaneGeodesic(u, v)
     shared = [i for i, p in enumerate(pts) if p == u or p == v]
@@ -441,7 +410,7 @@ def hilbert_series_eval(terms, x: float) -> float:
     fields.halved_terms): elementary closed forms summed in list order."""
     total = 0.0
     for t in terms:
-        total += t.coef * elementary_hilbert(t.desc, x)
+        total += t.coef * elementary_hilbert(t.ends, x)
     return total
 
 
@@ -459,5 +428,5 @@ def hilbert_shear_series(terms, edge: FareyEdge, max_order: int) -> list[float]:
         if t.order > max_order:
             break
         partials += [total / math.pi] * (t.order - 1 - len(partials))
-        total += t.coef * delta_weight(t.edge, Q)
+        total += t.coef * delta_weight(t.ends, Q)
     return partials + [total / math.pi] * (max_order - len(partials))

@@ -177,9 +177,6 @@ class TangentShear:
     def __getitem__(self, j):
         return self.values[j]
 
-    def cusp_sum(self) -> float:
-        return 2.0 * sum(self.values)
-
 
 def cusp_condition_check(t) -> bool:
     """True iff the doubled shear sum at the cusp vanishes (tol 1e-12)."""

@@ -18,10 +18,11 @@ from shearfield.fields import (ShearFunction, assemble_field,
 from shearfield.fourier import (CircleArc, assemble_circle_field,
                                 circle_elementary_eval, elementary_fourier,
                                 field_fourier, fourier_quadrature_oracle)
-from shearfield.hilbert import (FieldExpr, PVOracleConfig, Quadrilateral,
+from shearfield.hilbert import (FieldExpr, Quadrilateral,
                                 closed_hilbert_field, delta_weight,
-                                edge_quadrilateral, elementary_hilbert,
-                                hilbert_pv_oracle, shear_recover)
+                                delta_weight_hyperbolic, edge_quadrilateral,
+                                elementary_hilbert, hilbert_pv_oracle,
+                                shear_recover)
 from shearfield.moebius import RealMoebius
 from shearfield.torus import wp_gram
 from shearfield.cli import run as cli_run
@@ -49,23 +50,22 @@ def _sample_points(avoid, n=20, lo=-8.0, hi=8.0, margin=0.05):
 
 def test_criterion_1_closed_vs_oracle():
     t0 = time.time()
-    cfg = PVOracleConfig()
-    cases = [("rray", 0.0)]                                 # x log|x| / pi
-    cases += [("rray", float(RNG.uniform(0.05, 5.0))) for _ in range(20)]
-    cases += [("lray", float(RNG.uniform(-5.0, -0.05))) for _ in range(20)]
+    cases = [(0.0, INF)]                                    # x log|x| / pi
+    cases += [(float(RNG.uniform(0.05, 5.0)), INF) for _ in range(20)]
+    cases += [(INF, float(RNG.uniform(-5.0, -0.05))) for _ in range(20)]
     for _ in range(20):
         a, b = np.sort(RNG.uniform(-5.0, 5.0, 2))
         while b - a < 0.1:
             a, b = np.sort(RNG.uniform(-5.0, 5.0, 2))
-        cases.append(("interval", float(a), float(b)))
+        cases.append((float(a), float(b)))
     worst = 0.0
     n_evals = 0
-    for desc in cases:
-        V = FieldExpr([(1.0, desc)])
-        avoid = [0.0, 1.0] + list(desc[1:])
+    for ends in cases:
+        V = FieldExpr([(1.0, ends)])
+        avoid = [0.0, 1.0] + [p for p in ends if p != INF]
         for x in _sample_points(avoid, n=20):
-            got = hilbert_pv_oracle(V, x, cfg)
-            want = elementary_hilbert(desc, x)
+            got = hilbert_pv_oracle(V, x)
+            want = elementary_hilbert(ends, x)
             worst = max(worst, abs(got - want))
             n_evals += 1
             assert abs(got - want) < 1e-6
@@ -172,8 +172,8 @@ def test_criterion_4_weight_two_route_and_invariance():
     for case in ("disjoint", "shared-offdiag", "shared-diag", "side"):
         for _ in range(100):
             edge, Q = _random_config(case)
-            br = delta_weight(edge, Q, "bracket")
-            hy = delta_weight(edge, Q, "hyperbolic")
+            br = delta_weight(edge, Q)
+            hy = delta_weight_hyperbolic(edge, Q)
             worst = max(worst, abs(br - hy))
             assert abs(br - hy) < 1e-9
     # Moebius invariance of the weight, and two-route equality in general
@@ -205,7 +205,7 @@ def test_criterion_4_weight_two_route_and_invariance():
             continue
         v0 = delta_weight(edge, Q)
         v1 = delta_weight(img_edge, Q2)
-        v2 = delta_weight(img_edge, Q2, "hyperbolic")
+        v2 = delta_weight_hyperbolic(img_edge, Q2)
         worst_m = max(worst_m, abs(v0 - v1), abs(v1 - v2))
         assert abs(v0 - v1) < 1e-9
         assert abs(v1 - v2) < 1e-9
@@ -220,20 +220,18 @@ def test_criterion_4_weight_two_route_and_invariance():
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_involution():
-    fields = [("interval", 2.0, 3.0), ("interval", 0.25, 0.6),
-              ("interval", -1.5, -0.5), ("rray", 2.5), ("lray", -2.0)]
-    cfg = PVOracleConfig()
+    fields = [(2.0, 3.0), (0.25, 0.6), (-1.5, -0.5), (2.5, INF), (INF, -2.0)]
     sup = 0.0
-    for desc in fields:
-        V = FieldExpr([(1.0, desc)])
+    for ends in fields:
+        V = FieldExpr([(1.0, ends)])
         H1 = closed_hilbert_field(V)
-        avoid = [0.0, 1.0] + list(desc[1:])
+        avoid = [0.0, 1.0] + [p for p in ends if p != INF]
         grid = _sample_points(avoid, n=50, lo=-2.5, hi=3.5, margin=0.07)
-        h0 = hilbert_pv_oracle(H1, 0.0, cfg)
-        h1 = hilbert_pv_oracle(H1, 1.0, cfg)
+        h0 = hilbert_pv_oracle(H1, 0.0)
+        h1 = hilbert_pv_oracle(H1, 1.0)
         slope, offset = h1 - h0, h0
         for x in grid:
-            h2 = hilbert_pv_oracle(H1, x, cfg)
+            h2 = hilbert_pv_oracle(H1, x)
             err = abs((h2 - (slope * x + offset)) - (-V(x)))
             sup = max(sup, err)
     assert sup < 1e-3
@@ -306,15 +304,38 @@ def test_criterion_6_tail_bound():
 # 7. fan-field Zygmund bound
 # ---------------------------------------------------------------------------
 
+def _averaged_sums(shears, ms, K):
+    """averaged_coefficient_sum(shears, m, k) for m in ms (rows) and
+    1 <= k < K (columns), from prefix sums: k A(m, k) is the sum over i < k
+    of the box sums s(m - i) + ... + s(m + i)."""
+    lo = min(ms) - K
+    s = np.zeros(max(ms) + K + 1 - lo)
+    for n, v in shears.items():
+        s[n - lo] = v
+    P = np.concatenate(([0.0], np.cumsum(s)))
+    m = np.asarray(ms)[:, None] - lo
+    i = np.arange(K - 1)[None, :]
+    return np.cumsum(P[m + i + 1] - P[m - i], axis=1) / np.arange(1, K)
+
+
+def _spot_checked_C(shears, ms, K):
+    """max |A(m, k)| over the scan, with the maximizer and three corners
+    checked against averaged_coefficient_sum."""
+    A = np.abs(_averaged_sums(shears, ms, K))
+    top = np.unravel_index(np.argmax(A), A.shape)
+    for r, c in (top, (0, 0), (len(ms) // 2, 6), (len(ms) - 1, K - 2)):
+        want = abs(averaged_coefficient_sum(shears, ms[r], c + 1))
+        assert abs(A[r, c] - want) <= 1e-12
+    return A[top]
+
+
 def test_criterion_7_fan_zygmund_bound():
     worst_margin = math.inf
     for _ in range(20):
         width = int(RNG.integers(2, 7))
         shears = {n: float(RNG.uniform(-1.5, 1.5))
                   for n in range(-width, width + 1)}
-        C = max(abs(averaged_coefficient_sum(shears, m, k))
-                for m in range(-width - 30, width + 31)
-                for k in range(1, 150))
+        C = _spot_checked_C(shears, range(-width - 30, width + 31), 150)
         sup_norm = max(abs(v) for v in shears.values())
         V = lambda x: fan_field_eval(shears, x)
         xs = np.linspace(-width - 3, width + 3, 140)

@@ -232,6 +232,17 @@ def test_hilbert_shear_negative_edge_as_separate_argument(tmp_path, capsys):
     assert json.loads(want)["data"]["edge"] == [-1, 1, 0, 1]
 
 
+def test_grid_end_in_exponent_form_as_separate_argument(tmp_path, capsys):
+    path = write_shears(tmp_path, [{"p": [0, 1], "q": [1, 0], "value": 0.5}])
+    assert run(["field", "eval", "--shears", path, "--samples", "5",
+                "--from=-1e3", "--to=-1e-1"]) == 0
+    want = capsys.readouterr().out
+    assert run(["field", "eval", "--shears", path, "--samples", "5",
+                "--from", "-1e3", "--to", "-1e-1"]) == 0
+    assert capsys.readouterr().out == want
+    assert want.splitlines()[1].startswith("-1000,")
+
+
 @pytest.mark.parametrize("argv, field", [
     (["field", "eval", "--shears", "s.json", "--bogus"], "bogus"),
     (["field", "eval"], "shears"),
@@ -329,6 +340,74 @@ def test_wp_depth_beyond_limit_rejected(monkeypatch, capsys, action, depth):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["field"] == "depth"
+
+
+@pytest.mark.parametrize("argv, code, field", [
+    (["field", "eval", "--from=-inf", "--to", "1"], 2, "from"),
+    (["field", "eval", "--from=-1e308", "--to", "1e308"], 2, "grid"),
+    (["hilbert", "eval", "--to", "1e308"], 1, "value"),
+])
+def test_non_finite_output_refused(tmp_path, capsys, argv, code, field):
+    """No exit-0 output carries nan or inf: a non-finite grid end or step
+    is a usage error, and a non-finite computed value writes nothing."""
+    path = write_shears(tmp_path, [{"p": [0, 1], "q": [1, 0], "value": 0.5},
+                                   {"p": [1, 2], "q": [1, 1], "value": -1.1}])
+    assert run(argv + ["--shears", path]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["field"] == field
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writers_refuse_non_finite_values(tmp_path, capsys, fmt):
+    from shearfield.cli import _emit
+    with pytest.raises(CliError) as err:
+        _emit(fmt, None, ["x", "value"], [(0.0, 1.0), (1.0, math.nan)], {})
+    assert (err.value.code, err.value.field_name) == (1, "value")
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, patched, field", [
+    (["farey", "edges", "--max-order", "15"], "enumerate_edges", "max-order"),
+    (["farey", "vertices", "--max-order", "40"], "enumerate_vertices",
+     "max-order"),
+    (["field", "eval", "--samples", "10001"], "assemble_field", "samples"),
+    (["hilbert", "eval", "--samples", "1000000"], "hilbert_series_eval",
+     "samples"),
+    (["zygmund", "check", "--window", "201"], "zygmund_condition_sup",
+     "window"),
+    (["fourier", "--n-min", "-5000", "--n-max", "5000"], "field_fourier",
+     "n-max"),
+])
+def test_size_beyond_limit_rejected(tmp_path, monkeypatch, capsys, argv,
+                                    patched, field):
+    import shearfield.cli
+
+    def no_work(*args):
+        raise AssertionError(f"{patched} was called")
+
+    monkeypatch.setattr(shearfield.cli, patched, no_work)
+    if argv[0] != "farey":
+        argv = argv + ["--shears", write_shears(tmp_path, [
+            {"p": [0, 1], "q": [1, 0], "value": 0.5}])]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["field"] == field
+
+
+@pytest.mark.parametrize("argv", [
+    ["farey", "vertices", "--max-order", "14"],
+    ["field", "eval", "--samples", "10000"],
+    ["zygmund", "check", "--window", "200"],
+    ["fourier", "--n-min", "-2048", "--n-max", "2047"],
+])
+def test_size_at_limit_accepted(tmp_path, capsys, argv):
+    if argv[0] != "farey":
+        argv = argv + ["--shears", write_shears(tmp_path, [
+            {"p": [0, 1], "q": [1, 0], "value": 0.5}])]
+    assert run(argv) == 0
 
 
 def test_error_exit_codes(tmp_path, capsys):

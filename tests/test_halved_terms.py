@@ -7,29 +7,19 @@ from hypothesis import strategies as st
 
 from shearfield.farey import (ExtRational, INFINITY, ONE, ZERO,
                               enumerate_edges, farey_order, oriented_edge)
-from shearfield.fields import (ShearFunction, assemble_field,
-                               fan_shears_at_tip, halved_terms, tip_field)
-from shearfield.fourier import CircleArc, elementary_fourier, field_fourier
+from shearfield.fields import (FieldExpr, ShearFunction, assemble_field,
+                               edge_ends, fan_shears_at_tip, halved_terms,
+                               tip_field)
+from shearfield.fourier import edge_to_arc, elementary_fourier, field_fourier
 from shearfield.hilbert import (delta_weight, edge_quadrilateral,
                                 elementary_hilbert, hilbert_series_eval,
                                 hilbert_shear_series)
-from shearfield.moebius import cayley_angle
 
+INF = math.inf
 POOL = enumerate_edges(5)
 XS = (-2.9, -0.7, 0.3, 0.55, 1.6, 3.1)
 NS = (-5, 0, 1, 2, 7)
 TARGET = oriented_edge(ZERO, ONE)
-
-
-def _descriptor_arc(desc) -> CircleArc:
-    """Support arc of an elementary descriptor, from its float endpoints."""
-    if desc[0] == "interval":
-        phi0, phi1 = cayley_angle(desc[1]), cayley_angle(desc[2])
-    elif desc[0] == "rray":
-        phi0, phi1 = cayley_angle(desc[1]), math.pi
-    else:
-        phi0, phi1 = math.pi, cayley_angle(desc[1])
-    return CircleArc(phi0, 2 * math.pi if phi1 == 0.0 else phi1)
 
 
 def _per_tip(sdot, max_order, N):
@@ -51,27 +41,26 @@ def test_term_list_matches_per_tip_sums(entries, max_order, N):
     terms = halved_terms(sdot, max_order, N)
     tips = _per_tip(sdot, max_order, N)
     pieces = [t for _, F in tips for t in F.terms]
-    assert [(t.coef, t.desc) for t in terms] == pieces
+    assert [(t.coef, t.ends) for t in terms] == pieces
 
     V = assemble_field(terms)
     for x in XS:
         want = sum(F(x) for _, F in tips)
         assert abs(V(x) - want) <= 1e-12
-        want = sum(c * elementary_hilbert(d, x) for c, d in pieces)
+        want = sum(c * elementary_hilbert(ends, x) for c, ends in pieces)
         assert abs(hilbert_series_eval(terms, x) - want) <= 1e-12
     for n in NS:
-        want = sum(c * elementary_fourier(_descriptor_arc(d), n)
-                   for c, d in pieces)
+        want = sum(c * elementary_fourier(edge_to_arc(ends), n)
+                   for c, ends in pieces)
         assert abs(field_fourier(terms, n) - want) <= 1e-12
 
     Q = edge_quadrilateral(TARGET)
     partials = hilbert_shear_series(terms, TARGET, max_order)
     assert len(partials) == max_order
     for k in range(1, max_order + 1):
-        want = sum(c * delta_weight((d[1], d[2] if len(d) == 3 else math.inf),
-                                    Q)
+        want = sum(c * delta_weight(ends, Q)
                    for order, F in tips if order <= k
-                   for c, d in F.terms) / math.pi
+                   for c, ends in F.terms) / math.pi
         assert abs(partials[k - 1] - want) <= 1e-12
 
 
@@ -87,16 +76,31 @@ def test_caches_follow_set():
     assert set(sdot.edges()) == {e1, e2}
     assert sdot.support_tips() == [ZERO, INFINITY, ONE, ExtRational(1, 2)]
     assert [t.coef for t in halved_terms(sdot, 6, 10)
-            if t.edge == e2] == [-0.125, -0.125]
+            if t.ends == edge_ends(e2)] == [-0.125, -0.125]
 
     sdot.set(e1, 3.0)                   # new value on a cached edge
     assert fan_shears_at_tip(sdot, INFINITY) == {0: 3.0}
-    assert tip_field(INFINITY, sdot, 10).terms == [(1.5, ("lray", 0.0))]
+    assert tip_field(INFINITY, sdot, 10).terms == [(1.5, (INF, 0.0))]
 
     sdot.set(e1, 0.0)                   # zero removes the edge
     assert sdot.edges() == [e2]
     assert sdot.support_tips() == [ONE, ExtRational(1, 2)]
     assert fan_shears_at_tip(sdot, INFINITY) == {}
     assert tip_field(ZERO, sdot, 10).terms == []
-    assert all(t.edge == e2 for t in halved_terms(sdot, 6, 10))
+    assert all(t.ends == edge_ends(e2) for t in halved_terms(sdot, 6, 10))
     assert list(sdot) == [(e2, -0.25)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(POOL), st.sampled_from(POOL))
+def test_edge_and_its_ends_name_one_field(edge, target):
+    """An edge and its float ends give bitwise the same weight and arc; a
+    ray's breakpoints are its finite end only."""
+    ends = edge_ends(edge)
+    Q = edge_quadrilateral(target)
+    assert delta_weight(edge, Q).hex() == delta_weight(ends, Q).hex()
+    arc, arc_of_ends = edge_to_arc(edge), edge_to_arc(ends)
+    assert (arc.phi0.hex(), arc.phi1.hex()) == (arc_of_ends.phi0.hex(),
+                                                arc_of_ends.phi1.hex())
+    assert FieldExpr([(1.0, ends)]).breakpoints() == sorted(
+        p for p in ends if math.isfinite(p))

@@ -6,8 +6,8 @@ import pytest
 from shearfield.farey import ExtRational, INFINITY, ONE, ZERO, oriented_edge
 from shearfield.fields import (FieldExpr, ShearFunction, assemble_field,
                                halved_terms)
-from shearfield.hilbert import (PVOracleConfig, Quadrilateral,
-                                closed_hilbert_field, delta_weight,
+from shearfield.hilbert import (Quadrilateral, closed_hilbert_field,
+                                delta_weight, delta_weight_hyperbolic,
                                 edge_quadrilateral, elementary_hilbert,
                                 hilbert_main_term, hilbert_pv_oracle,
                                 hilbert_series_eval, hilbert_shear_series,
@@ -23,15 +23,15 @@ RNG = np.random.default_rng(11)
 # ---------------------------------------------------------------------------
 
 def test_ray_transform_reference_values():
-    assert elementary_hilbert(("rray", 0.0), math.e) == pytest.approx(
+    assert elementary_hilbert((0.0, INF), math.e) == pytest.approx(
         math.e / math.pi)
-    assert elementary_hilbert(("rray", 0.0), 1.0) == 0.0
-    assert elementary_hilbert(("rray", 0.0), 0.0) == 0.0
+    assert elementary_hilbert((0.0, INF), 1.0) == 0.0
+    assert elementary_hilbert((0.0, INF), 0.0) == 0.0
     # both rays at a share a transform (their sum differs by a linear field)
     for a in (-1.5, 0.0, 0.6, 2.0):
         for x in (-2.2, 0.3, 1.7, 5.0):
-            assert elementary_hilbert(("rray", a), x) == pytest.approx(
-                elementary_hilbert(("lray", a), x), abs=1e-14)
+            assert elementary_hilbert((a, INF), x) == pytest.approx(
+                elementary_hilbert((INF, a), x), abs=1e-14)
 
 
 def test_interval_transform_vanishes_at_0_1():
@@ -40,28 +40,28 @@ def test_interval_transform_vanishes_at_0_1():
         if abs(a) < 1e-3 or abs(b) < 1e-3 or abs(a - 1) < 1e-3 \
                 or abs(b - 1) < 1e-3 or b - a < 1e-2:
             continue
-        assert elementary_hilbert(("interval", a, b), 0.0) == pytest.approx(
+        assert elementary_hilbert((a, b), 0.0) == pytest.approx(
             0.0, abs=1e-12)
-        assert elementary_hilbert(("interval", a, b), 1.0) == pytest.approx(
+        assert elementary_hilbert((a, b), 1.0) == pytest.approx(
             0.0, abs=1e-12)
 
 
 def test_interval_transform_removable_points():
     a, b = 2.0, 3.0
-    va = elementary_hilbert(("interval", a, b), a)
-    near = elementary_hilbert(("interval", a, b), a + 1e-9)
+    va = elementary_hilbert((a, b), a)
+    near = elementary_hilbert((a, b), a + 1e-9)
     assert va == pytest.approx(near, abs=1e-7)
     # endpoint at the kernel pole: the affine terms have their own limits
-    assert math.isfinite(elementary_hilbert(("interval", 0.0, 2.0), 0.5))
-    assert math.isfinite(elementary_hilbert(("interval", 1.0, 2.0), 1.5))
+    assert math.isfinite(elementary_hilbert((0.0, 2.0), 0.5))
+    assert math.isfinite(elementary_hilbert((1.0, 2.0), 1.5))
 
 
 def test_main_term_orientation_free():
     for _ in range(10):
         a, b = np.sort(RNG.uniform(-4, 4, 2))
         x = RNG.uniform(-5, 5)
-        assert hilbert_main_term(("interval", a, b), x) == pytest.approx(
-            hilbert_main_term(("interval", b, a), x), abs=1e-12)
+        assert hilbert_main_term((a, b), x) == pytest.approx(
+            hilbert_main_term((b, a), x), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -74,19 +74,19 @@ def test_oracle_zero_field():
 
 
 def test_oracle_matches_interval_closed_form():
-    V = FieldExpr([(1.0, ("interval", 2.0, 3.0))])
+    V = FieldExpr([(1.0, (2.0, 3.0))])
     got = hilbert_pv_oracle(V, 5.0)
-    want = elementary_hilbert(("interval", 2.0, 3.0), 5.0)
+    want = elementary_hilbert((2.0, 3.0), 5.0)
     assert got == pytest.approx(want, abs=1e-6)
 
 
 def test_oracle_matches_ray_closed_form():
-    V = FieldExpr([(1.0, ("rray", 0.0))])
+    V = FieldExpr([(1.0, (0.0, INF))])
     got = hilbert_pv_oracle(V, math.e)
     assert got == pytest.approx(math.e / math.pi, abs=1e-6)
-    W = FieldExpr([(1.0, ("lray", -1.5))])
+    W = FieldExpr([(1.0, (INF, -1.5))])
     got = hilbert_pv_oracle(W, 1.8)
-    assert got == pytest.approx(elementary_hilbert(("lray", -1.5), 1.8),
+    assert got == pytest.approx(elementary_hilbert((INF, -1.5), 1.8),
                                 abs=1e-6)
 
 
@@ -98,11 +98,7 @@ def test_oracle_rejects_quadratic_growth():
 
 def test_oracle_config_validation():
     with pytest.raises(ValueError):
-        PVOracleConfig(eps0=-1.0)
-    with pytest.raises(ValueError):
-        PVOracleConfig(tail_radius=1.0)
-    with pytest.raises(ValueError):
-        PVOracleConfig(tolerance=float("nan"))
+        hilbert_pv_oracle(FieldExpr([]), 0.5, tolerance=float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +117,7 @@ def test_recover_quadratic_is_zero():
 
 
 def test_recover_plus_quadratic_invariant():
-    V = FieldExpr([(1.3, ("interval", -1.0, 2.0)), (0.4, ("rray", 1.0))])
+    V = FieldExpr([(1.3, (-1.0, 2.0)), (0.4, (1.0, INF))])
     for _ in range(25):
         quad = tuple(RNG.uniform(-1, 1, 3))
         W = V.plus_quad(quad)
@@ -138,11 +134,11 @@ def test_recover_unit_shear_on_own_diagonal():
     for _ in range(30):
         a, b, c, d = np.sort(RNG.uniform(-5, 5, 4))
         # diagonal (b, d), c inside the support (b, d)
-        V = FieldExpr([(1.0, ("interval", b, d))])
+        V = FieldExpr([(1.0, (b, d))])
         Q = Quadrilateral(a, b, c, d)
         assert shear_recover(V, Q) == pytest.approx(1.0, abs=1e-12)
     # with the far vertex at infinity
-    V = FieldExpr([(1.0, ("interval", 0.0, 1.0))])
+    V = FieldExpr([(1.0, (0.0, 1.0))])
     Q = Quadrilateral(INF, 0.0, 0.5, 1.0)
     assert shear_recover(V, Q) == pytest.approx(1.0, abs=1e-12)
 
@@ -185,8 +181,7 @@ def test_edge_quadrilateral_neighbors():
 # ---------------------------------------------------------------------------
 
 def _two_route(edge, Q):
-    return (delta_weight(edge, Q, "bracket"),
-            delta_weight(edge, Q, "hyperbolic"))
+    return delta_weight(edge, Q), delta_weight_hyperbolic(edge, Q)
 
 
 def test_delta_two_route_all_disjoint_positions():
@@ -231,10 +226,10 @@ def test_delta_intersecting_case_bracket_only():
     assert delta_weight((0.0, INF), Q) == pytest.approx(math.log(2.0),
                                                         abs=1e-12)
     with pytest.raises(ValueError):
-        delta_weight((0.0, INF), Q, "hyperbolic")
+        delta_weight_hyperbolic((0.0, INF), Q)
     with pytest.raises(ValueError):
-        delta_weight((-0.5, 3.0), Quadrilateral(-1.0, 0.0, 2.0, 5.0),
-                     "hyperbolic")
+        delta_weight_hyperbolic((-0.5, 3.0),
+                                Quadrilateral(-1.0, 0.0, 2.0, 5.0))
 
 
 def test_delta_self_weight_vanishes_on_own_quadrilateral():
@@ -309,12 +304,12 @@ def test_series_single_fan_matches_direct_sum():
         # other tips' fans (integer tips), all of whose edges are the same
         direct = 0.0
         for n, v in vals.items():
-            kind = "rray" if n >= 1 else "lray"
-            direct += 0.5 * v * elementary_hilbert((kind, float(n)), x)
+            ends = (float(n), INF) if n >= 1 else (INF, float(n))
+            direct += 0.5 * v * elementary_hilbert(ends, x)
         # each edge also occurs in the fan of its integer tip
         for n, v in vals.items():
-            kind = "rray" if n >= 1 else "lray"
-            direct += 0.5 * v * elementary_hilbert((kind, float(n)), x)
+            ends = (float(n), INF) if n >= 1 else (INF, float(n))
+            direct += 0.5 * v * elementary_hilbert(ends, x)
         assert got == pytest.approx(direct, abs=1e-12)
 
 
@@ -342,7 +337,7 @@ def test_shear_series_single_edge_identity():
     got = hilbert_shear_series(halved_terms(sdot, 4, 10), target, 4)[-1]
     Q = edge_quadrilateral(target)
     want_dw = delta_weight(e, Q) / math.pi
-    H = closed_hilbert_field(FieldExpr([(1.0, ("interval", 2.0, 3.0))]))
+    H = closed_hilbert_field(FieldExpr([(1.0, (2.0, 3.0))]))
     want_recover = shear_recover(H, Q)
     assert got == pytest.approx(want_dw, abs=1e-12)
     assert got == pytest.approx(want_recover, abs=1e-12)
@@ -366,7 +361,7 @@ def test_shear_series_matches_recovered_closed_transform():
 # ---------------------------------------------------------------------------
 
 def test_involution_spot():
-    V = FieldExpr([(1.0, ("interval", 2.0, 3.0))])
+    V = FieldExpr([(1.0, (2.0, 3.0))])
     H1 = closed_hilbert_field(V)
     xs = [2.2, 2.6, 3.4]
     H2 = {x: hilbert_pv_oracle(H1, x) for x in xs + [0.0, 1.0]}

@@ -205,28 +205,28 @@ def test_angle_examples():
 # ---------------------------------------------------------------------------
 
 def test_pushforward_identity():
-    V = FieldExpr([(1.0, ("rray", 0.0))])
+    V = FieldExpr([(1.0, (0.0, INF))])
     W = pushforward_field(RealMoebius(1, 0, 0, 1), V)
     for x in np.linspace(-3, 3, 13):
         assert W(x) == pytest.approx(V(x), abs=1e-15)
 
 
 def test_pushforward_translation_moves_support():
-    V = FieldExpr([(1.0, ("rray", 0.0))])
+    V = FieldExpr([(1.0, (0.0, INF))])
     W = pushforward_field(RealMoebius(1, 1, 0, 1), V)   # x -> x + 1
-    target = FieldExpr([(1.0, ("rray", 1.0))])
+    target = FieldExpr([(1.0, (1.0, INF))])
     for x in np.linspace(-2, 4, 25):
         assert W(x) == pytest.approx(target(x), abs=1e-14)
 
 
 def test_pushforward_scaling_value():
-    V = FieldExpr([(1.0, ("rray", 0.0))])
+    V = FieldExpr([(1.0, (0.0, INF))])
     W = pushforward_field(RealMoebius(2, 0, 0, 1), V)   # x -> 2x
     assert W(2.0) == pytest.approx(2.0)
 
 
 def test_pushforward_composition():
-    V = FieldExpr([(1.0, ("interval", -1.0, 2.0)), (0.5, ("rray", 1.0))])
+    V = FieldExpr([(1.0, (-1.0, 2.0)), (0.5, (1.0, INF))])
     for _ in range(30):
         B1, B2 = random_moebius(), random_moebius()
         both = pushforward_field(B1.compose(B2), V)
