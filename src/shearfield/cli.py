@@ -36,10 +36,15 @@ MAX_WP_DEPTH = 10
 # edges at order 14
 MAX_FAREY_ORDER = 14
 # most grid points: each costs a pass over the term list, or one
-# principal-value integration (tens of ms) with `--mode oracle`
+# principal-value integration (a few ms) with `--mode oracle`
 MAX_SAMPLES = 10_000
-# widest `zygmund check --window` K: the scan costs O((span + 2K) K) per fan
+# widest `zygmund check --window` K: the scan visits at most 2K - 1 fan
+# indices m per support edge, at O(K) each
 MAX_ZYGMUND_WINDOW = 200
+# largest `hilbert shear --max-order`: the output lists one partial sum per
+# order, deep tips or not (`hilbert eval`, `field` and `zygmund` print no
+# such list and take any order)
+MAX_SHEAR_ORDER = 10_000
 # most coefficients in `fourier --n-min..--n-max`, each a pass over the terms
 MAX_FOURIER_COEFFICIENTS = 4_096
 
@@ -263,6 +268,9 @@ def cmd_zygmund(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
+    if args.action == "shear" and args.max_order > MAX_SHEAR_ORDER:
+        raise CliError(f"max-order must be at most {MAX_SHEAR_ORDER} for "
+                       "hilbert shear", "max-order")
     sdot = parse_shear_file(args.shears)
     terms = halved_terms(sdot, args.max_order, args.window)
     if args.action == "eval":

@@ -18,6 +18,7 @@ estimate for truncation by Farey order.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -159,19 +160,29 @@ class FieldExpr:
     Evaluable at every real x; the quadratic part is kept symbolic so that
     normalization and growth questions stay exact.  Terms are (coefficient,
     ends) pairs, ends naming an elementary field as edge_ends does.
+
+    The field is one quadratic on each panel between consecutive
+    breakpoints.  The first call builds a table of those quadratics, each
+    expanded about a breakpoint (see _panel_table); every call then costs
+    one bisection and one Horner step.  A FieldExpr is not mutated after
+    its first call: plus_quad, scaled and + return new fields with tables
+    of their own.
     """
 
     def __init__(self, terms=(), quad=(0.0, 0.0, 0.0)):
         self.terms = [(float(c), ends) for c, ends in terms if c != 0.0]
         self.quad = (float(quad[0]), float(quad[1]), float(quad[2]))
+        self._table = None
 
     def __call__(self, x: float) -> float:
+        if self._table is None:
+            self._table = _panel_table(self.terms, self.quad,
+                                       self.breakpoints())
+        cuts, rows = self._table
         x = float(x)
-        a2, a1, a0 = self.quad
-        total = (a2 * x + a1) * x + a0
-        for coef, ends in self.terms:
-            total += coef * elementary_eval(ends, x)
-        return total
+        m, c2, c1, c0 = rows[bisect_right(cuts, x)]
+        t = x - m
+        return (c2 * t + c1) * t + c0
 
     def breakpoints(self) -> list[float]:
         """The finite endpoints of the terms, sorted."""
@@ -190,6 +201,78 @@ class FieldExpr:
     def scaled(self, factor: float) -> "FieldExpr":
         return FieldExpr([(factor * c, ends) for c, ends in self.terms],
                          tuple(factor * q for q in self.quad))
+
+
+def _panel_table(terms, quad, points):
+    """The pair (cuts, rows) behind FieldExpr.__call__.  The field of
+    (terms, quad) is one quadratic on each panel between consecutive
+    breakpoints (sorted `points`); cuts adds each panel's midpoint, and
+    rows[bisect_right(cuts, x)] = (m, c2, c1, c0) gives the field at x as
+    (c2 t + c1) t + c0 with t = x - m, m the breakpoint nearest x.  Every
+    term vanishes at its breakpoints, so expanding about the nearest one
+    keeps the error relative to the terms' size at x.
+
+    One sweep from left to right.  Each term adds its x^2, x and 1
+    coefficients where it switches on and subtracts them where it switches
+    off, and the running sums are kept exactly: every float involved (the
+    quadratic part, the breakpoints, a ray's coefficient c and an
+    interval's k = c/(a - b)) is an integer multiple of 2^-s for one s, so
+    the three moments are Python ints at scales 2^-s, 2^-2s and 2^-3s.
+    Each coefficient is rounded once."""
+    inf = math.inf
+    intervals, rays = [], []
+    for c, (a, b) in terms:
+        if b == inf:                   # c (x - a) on (a, inf)
+            rays.append((a, inf, c, a))
+        elif a == inf:                 # -c (x - b) on (-inf, b)
+            rays.append((-inf, b, -c, b))
+        elif a != b:                   # k (x - a)(x - b) between a and b
+            lo, hi = (a, b) if a < b else (b, a)
+            intervals.append((lo, hi, c / (a - b), a, b))
+    floats = [*quad, *points, *(k for *_, k, _, _ in intervals),
+              *(g for *_, g, _ in rays)]
+    s = max(f.as_integer_ratio()[1].bit_length() - 1 for f in floats)
+    one = 1 << s
+
+    def fix(f):
+        num, den = f.as_integer_ratio()
+        return num * (one // den)
+
+    jumps = {p: [0, 0, 0] for p in (-inf, *points, inf)}
+
+    def switch(lo, hi, deltas):
+        on, off = jumps[lo], jumps[hi]
+        for i, d in enumerate(deltas):
+            on[i] += d
+            off[i] -= d
+
+    for lo, hi, k, a, b in intervals:
+        K, A, B = fix(k), fix(a), fix(b)
+        switch(lo, hi, (K, -K * (A + B), K * A * B))
+    for lo, hi, g, p in rays:
+        G = fix(g)
+        switch(lo, hi, (0, G << s, -(G * fix(p)) << s))
+    q2, q1, q0 = (fix(v) for v in quad)
+    moments = [q + d for q, d in zip((q2, q1 << s, q0 << 2 * s), jumps[-inf])]
+    den1, den2, den3 = one, one << s, one << 2 * s
+
+    def row(m):
+        M2, M1, M0 = moments
+        mm = fix(m)
+        return (m, M2 / den1, (2 * M2 * mm + M1) / den2,
+                ((M2 * mm + M1) * mm + M0) / den3)
+
+    if not points:
+        return [], [row(0.0)]
+    cuts, rows = [points[0]], [row(points[0])]
+    for p, q in zip(points, points[1:] + [None]):
+        for i, d in enumerate(jumps[p]):
+            moments[i] += d
+        rows.append(row(p))
+        if q is not None:
+            cuts += [0.5 * p + 0.5 * q, q]
+            rows.append(row(q))
+    return cuts, rows
 
 
 def fan_field_eval(shears, x: float) -> float:
@@ -290,23 +373,28 @@ def zygmund_condition_sup(sdot: ShearFunction, tips, K: int) -> ZygmundReport:
 
     k A(m, k) = sum_{|j|<k} (k - |j|) s(m+j) grows by the box sum
     sum_{|j|<k+1} s(m+j) from k to k + 1, so running sums cost O(1) per
-    (m, k); they agree with :func:`averaged_coefficient_sum` to rounding."""
+    (m, k); they agree with :func:`averaged_coefficient_sum` to rounding.
+    Only m within K - 1 of a support index can give a nonzero sum, so the
+    scan walks the union of those windows in increasing m, each m once:
+    O(support * K^2) per fan, whatever the span of its indices."""
     best, best_w = 0.0, None
     for tip in tips:
         shears = fan_shears_at_tip(sdot, tip)
         if not shears:
             continue
         get = lambda i: shears.get(i, 0.0)
-        lo, hi = min(shears), max(shears)
-        for m in range(lo - K, hi + K + 1):
-            box = total = get(m)
-            for k in range(1, K + 1):
-                if k > 1:
-                    box += get(m + k - 1) + get(m - k + 1)
-                    total += box
-                v = abs(total / k)
-                if v > best:
-                    best, best_w = v, (as_extrational(tip), m, k)
+        done = min(shears) - K + 1          # first m not yet visited
+        for i in sorted(shears):
+            for m in range(max(done, i - K + 1), i + K):
+                box = total = get(m)
+                for k in range(1, K + 1):
+                    if k > 1:
+                        box += get(m + k - 1) + get(m - k + 1)
+                        total += box
+                    v = abs(total / k)
+                    if v > best:
+                        best, best_w = v, (as_extrational(tip), m, k)
+            done = i + K
     return ZygmundReport(best, best_w)
 
 

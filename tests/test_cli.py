@@ -179,6 +179,19 @@ def test_zygmund_check(tmp_path):
     assert doc["data"][0]["sup"] >= 1.5
 
 
+def test_zygmund_check_far_apart_fan_indices(tmp_path, capsys):
+    """The fan at 0 holds the edges {0, 1} and {0, 1/10^9}, whose fan
+    indices lie about 10^9 apart; the scan visits only the m near them."""
+    import time
+    path = write_shears(tmp_path, [
+        {"p": [0, 1], "q": [1, 1], "value": 1.0},
+        {"p": [0, 1], "q": [1, 10 ** 9], "value": -0.5}])
+    start = time.perf_counter()
+    assert run(["zygmund", "check", "--shears", path, "--window", "2"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out)["data"][0]["sup"] == 1.0
+
+
 def test_fourier_command(tmp_path):
     path = write_shears(tmp_path,
                         [{"p": [0, 1], "q": [1, 1], "value": 1.0}])
@@ -379,6 +392,8 @@ def test_writers_refuse_non_finite_values(tmp_path, capsys, fmt):
      "window"),
     (["fourier", "--n-min", "-5000", "--n-max", "5000"], "field_fourier",
      "n-max"),
+    (["hilbert", "shear", "--max-order", "10001"], "parse_shear_file",
+     "max-order"),
 ])
 def test_size_beyond_limit_rejected(tmp_path, monkeypatch, capsys, argv,
                                     patched, field):
@@ -402,6 +417,7 @@ def test_size_beyond_limit_rejected(tmp_path, monkeypatch, capsys, argv,
     ["field", "eval", "--samples", "10000"],
     ["zygmund", "check", "--window", "200"],
     ["fourier", "--n-min", "-2048", "--n-max", "2047"],
+    ["hilbert", "shear", "--max-order", "10000"],
 ])
 def test_size_at_limit_accepted(tmp_path, capsys, argv):
     if argv[0] != "farey":

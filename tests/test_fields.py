@@ -189,6 +189,40 @@ def test_zygmund_condition_sup_matches_brute_force(tip, fan, K):
         report.sup_value, rel=1e-12, abs=0.0)
 
 
+def _full_span_scan(shears, tip, K):
+    """The scan over every m from min - K to max + K of a fan's indices,
+    kept as the reference for the windowed scan."""
+    best, best_w = 0.0, None
+    get = lambda i: shears.get(i, 0.0)
+    for m in range(min(shears) - K, max(shears) + K + 1):
+        box = total = get(m)
+        for k in range(1, K + 1):
+            if k > 1:
+                box += get(m + k - 1) + get(m - k + 1)
+                total += box
+            if abs(total / k) > best:
+                best, best_w = abs(total / k), (tip, m, k)
+    return best, best_w
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([INFINITY, ZERO, ExtRational(-2, 3)]),
+       st.dictionaries(st.integers(min_value=-300, max_value=300),
+                       st.floats(min_value=-5.0, max_value=5.0),
+                       min_size=1, max_size=8),
+       st.integers(min_value=0, max_value=8))
+def test_zygmund_scan_skips_only_zero_windows(tip, fan, K):
+    """Visiting only the m within K - 1 of a support index gives the same
+    sup and the same first-found witness as the full index span."""
+    sdot = ShearFunction()
+    for n, v in fan.items():
+        sdot.set(fan_edge(tip, n), v)
+    shears = fan_shears_at_tip(sdot, tip)
+    report = zygmund_condition_sup(sdot, [tip], K)
+    want = _full_span_scan(shears, tip, K) if shears else (0.0, None)
+    assert (report.sup_value, report.witness) == want
+
+
 def test_qs_ratio_examples():
     assert qs_ratio(ShearFunction(), INFINITY, 3, 7) == pytest.approx(1.0)
     sdot = ShearFunction()
@@ -337,3 +371,83 @@ def test_degenerate_window_gives_zero_field():
         assert F.terms == []
         for x in np.linspace(0, 5, 11):
             assert F(x) == 0.0
+
+
+def _field_by_definition(F, x):
+    """F(x) summed term by term from elementary_eval, with the absolute
+    size of the summands (the terms and the quadratic part)."""
+    a2, a1, a0 = F.quad
+    parts = [a2 * x * x, a1 * x, a0]
+    parts += [c * elementary_eval(ends, x) for c, ends in F.terms]
+    return math.fsum(parts), sum(abs(p) for p in parts)
+
+
+def _assert_matches_definition(F, xs):
+    """Relative to the summands' size; 1e-300 absorbs subnormal underflow
+    next to a breakpoint at 0."""
+    for x in xs:
+        want, size = _field_by_definition(F, x)
+        assert abs(F(x) - want) <= 1e-13 * size + 1e-300, x
+
+
+def _mixed_terms(rng, n_terms, shared_ends=False):
+    """Rays, intervals and the nested {0, 1/n}, {1/n, 1/(n+1)} intervals of
+    deep Farey tips, with standard normal coefficients.  With shared_ends
+    the rays and intervals end on a few small Farey points, so that every
+    term active on a panel may vanish at the same panel end."""
+    terms = []
+    for _ in range(n_terms):
+        c, kind = rng.normal(), rng.integers(5)
+        if shared_ends:
+            u, v = rng.choice([-2.0, -1.0, 0.0, 1 / 3, 0.5, 1.0, 3.0], size=2,
+                              replace=False)
+        else:
+            u, v = rng.uniform(-6.0, 6.0, size=2)
+        n = int(rng.integers(1, 10_000))
+        ends = [(u, INF), (INF, u), (u, v), (0.0, 1.0 / n),
+                (1.0 / n, 1.0 / (n + 1))][kind]
+        terms.append((c, (float(ends[0]), float(ends[1]))))
+    return terms
+
+
+def test_field_table_matches_definition():
+    """The panel table agrees with the term-by-term sum at random points,
+    at every breakpoint and its two float neighbours, and far out."""
+    rng = np.random.default_rng(2024)
+    for trial in range(60):
+        quad = tuple(rng.normal(size=3)) if trial % 2 else (0.0, 0.0, 0.0)
+        if trial % 3:
+            terms = _mixed_terms(rng, int(rng.integers(1, 80)))
+        else:
+            terms = _mixed_terms(rng, int(rng.integers(1, 5)), True)
+        F = FieldExpr(terms, quad)
+        xs = list(rng.uniform(-8.0, 8.0, size=20))
+        xs += list(rng.uniform(0.0, 1e-3, size=10)) + [1e12, -1e12]
+        for p in F.breakpoints():
+            xs += [p, math.nextafter(p, -INF), math.nextafter(p, INF)]
+        _assert_matches_definition(F, xs)
+
+
+def test_field_derived_after_first_call_get_fresh_tables():
+    rng = np.random.default_rng(5)
+    F = FieldExpr(_mixed_terms(rng, 30))
+    G = FieldExpr(_mixed_terms(rng, 10), quad=(0.5, -1.0, 2.0))
+    xs = list(rng.uniform(-6.0, 6.0, size=25)) + F.breakpoints()
+    _assert_matches_definition(F, xs)
+    _assert_matches_definition(G, xs)
+    for derived in (F.plus_quad((1.5, -0.25, 3.0)), F.scaled(-2.5), F + G,
+                    normalize_at(F, 0.0, 1.0, 2.0)):
+        _assert_matches_definition(derived, xs + derived.breakpoints())
+    _assert_matches_definition(F, xs)
+
+
+def test_field_table_build_is_not_quadratic_in_size():
+    """19,999 terms and as many panels: a build that summed every term for
+    every panel would take minutes."""
+    import time
+    terms = [(1.0, (float(n), INF)) for n in range(1, 10_001)]
+    terms += [(1.0, (0.0, 1.0 / n)) for n in range(2, 10_001)]
+    F = FieldExpr(terms)
+    start = time.perf_counter()
+    _assert_matches_definition(F, [-1.0, 1e-5, 3e-4, 0.3, 2.5, 777.7, 1e4])
+    assert time.perf_counter() - start < 5.0
