@@ -159,7 +159,8 @@ class FieldExpr:
 
     Evaluable at every real x; the quadratic part is kept symbolic so that
     normalization and growth questions stay exact.  Terms are (coefficient,
-    ends) pairs, ends naming an elementary field as edge_ends does.
+    ends) pairs, ends naming an elementary field as edge_ends does; ends
+    that name none (equal, NaN or -inf) raise ValueError.
 
     The field is one quadratic on each panel between consecutive
     breakpoints.  The first call builds a table of those quadratics, each
@@ -171,6 +172,12 @@ class FieldExpr:
 
     def __init__(self, terms=(), quad=(0.0, 0.0, 0.0)):
         self.terms = [(float(c), ends) for c, ends in terms if c != 0.0]
+        for _, (a, b) in self.terms:
+            # false for NaN, -inf and equal ends, (inf, inf) among them
+            if not (a != b and a > -math.inf and b > -math.inf):
+                raise ValueError(f"ends {(a, b)!r} name no elementary "
+                                 f"field: they must be distinct, not NaN, "
+                                 f"and finite or +inf")
         self.quad = (float(quad[0]), float(quad[1]), float(quad[2]))
         self._table = None
 
@@ -226,7 +233,7 @@ def _panel_table(terms, quad, points):
             rays.append((a, inf, c, a))
         elif a == inf:                 # -c (x - b) on (-inf, b)
             rays.append((-inf, b, -c, b))
-        elif a != b:                   # k (x - a)(x - b) between a and b
+        else:                          # k (x - a)(x - b) between a and b
             lo, hi = (a, b) if a < b else (b, a)
             intervals.append((lo, hi, c / (a - b), a, b))
     floats = [*quad, *points, *(k for *_, k, _, _ in intervals),

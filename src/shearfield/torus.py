@@ -30,8 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .farey import (ExtRational, FareyEdge, IDENTITY, INFINITY, IntegerMoebius,
                     ONE, ZERO, oriented_edge)
 from .hilbert import delta_weight, edge_quadrilateral
@@ -290,16 +288,19 @@ def wp_pairing(t1: TangentShear, t2: TangentShear, depth: int) -> list:
 def wp_gram(depth: int) -> list:
     """Gram matrix of the pairing on the standard cusp-subspace basis
     (1, -1, 0), (0, 1, -1), with eigenvalues, at every depth 0..depth, from
-    one walk."""
+    one walk.  The eigenvalues, ascending, are those of the symmetrized
+    Gram [[p, m], [m, s]], m the mean of the two off-diagonal entries:
+    (p + s)/2 -+ hypot((p - s)/2, m)."""
     basis = [TangentShear(1.0, -1.0, 0.0), TangentShear(0.0, 1.0, -1.0)]
     out = []
     for d, W in enumerate(_weight_matrices(depth)):
         hs = [_transform(W, b) for b in basis]
-        gram = np.array([[2.0 * thurston_form(bi, hj) for hj in hs]
-                         for bi in basis])
-        eigenvalues = np.linalg.eigvalsh(0.5 * (gram + gram.T))
+        gram = [[2.0 * thurston_form(bi, hj) for hj in hs] for bi in basis]
+        (p, g01), (g10, s) = gram
+        mean = 0.5 * (p + s)
+        radius = math.hypot(0.5 * (p - s), 0.5 * (g01 + g10))
         out.append({"basis": [list(b.values) for b in basis],
-                    "gram": gram.tolist(),
-                    "eigenvalues": eigenvalues.tolist(),
+                    "gram": gram,
+                    "eigenvalues": [mean - radius, mean + radius],
                     "depth": d})
     return out

@@ -114,15 +114,33 @@ def test_field_eval_huge_denominator_edge(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("x,value\n")
 
 
-def test_import_leaves_scipy_unloaded():
-    """Only the quadrature oracles need scipy; the CLI imports it lazily."""
+@pytest.mark.parametrize("commands, loaded", [
+    ([["farey", "edges", "--max-order", "3"],
+      ["field", "eval", "--shears", "{shears}", "--samples", "5"],
+      ["wp", "gram", "--depth", "2"]], []),
+    ([["hilbert", "eval", "--shears", "{shears}", "--mode", "oracle",
+       "--samples", "2", "--max-order", "3"]], ["numpy", "scipy"]),
+], ids=["stdlib", "oracle"])
+def test_commands_load_numpy_and_scipy_only_for_oracles(tmp_path, commands,
+                                                         loaded):
+    """Importing the CLI and running the standard-library commands loads
+    neither numpy nor scipy; only the quadrature oracle imports scipy (and
+    numpy with it), lazily, on first use."""
     import shearfield
     src = os.path.dirname(os.path.dirname(shearfield.__file__))
-    code = "import sys, shearfield.cli; print('scipy' in sys.modules)"
+    shears = write_shears(tmp_path, [{"p": [0, 1], "q": [1, 1],
+                                      "value": 1.0}])
+    argvs = [[a.format(shears=shears) for a in argv]
+             + ["--output", str(tmp_path / f"out{i}")]
+             for i, argv in enumerate(commands)]
+    code = ("import json, sys, shearfield.cli\n"
+            f"codes = [shearfield.cli.run(a) for a in {argvs!r}]\n"
+            "print(json.dumps([codes, sorted(m for m in ('numpy', 'scipy')"
+            " if m in sys.modules)]))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "False"
+    assert json.loads(out) == [[0] * len(argvs), loaded]
 
 
 def test_field_eval_zero_file(tmp_path, capsys):

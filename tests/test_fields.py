@@ -451,3 +451,13 @@ def test_field_table_build_is_not_quadratic_in_size():
     start = time.perf_counter()
     _assert_matches_definition(F, [-1.0, 1e-5, 3e-4, 0.3, 2.5, 777.7, 1e4])
     assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("ends", [(INF, INF), (-INF, 1.0), (math.nan, 2.0),
+                                  (1.0, 1.0)])
+def test_field_rejects_ends_naming_no_field(ends):
+    """Equal ends, NaN and -inf name no elementary field: the constructor
+    refuses them and names the pair."""
+    with pytest.raises(ValueError, match="name no elementary field") as err:
+        FieldExpr([(1.0, ends)])
+    assert repr(ends) in str(err.value)

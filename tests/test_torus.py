@@ -239,6 +239,21 @@ def test_wp_gram_positive_definite_and_converging():
     assert drift_56 < drift_45
 
 
+def test_wp_gram_eigenvalues_match_eigvalsh():
+    """The closed-form 2x2 spectrum is the one eigvalsh gives for the
+    symmetrized Gram, ascending, with its trace and determinant."""
+    for d, out in enumerate(wp_gram(6)):
+        gram = np.array(out["gram"])
+        sym = 0.5 * (gram + gram.T)
+        lo, hi = out["eigenvalues"]
+        assert lo <= hi
+        for got, want in zip((lo, hi), np.linalg.eigvalsh(sym)):
+            assert abs(got - want) <= 1e-14 * abs(want), d
+        assert abs(lo + hi - np.trace(sym)) <= 1e-14 * abs(np.trace(sym))
+        det = sym[0, 0] * sym[1, 1] - sym[0, 1] ** 2
+        assert abs(lo * hi - det) <= 1e-14 * abs(det)
+
+
 def test_wp_gram_symmetric_point_structure():
     """At the basepoint all three quotient edges play symmetric roles, so
     the limiting Gram on the basis (1,-1,0), (0,1,-1) is proportional to
