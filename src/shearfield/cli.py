@@ -366,8 +366,9 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         # "argument --depth: ...", "... required: --shears", "unrecognized
-        # arguments: --tolerance 1e-6": the first option argparse names
-        named = re.match(r"(?:argument |.*?: )-*([^\s:/,]+)", message)
+        # arguments: --tolerance 1e-6" or "--tolerance=1e-6": the first
+        # option argparse names
+        named = re.match(r"(?:argument |.*?: )-*([^\s:/,=]+)", message)
         raise CliError(message, named.group(1) if named else "")
 
 

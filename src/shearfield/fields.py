@@ -136,13 +136,26 @@ def edge_ends(edge) -> tuple[float, float]:
     return float(u), float(v)
 
 
+def check_ends(ends) -> None:
+    """Raise ValueError, naming the pair, unless ends = (a, b) names an
+    elementary field: distinct, not NaN, and each finite or +inf."""
+    a, b = ends
+    # false for NaN, -inf and equal ends, (inf, inf) among them
+    if not (a != b and a > -math.inf and b > -math.inf):
+        raise ValueError(f"ends {(a, b)!r} name no elementary field: they "
+                         f"must be distinct, not NaN, and finite or +inf")
+
+
 def elementary_eval(ends, x: float) -> float:
     """Evaluate the elementary shear field of ends = (a, b).
 
     (a, b) finite:  (x-a)(x-b)/(a-b) between a and b, else 0.
     (a, inf):       x-a for x > a, else 0 (right ray).
     (inf, b):       -(x-b) for x < b, else 0 (left ray).
+
+    Ends that name no field raise ValueError (see check_ends).
     """
+    check_ends(ends)
     a, b = ends
     if b == math.inf:
         return x - a if x > a else 0.0
@@ -172,12 +185,8 @@ class FieldExpr:
 
     def __init__(self, terms=(), quad=(0.0, 0.0, 0.0)):
         self.terms = [(float(c), ends) for c, ends in terms if c != 0.0]
-        for _, (a, b) in self.terms:
-            # false for NaN, -inf and equal ends, (inf, inf) among them
-            if not (a != b and a > -math.inf and b > -math.inf):
-                raise ValueError(f"ends {(a, b)!r} name no elementary "
-                                 f"field: they must be distinct, not NaN, "
-                                 f"and finite or +inf")
+        for _, ends in self.terms:
+            check_ends(ends)
         self.quad = (float(quad[0]), float(quad[1]), float(quad[2]))
         self._table = None
 

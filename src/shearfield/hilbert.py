@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .farey import FareyEdge, edge_neighbors, in_ccw_arc
 from .fields import FieldExpr, edge_ends
@@ -247,35 +248,74 @@ def edge_quadrilateral(edge: FareyEdge) -> Quadrilateral:
     return Quadrilateral(a, i, c, t)
 
 
-def recovery_bracket(V, Q: Quadrilateral, quadratic_coefficient: float = 0.0) -> float:
-    """Four-point bracket reading the shear of the diagonal (b, d) off V:
+class BracketPlan(NamedTuple):
+    """The recovery bracket of one quadrilateral with its infinite vertex
+    resolved: the finite vertices V is read at, the difference quotients
+    that remain, each (u, v, v - u) standing for [V(v)-V(u)]/(v-u), and
+    the span that multiplies the quadratic coefficient (None when every
+    vertex is finite)."""
+
+    points: tuple
+    plus: tuple
+    minus: tuple
+    span: float | None
+
+
+def bracket_plan(Q: Quadrilateral) -> BracketPlan:
+    """Resolve the bracket of Q once; bracket_value evaluates it.
+
+    The four-point bracket reading the shear of the diagonal (b, d) is
 
         [V(c)-V(b)]/(c-b) + [V(d)-V(a)]/(d-a)
       - [V(b)-V(a)]/(b-a) - [V(d)-V(c)]/(d-c).
 
     When one vertex is infinite, the two terms containing it converge
-    jointly; the limit is quadratic_coefficient (= lim V(x)/x^2) times the
-    difference of the other diagonal's endpoints, zero for normalized
+    jointly; the limit is the quadratic coefficient (= lim V(x)/x^2) times
+    the difference of the other diagonal's endpoints, zero for normalized
     fields.
     """
-    a, b, c, d = Q.points()
-    q2 = quadratic_coefficient
+    a, b, c, d = pts = Q.points()
 
     def quo(u, v):
-        return (V(v) - V(u)) / (v - u)
+        return (u, v, v - u)
 
-    pts = (a, b, c, d)
     infs = [i for i, p in enumerate(pts) if math.isinf(p)]
     if not infs:
-        return quo(b, c) + quo(a, d) - quo(a, b) - quo(c, d)
+        return BracketPlan(pts, (quo(b, c), quo(a, d)),
+                           (quo(a, b), quo(c, d)), None)
     i = infs[0]
+    finite = pts[:i] + pts[i + 1:]
     if i == 0:
-        return quo(b, c) - quo(c, d) + q2 * (d - b)
+        return BracketPlan(finite, (quo(b, c),), (quo(c, d),), d - b)
     if i == 1:
-        return quo(a, d) - quo(c, d) + q2 * (c - a)
+        return BracketPlan(finite, (quo(a, d),), (quo(c, d),), c - a)
     if i == 2:
-        return quo(a, d) - quo(a, b) + q2 * (b - d)
-    return quo(b, c) - quo(a, b) + q2 * (a - c)
+        return BracketPlan(finite, (quo(a, d),), (quo(a, b),), b - d)
+    return BracketPlan(finite, (quo(b, c),), (quo(a, b),), a - c)
+
+
+def bracket_value(plan: BracketPlan, values,
+                  quadratic_coefficient: float = 0.0) -> float:
+    """The bracket of a plan on values[p] = V(p), p its finite vertices:
+    the plus quotients summed in order, less the minus quotients in order,
+    plus the quadratic coefficient times the span."""
+    (u, v, h), *plus = plan.plus
+    total = (values[v] - values[u]) / h
+    for u, v, h in plus:
+        total += (values[v] - values[u]) / h
+    for u, v, h in plan.minus:
+        total -= (values[v] - values[u]) / h
+    if plan.span is not None:
+        total += quadratic_coefficient * plan.span
+    return total
+
+
+def recovery_bracket(V, Q: Quadrilateral, quadratic_coefficient: float = 0.0) -> float:
+    """Four-point bracket reading the shear of the diagonal of Q off V (see
+    bracket_plan), V evaluated once at each finite vertex."""
+    plan = bracket_plan(Q)
+    return bracket_value(plan, {p: V(p) for p in plan.points},
+                         quadratic_coefficient)
 
 
 def shear_recover(V, Q: Quadrilateral, quadratic_coefficient=None) -> float:

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 from .farey import (ExtRational, FareyEdge, IDENTITY, INFINITY, IntegerMoebius,
                     ONE, ZERO, oriented_edge)
-from .hilbert import delta_weight, edge_quadrilateral
+from .hilbert import (bracket_plan, bracket_value, edge_quadrilateral,
+                      hilbert_main_term)
 
 
 # ---------------------------------------------------------------------------
@@ -213,21 +214,42 @@ def lift_edges(group: CoveringGroup, depth: int):
             for j, e in enumerate(_TRI.edges)]
 
 
+def _vertex_image(g: IntegerMoebius, p: ExtRational) -> float:
+    """float(g(p)) straight from the matrix entries: the correctly rounded
+    quotient of the unreduced image, which is the reduced one's; + 0.0 gives
+    zero the positive sign that ExtRational's positive denominator gives."""
+    num = g.a * p.num + g.b * p.den
+    den = g.c * p.num + g.d * p.den
+    return num / den + 0.0 if den else math.inf
+
+
 def _weight_matrices(depth: int) -> list:
     """[W_0, ..., W_depth] from one walk of the word ball: W_d[i][k] is the
     summed weight of the class-k lifts of word length <= d on the
     quadrilateral of fundamental edge i.  The walk to depth d is a prefix
-    of the longer walk, so W_d is bitwise what a walk to depth d builds."""
-    quads = [edge_quadrilateral(e) for e in _TRI.edges]
-    W = [[0.0] * len(_TRI.edges) for _ in quads]
+    of the longer walk, so W_d is bitwise what a walk to depth d builds.
+
+    Each entry is delta_weight(g.map_edge(e_k), Q_i), bit for bit, from
+    work done once: the three quadrilaterals' bracket plans once per walk;
+    per word, the float images of the fundamental edges' ends; per lift,
+    the main term at the five finite vertices the plans read."""
+    plans = [bracket_plan(edge_quadrilateral(e)) for e in _TRI.edges]
+    xs = sorted({x for P in plans for x in P.points})
+    vertices = list(dict.fromkeys(p for e in _TRI.edges
+                                  for p in (e.initial, e.terminal)))
+    slots = [(vertices.index(e.initial), vertices.index(e.terminal))
+             for e in _TRI.edges]
+    W = [[0.0] * len(_TRI.edges) for _ in plans]
     shells = []
     for length, g in _reduced_words(_GROUP, depth):
         if length > len(shells):       # the shell length - 1 is closed
             shells.append([row[:] for row in W])
-        for k, e in enumerate(_TRI.edges):
-            lift = g.map_edge(e)
-            for i, Q in enumerate(quads):
-                W[i][k] += delta_weight(lift, Q)
+        images = [_vertex_image(g, p) for p in vertices]
+        for k, (s, t) in enumerate(slots):
+            lift = (images[s], images[t])
+            values = {x: hilbert_main_term(lift, x) for x in xs}
+            for i, P in enumerate(plans):
+                W[i][k] += bracket_value(P, values)
     return shells + [W]
 
 

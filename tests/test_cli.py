@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from shearfield.cli import CliError, parse_shear_file, run
 
@@ -282,6 +287,7 @@ def test_grid_end_in_exponent_form_as_separate_argument(tmp_path, capsys):
     # --tolerance is read by the oracle only, so only `hilbert` takes it
     (["field", "eval", "--shears", "s.json", "--tolerance", "1e-6"],
      "tolerance"),
+    (["field", "eval", "--shears", "s.json", "--n-max=3"], "n-max"),
 ])
 def test_usage_error_is_one_json_line(capsys, argv, field):
     assert run(argv) == 2
@@ -452,3 +458,134 @@ def test_error_exit_codes(tmp_path, capsys):
     assert run(["field", "eval", "--shears", bad]) != 0
     diag = json.loads(capsys.readouterr().err)
     assert "edges[0]" in diag["error"]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: malformed shear files and arguments
+# ---------------------------------------------------------------------------
+
+def _mostly(good, bad):
+    """good seven times in eight, bad otherwise."""
+    return st.integers(0, 7).flatmap(lambda k: bad if k == 7 else good)
+
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                  st.floats(), st.integers(-10 ** 400, 10 ** 400),
+                  st.lists(st.integers(-3, 3), max_size=3))
+# [num, den] endpoints, with both spellings of infinity and 0/0
+_ENDPOINT = st.one_of(
+    st.sampled_from([[0, 1], [1, 0], [-1, 0], [1, 1], [-1, 1], [1, 2],
+                     [0, 0]]),
+    _JUNK)
+_FAREY_EDGES = [([0, 1], [1, 0]), ([1, 1], [1, 0]), ([0, 1], [1, 1]),
+                ([-1, 1], [0, 1]), ([-1, 0], [-1, 1]), ([1, 2], [1, 1]),
+                ([1, 3], [1, 2]), ([2, 1], [1, 0])]
+# finite values mostly, and now and then one large enough to overflow
+_HUGE = st.sampled_from([1e308, -1.5e308, 1e200, 1e154])
+_VALUE = _mostly(st.floats(-10.0, 10.0),
+                 st.one_of(_HUGE, st.floats(allow_nan=False), _JUNK))
+_EDGE = _mostly(
+    st.builds(lambda pq, v: {"p": pq[0], "q": pq[1], "value": v},
+              st.sampled_from(_FAREY_EDGES), _VALUE),
+    st.one_of(st.fixed_dictionaries({"p": _ENDPOINT, "q": _ENDPOINT,
+                                     "value": _VALUE}),
+              st.dictionaries(st.sampled_from(["p", "q", "value"]),
+                              _ENDPOINT, max_size=3),
+              _JUNK))
+_SHEAR_TEXT = _mostly(
+    st.builds(lambda es: json.dumps({"edges": es}),
+              st.lists(_EDGE, max_size=3)),
+    st.one_of(st.builds(json.dumps, _JUNK), st.text(max_size=12)))
+
+
+def _number_text(ints):
+    return _mostly(ints.map(str), st.one_of(
+        _HUGE.map(repr), st.floats().map(repr),
+        st.sampled_from(["", "x", "1e400", "-1e400", "0x10"])))
+
+
+_OPTIONS = {
+    "--max-order": _number_text(st.integers(0, 4)),
+    "--window": _number_text(st.integers(-1, 3)),
+    "--samples": _number_text(st.integers(0, 5)),
+    "--from": _number_text(st.integers(-3, 3)),
+    "--to": _number_text(st.integers(-3, 3)),
+    "--n-min": _number_text(st.integers(-3, 3)),
+    "--n-max": _number_text(st.integers(-3, 3)),
+    "--format": st.sampled_from(["csv", "json", "xml"]),
+    "--edge": st.one_of(
+        st.sampled_from(["0,1,1,0", "0,1,1,1", "1,2,1,1", "-1,1,0,1"]),
+        st.lists(st.integers(-3, 3), min_size=3, max_size=5).map(
+            lambda v: ",".join(map(str, v))),
+        st.text(max_size=6)),
+    "--depth": _number_text(st.integers(0, 3)),
+    "--t1": st.one_of(
+        st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)).map(
+            lambda ab: f"{ab[0]!r},{ab[1]!r},{-ab[0] - ab[1]!r}"),
+        st.lists(st.floats(), min_size=2, max_size=4).map(
+            lambda v: ",".join(map(repr, v))),
+        st.text(max_size=6)),
+    "--t2": st.sampled_from(["1,-1,0", "0,1,-1", "1e308,-1e308,0",
+                             "1e200,-1e200,0", "1,1,1"]),
+    "--bogus": st.just("1"),
+}
+_COMMON = ["--max-order", "--window", "--format"]
+_GRID = _COMMON + ["--from", "--to", "--samples"]
+# the options each command takes; the quadrature oracle is left out for
+# its cost, and at most 3 edges of small endpoints keep the rest cheap
+_COMMANDS = {
+    ("field", "eval"): _GRID,
+    ("hilbert", "eval"): _GRID,
+    ("hilbert", "shear"): _GRID + ["--edge"],
+    ("zygmund", "check"): _COMMON,
+    ("fourier",): _COMMON + ["--n-min", "--n-max"],
+    ("wp", "gram"): ["--depth"],
+    ("wp", "pair"): ["--depth", "--t1", "--t2"],
+    ("wp", "bogus"): ["--depth"],
+}
+
+
+@st.composite
+def _cli_calls(draw):
+    """(argv, shear-file text or None for a missing file); now and then an
+    option the command does not take."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    names = draw(_mostly(st.just(_COMMANDS[command]),
+                         st.just(sorted(_OPTIONS))))
+    chosen = draw(st.lists(st.sampled_from(names), unique=True, max_size=3))
+    argv = list(command) + [f"{name}={draw(_OPTIONS[name])}"
+                            for name in chosen]
+    text = None
+    if command[0] != "wp":
+        text = draw(_mostly(_SHEAR_TEXT, st.none()))
+    return argv, text
+
+
+_NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+@settings(max_examples=50, deadline=5000,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(call=_cli_calls())
+def test_cli_fuzz_fails_cleanly_or_answers_finitely(tmp_path_factory, call):
+    """Whatever the shear file and the arguments, the CLI either exits
+    nonzero with exactly one JSON diagnostic line on stderr and nothing on
+    stdout, or exits 0 with no nan or inf in its output; it never raises."""
+    argv, text = call
+    if argv[0] != "wp":
+        path = tmp_path_factory.mktemp("fuzz") / "shears.json"
+        if text is not None:           # None: the file does not exist
+            path.write_text(text)
+        argv += ["--shears", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    if code != 0:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        diag = json.loads(lines[0])
+        assert set(diag) == {"error", "field"}
+    else:
+        assert err.getvalue() == ""
+        assert not _NON_FINITE.search(out.getvalue()), out.getvalue()

@@ -457,7 +457,14 @@ def test_field_table_build_is_not_quadratic_in_size():
                                   (1.0, 1.0)])
 def test_field_rejects_ends_naming_no_field(ends):
     """Equal ends, NaN and -inf name no elementary field: the constructor
-    refuses them and names the pair."""
+    and the definition elementary_eval refuse them and name the pair,
+    instead of returning nan or a silent 0.0."""
     with pytest.raises(ValueError, match="name no elementary field") as err:
         FieldExpr([(1.0, ends)])
     assert repr(ends) in str(err.value)
+    for x in (0.5, 1.5):
+        with pytest.raises(ValueError,
+                           match="name no elementary field") as err:
+            elementary_eval(ends, x)
+        assert repr(ends) in str(err.value)
+

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from shearfield.farey import (IDENTITY, INFINITY, IntegerMoebius, ONE,
-                              ZERO, oriented_edge)
+from shearfield.farey import (IDENTITY, INFINITY, ExtRational,
+                              IntegerMoebius, ONE, ZERO, oriented_edge)
 from shearfield.hilbert import delta_weight, edge_quadrilateral
 from shearfield.torus import (CoveringGroup, SurfaceTriangulation,
                               TangentShear, _reduced_words, _transform,
-                              _weight_matrices, cusp_condition_check,
+                              _vertex_image, _weight_matrices,
+                              cusp_condition_check,
                               edge_class, hilbert_shear_vector,
                               invariant_hilbert_shear, lift_edges,
                               moebius_abelianized, punctured_torus,
@@ -179,6 +180,43 @@ def test_hilbert_shear_vector_matches_per_lift_sum(depth):
         want = _per_lift_shear_vector(t, d)
         for i in range(3):
             assert got[i] == pytest.approx(want[i], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("depth", range(5))
+def test_weight_matrices_are_delta_weight_sums_bitwise(depth):
+    """Every shell is, bit for bit, the W that delta_weight builds: lift
+    by lift in walk order, each lifted edge over each fundamental
+    quadrilateral, with no vertex image, main term or bracket plan
+    shared."""
+    tri, grp = punctured_torus()
+    quads = [edge_quadrilateral(f) for f in tri.edges]
+    W = [[0.0] * 3 for _ in quads]
+    want = []
+    for length, g in _reduced_words(grp, depth):
+        if length > len(want):
+            want.append([[w.hex() for w in row] for row in W])
+        for k, e in enumerate(tri.edges):
+            for i, Q in enumerate(quads):
+                W[i][k] += delta_weight(g.map_edge(e), Q)
+    want.append([[w.hex() for w in row] for row in W])
+    got = [[[w.hex() for w in row] for row in shell]
+           for shell in _weight_matrices(depth)]
+    assert got == want
+
+
+def test_vertex_images_equal_exact_images_bitwise():
+    """The float image read off the matrix entries is float(g(x)), the sign
+    of zero and infinity included, across the depth-4 ball; the last two
+    maps send oo to 0 through a denominator of either sign."""
+    _, grp = punctured_torus()
+    words = [g for _, g in _reduced_words(grp, 4)]
+    words += [IntegerMoebius(0, 1, -1, 0), IntegerMoebius(0, -1, 1, 0)]
+    points = [ZERO, ONE, INFINITY, ExtRational(-1), ExtRational(1, 2),
+              ExtRational(2)]
+    for g in words:
+        for x in points:
+            assert _vertex_image(g, x).hex() == float(g(x)).hex(), (g, x)
+    assert _vertex_image(words[-2], INFINITY).hex() == (0.0).hex()
 
 
 def test_thurston_form_structure():
