@@ -177,10 +177,11 @@ class FieldExpr:
 
     The field is one quadratic on each panel between consecutive
     breakpoints.  The first call builds a table of those quadratics, each
-    expanded about a breakpoint (see _panel_table); every call then costs
-    one bisection and one Horner step.  A FieldExpr is not mutated after
-    its first call: plus_quad, scaled and + return new fields with tables
-    of their own.
+    expanded about a breakpoint (see _panel_table); every point then costs
+    one bisection and one Horner step, and values(xs) takes a whole list
+    of points in one call.  A FieldExpr is not mutated after its first
+    call: plus_quad, scaled and + return new fields with tables of their
+    own.
     """
 
     def __init__(self, terms=(), quad=(0.0, 0.0, 0.0)):
@@ -191,14 +192,22 @@ class FieldExpr:
         self._table = None
 
     def __call__(self, x: float) -> float:
+        return self.values((x,))[0]
+
+    def values(self, xs) -> list[float]:
+        """The field at each x of xs, in one pass: a bisection and a
+        Horner step per point (__call__ is the one-point case)."""
         if self._table is None:
             self._table = _panel_table(self.terms, self.quad,
                                        self.breakpoints())
         cuts, rows = self._table
-        x = float(x)
-        m, c2, c1, c0 = rows[bisect_right(cuts, x)]
-        t = x - m
-        return (c2 * t + c1) * t + c0
+        out = []
+        for x in xs:
+            x = float(x)
+            m, c2, c1, c0 = rows[bisect_right(cuts, x)]
+            t = x - m
+            out.append((c2 * t + c1) * t + c0)
+        return out
 
     def breakpoints(self) -> list[float]:
         """The finite endpoints of the terms, sorted."""

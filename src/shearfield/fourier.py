@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 from .fields import edge_ends
@@ -87,28 +86,21 @@ def elementary_fourier(arc, n: int) -> complex:
 
 def fourier_quadrature_oracle(V, n: int, breakpoints=()) -> complex:
     """(1/2pi) Integral_0^{2pi} V(e^{i phi}) e^{-i n phi} d phi by adaptive
-    quadrature, splitting at the provided arc endpoints."""
-    from scipy.integrate import IntegrationWarning, quad as _quad
+    quadrature of the complex integrand, splitting at the provided arc
+    endpoints."""
+    from .quadrature import quad    # on first use: other commands never load it
 
     cuts = sorted({0.0, TWO_PI} | {float(b) % TWO_PI for b in breakpoints})
 
-    def integrand(phi: float, pick) -> float:
-        val = V(cmath.exp(1j * phi)) * cmath.exp(-1j * n * phi)
-        return pick(val)
+    def integrand(phis: list) -> list:
+        return [V(cmath.exp(1j * phi)) * cmath.exp(-1j * n * phi)
+                for phi in phis]
 
     total = 0j
-    with warnings.catch_warnings():
-        # highly oscillatory integrands trip the roundoff heuristic long
-        # after the requested 1e-12 absolute accuracy is reached
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if hi <= lo:
-                continue
-            re, _ = _quad(integrand, lo, hi, args=(lambda v: v.real,),
-                          limit=300, epsabs=1e-13, epsrel=1e-13)
-            im, _ = _quad(integrand, lo, hi, args=(lambda v: v.imag,),
-                          limit=300, epsabs=1e-13, epsrel=1e-13)
-            total += complex(re, im)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi <= lo:
+            continue
+        total += quad(integrand, lo, hi, 1e-13, 1e-13, limit=300)[0]
     return total / TWO_PI
 
 

@@ -114,10 +114,6 @@ class PVConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def _kernel(x: float, xi: float) -> float:
-    return x * (x - 1.0) / (xi * (xi - 1.0) * (xi - x))
-
-
 def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
     """Numerical principal-value Hilbert transform of an evaluable field.
 
@@ -125,11 +121,13 @@ def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
     0 or 1 the kernel poles there are excised symmetrically as well (the
     principal value still exists for the piecewise-quadratic fields used
     here).  Raises PVConvergenceError when the excision extrapolation does
-    not settle below the tolerance.
+    not settle below the tolerance.  Every piece is integrated by
+    quadrature.quad; a V with a values(xs) method (a FieldExpr) is
+    evaluated at each rule's 21 nodes in one call.
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError("tolerance must be finite and positive")
-    from scipy.integrate import quad as _quad
+    from .quadrature import quad    # on first use: other commands never load it
 
     x = float(x)
     brk = sorted(set(getattr(V, "breakpoints", list)() or []))
@@ -145,8 +143,14 @@ def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
         raise ValueError("field grows at least quadratically; "
                          "not in the domain of the transform")
 
-    def f(xi: float) -> float:
-        return _kernel(x, xi) * V(xi)
+    # the integrand kernel(x, xi) V(xi), kernel = x(x-1) / (xi(xi-1)(xi-x)),
+    # at a list of nodes
+    evaluate = getattr(V, "values", None) or (lambda xis: map(V, xis))
+    num = x * (x - 1.0)
+
+    def f(xis: list) -> list:
+        return [num / (xi * (xi - 1.0) * (xi - x)) * v
+                for xi, v in zip(xis, evaluate(xis))]
 
     poles = [x]
     for s in (0.0, 1.0):
@@ -161,8 +165,7 @@ def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
         inner = [a] + [c for c in cuts if a < c < b] + [b]
         total = 0.0
         for u, v in zip(inner[:-1], inner[1:]):
-            val, _ = _quad(f, u, v, limit=200,
-                           epsabs=PV_QUAD_TOL, epsrel=PV_QUAD_TOL)
+            val, _ = quad(f, u, v, PV_QUAD_TOL, PV_QUAD_TOL, limit=200)
             total += val
         return total
 
@@ -194,12 +197,13 @@ def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
     if not residual < max(tolerance * 1e3, 1e-12) * scale:
         raise PVConvergenceError(residual)
 
-    def tails(u: float) -> float:
-        xi1 = 1.0 / u
-        return (f(xi1) + f(-xi1)) / u ** 2
+    def tails(us: list) -> list:
+        xis = [1.0 / u for u in us]
+        right, left = f(xis), f([-xi for xi in xis])
+        return [(fr + fl) / u ** 2 for u, fr, fl in zip(us, right, left)]
 
-    tail, _ = _quad(tails, 1e-12, 1.0 / R, limit=200,
-                    epsabs=PV_QUAD_TOL, epsrel=PV_QUAD_TOL)
+    tail, _ = quad(tails, 1e-12, 1.0 / R, PV_QUAD_TOL, PV_QUAD_TOL,
+                   limit=200)
 
     return -(r2[-1] + tail) / math.pi
 
