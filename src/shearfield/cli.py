@@ -9,6 +9,9 @@ condition and appear at most once; violations are reported with the entry
 index and offending field.  Numeric output is CSV with a header row or a
 JSON envelope {"meta": ..., "data": ...}; floats are printed with 17
 significant digits so reruns are byte-identical.
+
+Each subcommand imports the package modules it runs inside its function,
+so a process loads only those (`farey` loads only `shearfield.farey`).
 """
 
 from __future__ import annotations
@@ -19,14 +22,6 @@ import math
 import re
 import sys
 
-from .farey import (ExtRational, FareyEdge, enumerate_edges,
-                    enumerate_vertices, farey_order, oriented_edge)
-from .fields import (ShearFunction, assemble_field, halved_terms, tail_bound,
-                     zygmund_condition_sup)
-from .fourier import field_fourier
-from .hilbert import (hilbert_pv_oracle, hilbert_series_eval,
-                      hilbert_shear_series)
-from .torus import TangentShear, cusp_condition_check, wp_gram, wp_pairing
 from . import __version__ as VERSION
 
 
@@ -75,6 +70,8 @@ def fmt(x: float) -> str:
 
 def parse_shear_file(path: str) -> ShearFunction:
     """Load and validate a shear JSON file."""
+    from .farey import oriented_edge
+    from .fields import ShearFunction
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -121,6 +118,7 @@ def parse_shear_file(path: str) -> ShearFunction:
 
 def _parse_endpoint(raw, where: str) -> ExtRational:
     """An endpoint [num, den] of two JSON integers (not floats or booleans)."""
+    from .farey import ExtRational
     if not (isinstance(raw, list) and len(raw) == 2 and
             all(type(v) is int for v in raw)):
         raise CliError(f"{where}: endpoint {json.dumps(raw)} is not a pair "
@@ -132,6 +130,7 @@ def _parse_endpoint(raw, where: str) -> ExtRational:
 
 
 def _parse_edge_arg(text: str) -> FareyEdge:
+    from .farey import ExtRational, oriented_edge
     try:
         nums = [int(v) for v in text.split(",")]
         if len(nums) != 4:
@@ -143,6 +142,7 @@ def _parse_edge_arg(text: str) -> FareyEdge:
 
 
 def _parse_triple(text: str, name: str) -> TangentShear:
+    from .torus import TangentShear
     try:
         vals = [float(v) for v in text.split(",")]
         if len(vals) != 3:
@@ -216,6 +216,7 @@ def _meta(**kw):
 # ---------------------------------------------------------------------------
 
 def cmd_farey(args) -> int:
+    from .farey import enumerate_edges, enumerate_vertices, farey_order
     if args.max_order > MAX_FAREY_ORDER:
         raise CliError(f"max-order must be at most {MAX_FAREY_ORDER}",
                        "max-order")
@@ -241,6 +242,7 @@ def cmd_farey(args) -> int:
 
 
 def cmd_field(args) -> int:
+    from .fields import assemble_field, halved_terms, tail_bound
     sdot = parse_shear_file(args.shears)
     bound = tail_bound(args.max_order + 1, 1.0)
     V = assemble_field(halved_terms(sdot, args.max_order, args.window))
@@ -252,6 +254,7 @@ def cmd_field(args) -> int:
 
 
 def cmd_zygmund(args) -> int:
+    from .fields import zygmund_condition_sup
     if args.window > MAX_ZYGMUND_WINDOW:
         raise CliError(f"window must be at most {MAX_ZYGMUND_WINDOW}",
                        "window")
@@ -268,6 +271,9 @@ def cmd_zygmund(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
+    from .fields import assemble_field, halved_terms, tail_bound
+    from .hilbert import (hilbert_pv_oracle, hilbert_series_eval,
+                          hilbert_shear_series)
     if args.action == "shear" and args.max_order > MAX_SHEAR_ORDER:
         raise CliError(f"max-order must be at most {MAX_SHEAR_ORDER} for "
                        "hilbert shear", "max-order")
@@ -297,6 +303,9 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_fourier(args) -> int:
+    from .farey import farey_order
+    from .fields import halved_terms
+    from .fourier import field_fourier
     sdot = parse_shear_file(args.shears)
     lo, hi = args.n_min, args.n_max
     if hi < lo:
@@ -319,6 +328,7 @@ def cmd_fourier(args) -> int:
 
 
 def cmd_wp(args) -> int:
+    from .torus import cusp_condition_check, wp_gram, wp_pairing
     if not 1 <= args.depth <= MAX_WP_DEPTH:
         raise CliError(f"depth must be between 1 and {MAX_WP_DEPTH}", "depth")
     if args.action == "pair":

@@ -23,15 +23,15 @@ combinatorial depth 90.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True, order=False)
 class ExtRational:
-    """Reduced fraction on the extended real line; oo is stored as 1/0."""
+    """Reduced fraction on the extended real line; oo is stored as 1/0.
 
-    num: int
-    den: int
+    Equal only to an ExtRational with the same (num, den), and hashed as
+    that pair."""
+
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
         num = int(num)
@@ -47,8 +47,16 @@ class ExtRational:
             if g > 1:
                 num //= g
                 den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self.num = num
+        self.den = den
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.num, self.den) == (other.num, other.den)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.num, self.den))
 
     @property
     def is_infinity(self) -> bool:
@@ -99,24 +107,38 @@ def as_extrational(x) -> ExtRational:
     raise TypeError(f"cannot interpret {x!r} as an extended rational")
 
 
-@dataclass(frozen=True)
 class FareyEdge:
     """Oriented tessellation edge with exact rational endpoints.
 
     The determinant condition |p*s - r*q| = 1 (with oo = 1/0) is enforced;
     the orientation is whatever the caller supplies, with
-    :func:`oriented_edge` producing the canonical one.
+    :func:`oriented_edge` producing the canonical one.  Equal only to a
+    FareyEdge with the same (initial, terminal), and hashed as that pair.
     """
 
-    initial: ExtRational
-    terminal: ExtRational
+    __slots__ = ("initial", "terminal")
 
-    def __post_init__(self):
-        i, t = self.initial, self.terminal
+    def __init__(self, initial: ExtRational, terminal: ExtRational):
+        i, t = initial, terminal
         if not isinstance(i, ExtRational) or not isinstance(t, ExtRational):
             raise TypeError("FareyEdge endpoints must be ExtRational")
         if abs(i.num * t.den - t.num * i.den) != 1:
             raise ValueError(f"{i} and {t} are not Farey-adjacent")
+        self.initial = i
+        self.terminal = t
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.initial, self.terminal)
+                    == (other.initial, other.terminal))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.initial, self.terminal))
+
+    def __repr__(self) -> str:
+        return (f"FareyEdge(initial={self.initial!r}, "
+                f"terminal={self.terminal!r})")
 
     def unordered(self):
         key = lambda r: (r.num, r.den)
@@ -135,18 +157,34 @@ class FareyEdge:
                          ExtRational(data[2], data[3]))
 
 
-@dataclass(frozen=True)
 class IntegerMoebius:
-    """Element of PSL(2, Z) acting as x -> (a x + b) / (c x + d)."""
+    """Element of PSL(2, Z) acting as x -> (a x + b) / (c x + d).
 
-    a: int
-    b: int
-    c: int
-    d: int
+    Equal only to an IntegerMoebius with the same entries (a matrix, not
+    its projective class), and hashed as the tuple (a, b, c, d)."""
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int):
+        if a * d - b * c != 1:
             raise ValueError("integer Moebius map must have determinant 1")
+        self.a = a
+        self.b = b
+        self.c = c
+        self.d = d
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.a, self.b, self.c, self.d)
+                    == (other.a, other.b, other.c, other.d))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
+
+    def __repr__(self) -> str:
+        return (f"IntegerMoebius(a={self.a!r}, b={self.b!r}, c={self.c!r}, "
+                f"d={self.d!r})")
 
     def __call__(self, x):
         return apply_moebius(self, x)

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .farey import (ExtRational, FareyEdge, as_extrational, fan_index,
@@ -111,15 +109,17 @@ class ShearFunction:
 
 
 def tip_sort_key(p: ExtRational):
-    """(Farey order, circular position from 0 counterclockwise)."""
-    order = farey_order(p)
+    """(Farey order, arc, p): tips by order, then by circular position from
+    0 counterclockwise, the arc being 0 for [0, oo), 1 for oo and 2 for the
+    negative reals.  Tips on one arc compare by ExtRational's exact order;
+    oo is alone on its arc, so it is never compared."""
     if p.is_infinity:
-        pos = (1, Fraction(0))
+        arc = 1
     elif p.num >= 0:
-        pos = (0, Fraction(p.num, p.den))
+        arc = 0
     else:
-        pos = (2, Fraction(p.num, p.den))
-    return (order, pos)
+        arc = 2
+    return (farey_order(p), arc, p)
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +370,27 @@ def tail_bound(n: int, C: float) -> float:
 # admissibility checks
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ZygmundReport:
-    sup_value: float
-    witness: tuple
+    """A sampled sup and the arguments that reach it (witness None when
+    the sup is 0).  Equal only to a ZygmundReport with the same
+    (sup_value, witness); mutable, so unhashable."""
+
+    __slots__ = ("sup_value", "witness")
+    __hash__ = None
+
+    def __init__(self, sup_value: float, witness: tuple):
+        self.sup_value = sup_value
+        self.witness = witness
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.sup_value, self.witness)
+                    == (other.sup_value, other.witness))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"ZygmundReport(sup_value={self.sup_value!r}, "
+                f"witness={self.witness!r})")
 
 
 def fan_shears_at_tip(sdot: ShearFunction, tip) -> dict[int, float]:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .fields import edge_ends
 from .moebius import cayley_angle
@@ -29,18 +28,32 @@ from .moebius import cayley_angle
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
 class CircleArc:
-    """Boundary arc 0 <= phi0 < phi1 <= 2*pi (proper: phi1 - phi0 < 2*pi)."""
+    """Boundary arc 0 <= phi0 < phi1 <= 2*pi (proper: phi1 - phi0 < 2*pi).
 
-    phi0: float
-    phi1: float
+    Equal only to a CircleArc with the same (phi0, phi1), and hashed as
+    that pair."""
 
-    def __post_init__(self):
-        if not (0.0 <= self.phi0 < self.phi1 <= TWO_PI):
+    __slots__ = ("phi0", "phi1")
+
+    def __init__(self, phi0: float, phi1: float):
+        if not (0.0 <= phi0 < phi1 <= TWO_PI):
             raise ValueError("need 0 <= phi0 < phi1 <= 2*pi")
-        if self.phi1 - self.phi0 >= TWO_PI:
+        if phi1 - phi0 >= TWO_PI:
             raise ValueError("arc must be proper")
+        self.phi0 = phi0
+        self.phi1 = phi1
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.phi0, self.phi1) == (other.phi0, other.phi1)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.phi0, self.phi1))
+
+    def __repr__(self) -> str:
+        return f"CircleArc(phi0={self.phi0!r}, phi1={self.phi1!r})"
 
 
 def _angles(arc) -> tuple[float, float]:

@@ -20,7 +20,6 @@ the ground truth and the distance expressions are verified against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .farey import FareyEdge, edge_neighbors, in_ccw_arc
@@ -212,17 +211,19 @@ def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
 # quadrilaterals and the recovery bracket
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Quadrilateral:
     """Ideal quadrilateral (a, b, c, d) in counterclockwise order with
-    diagonal (b, d); a and c are the off-diagonal vertices."""
+    diagonal (b, d); a and c are the off-diagonal vertices.  Equal only to
+    a Quadrilateral with the same vertices, and hashed as the tuple
+    (a, b, c, d)."""
 
-    a: object
-    b: object
-    c: object
-    d: object
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
+    def __init__(self, a, b, c, d):
+        self.a = a
+        self.b = b
+        self.c = c
+        self.d = d
         pts = self.points()
         if len({p for p in pts}) != 4:
             raise ValueError("quadrilateral needs four distinct points")
@@ -233,6 +234,19 @@ class Quadrilateral:
         if not (in_ccw_arc(a, b, c) and in_ccw_arc(c, d, a)):
             raise ValueError("vertices are not in counterclockwise order "
                              "(a, b, c, d)")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.a, self.b, self.c, self.d)
+                    == (other.a, other.b, other.c, other.d))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
+
+    def __repr__(self) -> str:
+        return (f"Quadrilateral(a={self.a!r}, b={self.b!r}, c={self.c!r}, "
+                f"d={self.d!r})")
 
     def points(self) -> tuple[float, float, float, float]:
         return tuple(float(p) for p in (self.a, self.b, self.c, self.d))

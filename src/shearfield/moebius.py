@@ -14,21 +14,36 @@ while an intersecting one straddles 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
 class RealMoebius:
-    """Orientation-preserving Moebius map x -> (a x + b)/(c x + d), ad - bc > 0."""
+    """Orientation-preserving Moebius map x -> (a x + b)/(c x + d), ad - bc > 0.
 
-    a: float
-    b: float
-    c: float
-    d: float
+    Equal only to a RealMoebius with the same entries, and hashed as the
+    tuple (a, b, c, d)."""
 
-    def __post_init__(self):
-        if not self.a * self.d - self.b * self.c > 0:
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: float, b: float, c: float, d: float):
+        if not a * d - b * c > 0:
             raise ValueError("RealMoebius requires positive determinant")
+        self.a = a
+        self.b = b
+        self.c = c
+        self.d = d
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.a, self.b, self.c, self.d)
+                    == (other.a, other.b, other.c, other.d))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
+
+    def __repr__(self) -> str:
+        return (f"RealMoebius(a={self.a!r}, b={self.b!r}, c={self.c!r}, "
+                f"d={self.d!r})")
 
     def __call__(self, x) -> float:
         x = float(x)
@@ -55,17 +70,31 @@ class RealMoebius:
         return det / (self.c * x + self.d) ** 2
 
 
-@dataclass(frozen=True)
 class HalfPlaneGeodesic:
-    """Unoriented geodesic named by two distinct extended-real endpoints."""
+    """Unoriented geodesic named by two distinct extended-real endpoints.
 
-    e1: object
-    e2: object
+    Equal only to a HalfPlaneGeodesic with the same (e1, e2) in that order,
+    and hashed as that pair."""
 
-    def __post_init__(self):
-        a, b = float(self.e1), float(self.e2)
+    __slots__ = ("e1", "e2")
+
+    def __init__(self, e1, e2):
+        a, b = float(e1), float(e2)
         if a == b or (math.isinf(a) and math.isinf(b)):
             raise ValueError("geodesic endpoints must be distinct")
+        self.e1 = e1
+        self.e2 = e2
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.e1, self.e2) == (other.e1, other.e2)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.e1, self.e2))
+
+    def __repr__(self) -> str:
+        return f"HalfPlaneGeodesic(e1={self.e1!r}, e2={self.e2!r})"
 
     def floats(self):
         return (float(self.e1), float(self.e2))

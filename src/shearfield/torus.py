@@ -28,7 +28,6 @@ the transformed shears.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .farey import (ExtRational, FareyEdge, IDENTITY, INFINITY, IntegerMoebius,
                     ONE, ZERO, oriented_edge)
@@ -82,49 +81,77 @@ def edge_class(edge: FareyEdge) -> int:
     return r % 3
 
 
-@dataclass(frozen=True)
 class SurfaceTriangulation:
     """Combinatorial ideal triangulation of the once-punctured torus.
 
     ``edges`` are fundamental tessellation representatives of the three
     quotient edges, indexed by their residue class; ``triangles`` list each
     triangle's edge slots in the cyclic order induced by the surface
-    orientation; every edge has both ends at the single cusp.
+    orientation; every edge has both ends at the single cusp.  Equal only
+    to a SurfaceTriangulation with the same (edges, triangles), and hashed
+    as that pair.
     """
 
-    edges: tuple
-    triangles: tuple
+    __slots__ = ("edges", "triangles")
 
-    def __post_init__(self):
-        slots = [s for tri in self.triangles for s in tri]
-        for j in range(len(self.edges)):
+    def __init__(self, edges: tuple, triangles: tuple):
+        slots = [s for tri in triangles for s in tri]
+        for j in range(len(edges)):
             if slots.count(j) != 2:
                 raise ValueError("each edge must bound exactly two triangle "
                                  "slots")
         # punctured torus: 1 vertex - 3 edges + 2 faces = 0
-        if len(self.edges) - len(self.triangles) != 1:
+        if len(edges) - len(triangles) != 1:
             raise ValueError("not a once-punctured torus gluing")
+        self.edges = edges
+        self.triangles = triangles
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.edges, self.triangles)
+                    == (other.edges, other.triangles))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.edges, self.triangles))
+
+    def __repr__(self) -> str:
+        return (f"SurfaceTriangulation(edges={self.edges!r}, "
+                f"triangles={self.triangles!r})")
 
 
-@dataclass(frozen=True)
 class CoveringGroup:
-    """Two modular generators of the covering group of the quotient."""
+    """Two modular generators of the covering group of the quotient.  Equal
+    only to a CoveringGroup with the same (gen_a, gen_b), and hashed as that
+    pair."""
 
-    gen_a: IntegerMoebius
-    gen_b: IntegerMoebius
+    __slots__ = ("gen_a", "gen_b")
 
-    def __post_init__(self):
-        for g in (self.gen_a, self.gen_b):
+    def __init__(self, gen_a: IntegerMoebius, gen_b: IntegerMoebius):
+        for g in (gen_a, gen_b):
             if moebius_abelianized(g) != 0:
                 raise ValueError("generator is not in the commutator "
                                  "subgroup; it would not act freely on the "
                                  "quotient data")
-        ab = self.gen_a.compose(self.gen_b)
-        ba = self.gen_b.compose(self.gen_a)
+        ab = gen_a.compose(gen_b)
+        ba = gen_b.compose(gen_a)
         if (ab.a, ab.b, ab.c, ab.d) in ((ba.a, ba.b, ba.c, ba.d),
                                         (-ba.a, -ba.b, -ba.c, -ba.d)):
             raise ValueError("generators commute; the group is not free of "
                              "rank two")
+        self.gen_a = gen_a
+        self.gen_b = gen_b
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.gen_a, self.gen_b) == (other.gen_a, other.gen_b)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.gen_a, self.gen_b))
+
+    def __repr__(self) -> str:
+        return f"CoveringGroup(gen_a={self.gen_a!r}, gen_b={self.gen_b!r})"
 
     def generators(self):
         g1, g2 = self.gen_a, self.gen_b
@@ -163,15 +190,27 @@ _TRI, _GROUP = punctured_torus()
 # tangent vectors and lifts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class TangentShear:
     """Shear triple on the quotient edges; tangent vectors satisfy the cusp
-    condition that all six edge ends at the puncture sum to zero."""
+    condition that all six edge ends at the puncture sum to zero.  Equal
+    only to a TangentShear with the same values, and hashed as the 1-tuple
+    (values,)."""
 
-    values: tuple
+    __slots__ = ("values",)
 
     def __init__(self, v0, v1, v2):
-        object.__setattr__(self, "values", (float(v0), float(v1), float(v2)))
+        self.values = (float(v0), float(v1), float(v2))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.values,) == (other.values,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.values,))
+
+    def __repr__(self) -> str:
+        return f"TangentShear(values={self.values!r})"
 
     def __getitem__(self, j):
         return self.values[j]

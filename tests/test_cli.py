@@ -119,6 +119,28 @@ def test_field_eval_huge_denominator_edge(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("x,value\n")
 
 
+def _run_fresh(tmp_path, commands, watched):
+    """Exit codes of the CLI commands run in one fresh interpreter, and
+    which of the watched module prefixes it has loaded by the end."""
+    import shearfield
+    src = os.path.dirname(os.path.dirname(shearfield.__file__))
+    shears = write_shears(tmp_path, [{"p": [0, 1], "q": [1, 1],
+                                      "value": 1.0}])
+    argvs = [[a.format(shears=shears) for a in argv]
+             + ["--output", str(tmp_path / f"out{i}")]
+             for i, argv in enumerate(commands)]
+    code = ("import json, sys, shearfield.cli\n"
+            f"codes = [shearfield.cli.run(a) for a in {argvs!r}]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules"
+            f" if m.startswith({tuple(watched)!r}))]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    codes, loaded = json.loads(out)
+    assert codes == [0] * len(argvs)
+    return loaded
+
+
 @pytest.mark.parametrize("commands", [
     [["farey", "edges", "--max-order", "3"],
      ["field", "eval", "--shears", "{shears}", "--samples", "5"],
@@ -130,21 +152,37 @@ def test_no_command_loads_numpy_or_scipy(tmp_path, commands):
     """Importing the CLI and running its commands, the quadrature oracle
     included, loads neither numpy nor scipy: the package runs on the
     standard library."""
-    import shearfield
-    src = os.path.dirname(os.path.dirname(shearfield.__file__))
-    shears = write_shears(tmp_path, [{"p": [0, 1], "q": [1, 1],
-                                      "value": 1.0}])
-    argvs = [[a.format(shears=shears) for a in argv]
-             + ["--output", str(tmp_path / f"out{i}")]
-             for i, argv in enumerate(commands)]
-    code = ("import json, sys, shearfield.cli\n"
-            f"codes = [shearfield.cli.run(a) for a in {argvs!r}]\n"
-            "print(json.dumps([codes, sorted(m for m in ('numpy', 'scipy')"
-            " if m in sys.modules)]))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src}).stdout
-    assert json.loads(out) == [[0] * len(argvs), []]
+    assert _run_fresh(tmp_path, commands, ["numpy", "scipy"]) == []
+
+
+_SHEARS = ["--shears", "{shears}"]
+
+
+@pytest.mark.parametrize("commands, modules", [
+    ([], ["cli"]),
+    ([["farey", "vertices"], ["farey", "edges"]], ["cli", "farey"]),
+    ([["field", "eval", *_SHEARS, "--samples", "3"]],
+     ["cli", "farey", "fields"]),
+    ([["zygmund", "check", *_SHEARS]], ["cli", "farey", "fields"]),
+    ([["hilbert", "eval", *_SHEARS, "--samples", "3"],
+      ["hilbert", "shear", *_SHEARS]],
+     ["cli", "farey", "fields", "hilbert", "moebius"]),
+    ([["hilbert", "eval", *_SHEARS, "--mode", "oracle", "--samples", "2",
+       "--max-order", "3"]],
+     ["cli", "farey", "fields", "hilbert", "moebius", "quadrature"]),
+    ([["fourier", *_SHEARS, "--n-max", "2"]],
+     ["cli", "farey", "fields", "fourier", "moebius"]),
+    ([["wp", "gram", "--depth", "2"], ["wp", "pair", "--depth", "2"]],
+     ["cli", "farey", "fields", "hilbert", "moebius", "torus"]),
+], ids=["import", "farey", "field", "zygmund", "hilbert", "oracle",
+        "fourier", "wp"])
+def test_command_loads_only_what_it_runs(tmp_path, commands, modules):
+    """`import shearfield.cli` loads no other package module, and each
+    subcommand loads only the modules it computes with; none loads
+    dataclasses, inspect or fractions."""
+    loaded = _run_fresh(tmp_path, commands, ["shearfield.", "dataclasses",
+                                             "inspect", "fractions"])
+    assert loaded == [f"shearfield.{m}" for m in modules]
 
 
 def test_field_eval_zero_file(tmp_path, capsys):
@@ -420,12 +458,17 @@ def test_writers_refuse_non_finite_values(tmp_path, capsys, fmt):
 ])
 def test_size_beyond_limit_rejected(tmp_path, monkeypatch, capsys, argv,
                                     patched, field):
-    import shearfield.cli
+    # each command imports what it calls at call time, so the function is
+    # replaced in the module that defines it
+    owner = {"enumerate_edges": "farey", "enumerate_vertices": "farey",
+             "assemble_field": "fields", "hilbert_series_eval": "hilbert",
+             "zygmund_condition_sup": "fields", "field_fourier": "fourier",
+             "parse_shear_file": "cli"}[patched]
 
     def no_work(*args):
         raise AssertionError(f"{patched} was called")
 
-    monkeypatch.setattr(shearfield.cli, patched, no_work)
+    monkeypatch.setattr(f"shearfield.{owner}.{patched}", no_work)
     if argv[0] != "farey":
         argv = argv + ["--shears", write_shears(tmp_path, [
             {"p": [0, 1], "q": [1, 0], "value": 0.5}])]

@@ -1,18 +1,20 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shearfield.farey import (ExtRational, INFINITY, ONE, ZERO, fan_edge,
-                              farey_order, oriented_edge)
+from shearfield.farey import (ExtRational, INFINITY, ONE, ZERO,
+                              enumerate_vertices, fan_edge, farey_order,
+                              oriented_edge)
 from shearfield.fields import (DELTA_GAP, FieldExpr, ShearFunction,
                                assemble_field, averaged_coefficient_sum,
                                elementary_eval, fan_field_eval,
                                fan_shears_at_tip, halved_terms, normalize_at,
                                partial_sum_diag, qs_ratio, tail_bound, tip_field, zygmund_condition_sup,
-                               zygmund_quotient_sup)
+                               tip_sort_key, zygmund_quotient_sup)
 from shearfield.hilbert import edge_quadrilateral, shear_recover
 
 INF = math.inf
@@ -103,6 +105,38 @@ def test_sum_field_zero_shears():
     sdot = ShearFunction()
     for x in np.linspace(-3, 3, 13):
         assert assemble_field(halved_terms(sdot, 5, 10))(x) == 0.0
+
+
+def test_tip_order_matches_fraction_key():
+    """Tips sort by (Farey order, circular position from 0) exactly as the
+    key of two Fractions per tip did, on every vertex of order <= 8, their
+    negatives, and deep tips that share an order and lie about 1.5e-18
+    apart, the last pair near 1 so that their floats are equal."""
+    from fractions import Fraction
+
+    def fraction_key(p):
+        if p.is_infinity:
+            pos = (1, Fraction(0))
+        elif p.num >= 0:
+            pos = (0, Fraction(p.num, p.den))
+        else:
+            pos = (2, Fraction(p.num, p.den))
+        return (farey_order(p), pos)
+
+    N = 10 ** 9
+    deep = [ExtRational(1, N), ExtRational(1, N + 1), ExtRational(N),
+            ExtRational(N + 1), ExtRational(N + 1, N),
+            ExtRational(2, 2 * N - 3), ExtRational(2, 2 * N - 1),
+            ExtRational(2 * N - 3, 2 * N - 1),
+            ExtRational(3 * N - 8, 3 * N - 5)]
+    tips = enumerate_vertices(8)
+    tips = list(dict.fromkeys(tips + [-p for p in tips + deep] + deep))
+    random.Random(11).shuffle(tips)
+    assert (sorted(tips, key=tip_sort_key)
+            == sorted(tips, key=fraction_key))
+    assert farey_order(deep[0]) == farey_order(deep[5]) == N + 1
+    assert farey_order(deep[7]) == farey_order(deep[8]) == N + 2
+    assert float(deep[7]) == float(deep[8])
 
 
 def test_round_trip_recovery_exact_at_modest_truncation():

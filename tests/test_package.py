@@ -1,0 +1,143 @@
+"""The lazy package root and the package's value classes."""
+
+import importlib
+import math
+
+import pytest
+
+import shearfield
+from shearfield.farey import (ExtRational, FareyEdge, IntegerMoebius, ONE,
+                              ZERO, oriented_edge)
+from shearfield.fields import ZygmundReport
+from shearfield.fourier import CircleArc
+from shearfield.hilbert import Quadrilateral, edge_quadrilateral
+from shearfield.moebius import HalfPlaneGeodesic, RealMoebius
+from shearfield.torus import (CoveringGroup, SurfaceTriangulation,
+                              TangentShear, punctured_torus)
+
+# the names `shearfield` exports, by the module that defines them
+EXPORTS = {
+    "farey": ["ExtRational", "FareyEdge", "IntegerMoebius", "INFINITY",
+              "apply_moebius", "enumerate_vertices", "fan_edge", "fan_edges",
+              "fan_index", "fan_moebius", "farey_order", "farey_parents",
+              "in_ccw_arc", "mediant", "oriented_edge"],
+    "fields": ["FieldExpr", "HalfTerm", "ShearFunction", "ZygmundReport",
+               "assemble_field", "edge_ends", "elementary_eval",
+               "fan_field_eval", "halved_terms", "normalize_at",
+               "partial_sum_diag", "qs_ratio", "tail_bound", "tip_field",
+               "zygmund_condition_sup", "zygmund_quotient_sup"],
+    "fourier": ["CircleArc", "circle_elementary_eval", "edge_to_arc",
+                "elementary_fourier", "field_fourier",
+                "fourier_quadrature_oracle"],
+    "hilbert": ["Quadrilateral", "closed_hilbert_field", "delta_weight",
+                "delta_weight_hyperbolic", "edge_quadrilateral",
+                "elementary_hilbert", "hilbert_main_term",
+                "hilbert_pv_oracle", "hilbert_series_eval",
+                "hilbert_shear_series", "shear_recover"],
+    "moebius": ["HalfPlaneGeodesic", "RealMoebius", "cayley_to_disk",
+                "cross_ratio", "cross_ratio_sym", "geodesic_angle",
+                "geodesic_distance", "geodesic_relation", "pushforward_field"],
+    "torus": ["CoveringGroup", "SurfaceTriangulation", "TangentShear",
+              "cusp_condition_check", "invariant_hilbert_shear",
+              "lift_edges", "punctured_torus", "thurston_form", "wp_gram",
+              "wp_pairing"],
+}
+
+
+def test_root_exports_resolve_to_defining_objects():
+    listed = dir(shearfield)
+    for module, names in EXPORTS.items():
+        owner = importlib.import_module(f"shearfield.{module}")
+        for name in names:
+            assert getattr(shearfield, name) is getattr(owner, name), name
+            assert name in listed, name
+    assert shearfield.__version__ == "0.1.0"
+
+
+def test_root_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        shearfield.no_such_name
+    assert not hasattr(shearfield, "enumerate_edges")   # never exported
+    from shearfield import farey      # submodules still import by name
+    assert farey.ExtRational is ExtRational
+
+
+TRI, GROUP = punctured_torus()
+
+# instance, its field tuple, its repr (as the dataclasses printed them)
+VALUES = [
+    (ExtRational(1, 2), (1, 2), "1/2"),
+    (FareyEdge(ZERO, ONE), (ZERO, ONE), "FareyEdge(initial=0, terminal=1)"),
+    (IntegerMoebius(2, 1, 1, 1), (2, 1, 1, 1),
+     "IntegerMoebius(a=2, b=1, c=1, d=1)"),
+    (RealMoebius(2.0, 1.0, 1.0, 1.0), (2.0, 1.0, 1.0, 1.0),
+     "RealMoebius(a=2.0, b=1.0, c=1.0, d=1.0)"),
+    (HalfPlaneGeodesic(0.0, math.inf), (0.0, math.inf),
+     "HalfPlaneGeodesic(e1=0.0, e2=inf)"),
+    (CircleArc(0.5, 1.5), (0.5, 1.5), "CircleArc(phi0=0.5, phi1=1.5)"),
+    (edge_quadrilateral(oriented_edge(ZERO, ONE)),
+     (ExtRational(1, 0), ZERO, ExtRational(1, 2), ONE),
+     "Quadrilateral(a=oo, b=0, c=1/2, d=1)"),
+    (TRI, (TRI.edges, TRI.triangles),
+     "SurfaceTriangulation(edges=(FareyEdge(initial=oo, terminal=0), "
+     "FareyEdge(initial=1, terminal=oo), FareyEdge(initial=0, terminal=1)), "
+     "triangles=((0, 1, 2), (0, 1, 2)))"),
+    (GROUP, (IntegerMoebius(2, 1, 1, 1), IntegerMoebius(1, 1, 1, 2)),
+     "CoveringGroup(gen_a=IntegerMoebius(a=2, b=1, c=1, d=1), "
+     "gen_b=IntegerMoebius(a=1, b=1, c=1, d=2))"),
+    (TangentShear(1, -1, 0), ((1.0, -1.0, 0.0),),
+     "TangentShear(values=(1.0, -1.0, 0.0))"),
+    (ZygmundReport(2.0, (ONE, 1, 2)), (2.0, (ONE, 1, 2)),
+     "ZygmundReport(sup_value=2.0, witness=(1, 1, 2))"),
+]
+
+
+@pytest.mark.parametrize("value, fields, text", VALUES,
+                         ids=[type(v[0]).__name__ for v in VALUES])
+def test_value_class_equality_hash_repr(value, fields, text):
+    cls = type(value)
+    twin = (TangentShear(*fields[0]) if cls is TangentShear
+            else cls(*fields))
+    assert twin == value and not twin != value
+    assert value != fields and not value == fields
+    assert repr(value) == text
+    if cls is ZygmundReport:          # mutable, so unhashable as before
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(fields)
+
+
+def test_value_classes_with_equal_fields_differ_across_classes():
+    assert IntegerMoebius(1, 0, 0, 1) != RealMoebius(1, 0, 0, 1)
+    assert CircleArc(0.5, 1.5) != HalfPlaneGeodesic(0.5, 1.5)
+    assert len({ExtRational(1, 2), (1, 2)}) == 2
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: IntegerMoebius(1, 1, 1, 1), ValueError,
+     "integer Moebius map must have determinant 1"),
+    (lambda: FareyEdge(ZERO, ExtRational(2)), ValueError,
+     "0 and 2 are not Farey-adjacent"),
+    (lambda: FareyEdge((0, 1), (1, 1)), TypeError,
+     "FareyEdge endpoints must be ExtRational"),
+    (lambda: CircleArc(1.0, 0.5), ValueError,
+     "need 0 <= phi0 < phi1 <= 2*pi"),
+    (lambda: CircleArc(0.0, 2 * math.pi), ValueError, "arc must be proper"),
+    (lambda: RealMoebius(1.0, 0.0, 0.0, -1.0), ValueError,
+     "RealMoebius requires positive determinant"),
+    (lambda: HalfPlaneGeodesic(1.0, 1.0), ValueError,
+     "geodesic endpoints must be distinct"),
+    (lambda: HalfPlaneGeodesic(math.inf, -math.inf), ValueError,
+     "geodesic endpoints must be distinct"),
+    (lambda: Quadrilateral(1.0, 0.0, -1.0, math.inf), ValueError,
+     "vertices are not in counterclockwise order (a, b, c, d)"),
+    (lambda: SurfaceTriangulation(TRI.edges, ((0, 1, 2), (0, 1, 1))),
+     ValueError, "each edge must bound exactly two triangle slots"),
+    (lambda: CoveringGroup(GROUP.gen_a, GROUP.gen_a), ValueError,
+     "generators commute; the group is not free of rank two"),
+])
+def test_value_class_validation(make, error, message):
+    with pytest.raises(error) as err:
+        make()
+    assert str(err.value) == message
