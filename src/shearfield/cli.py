@@ -305,7 +305,7 @@ def cmd_hilbert(args) -> int:
 def cmd_fourier(args) -> int:
     from .farey import farey_order
     from .fields import halved_terms
-    from .fourier import field_fourier
+    from .fourier import edge_to_arc, field_fourier
     sdot = parse_shear_file(args.shears)
     lo, hi = args.n_min, args.n_max
     if hi < lo:
@@ -314,9 +314,10 @@ def cmd_fourier(args) -> int:
         raise CliError(f"--n-min..--n-max may span at most "
                        f"{MAX_FOURIER_COEFFICIENTS} coefficients", "n-max")
     terms = halved_terms(sdot, args.max_order, args.window)
+    arcs = [edge_to_arc(t.ends) for t in terms]
     rows = []
     for n in range(lo, hi + 1):
-        c = field_fourier(terms, n)
+        c = field_fourier(terms, n, arcs)
         rows.append((n, c.real, c.imag))
     low_mass = sum(abs(v) for e, v in sdot
                    if min(farey_order(e.initial), farey_order(e.terminal)) <= 2)

@@ -131,13 +131,17 @@ def edge_to_arc(edge) -> CircleArc:
     return CircleArc(phi0, phi1)
 
 
-def field_fourier(terms, n: int) -> complex:
+def field_fourier(terms, n: int, arcs=None) -> complex:
     """n-th coefficient of the truncated field sum of a halved term list
     (see fields.halved_terms): closed-form arc coefficients summed in list
-    order."""
+    order.  ``arcs``, when given, are the terms' support arcs
+    (edge_to_arc of each term's ends), built once by a caller that asks
+    for many n."""
+    if arcs is None:
+        arcs = [edge_to_arc(t.ends) for t in terms]
     total = 0j
-    for t in terms:
-        total += t.coef * elementary_fourier(edge_to_arc(t.ends), n)
+    for t, arc in zip(terms, arcs):
+        total += t.coef * elementary_fourier(arc, n)
     return total
 
 

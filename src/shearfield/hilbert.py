@@ -24,7 +24,6 @@ from typing import NamedTuple
 
 from .farey import FareyEdge, edge_neighbors, in_ccw_arc
 from .fields import FieldExpr, edge_ends
-from .moebius import HalfPlaneGeodesic, geodesic_cosh_distance
 
 
 def _xlogx(t: float) -> float:
@@ -35,21 +34,33 @@ def _xlogx(t: float) -> float:
 # closed forms
 # ---------------------------------------------------------------------------
 
+def hilbert_main_terms(lifts, x: float) -> list:
+    """Unnormalized main terms (no 1/pi, no affine part) of the transforms
+    of the elementary fields of the ends (a, b) in lifts, all at x, in
+    order.  A ray with finite end a gives (x-a) log|x-a| for either side;
+    the interval (a, b) gives -(x-a)(x-b)/(a-b) log|(x-b)/(x-a)|, with the
+    removable singularities at x = a, b set to their limit 0.  The main
+    term is orientation-free."""
+    inf, log = math.inf, math.log
+    out = []
+    append = out.append
+    for a, b in lifts:
+        if b == inf:
+            append(_xlogx(x - a))
+        elif a == inf:
+            append(_xlogx(x - b))
+        elif x == a or x == b:
+            append(0.0)
+        else:
+            xa, xb = x - a, x - b
+            append(-(xa * xb / (a - b)) * (log(abs(xb)) - log(abs(xa))))
+    return out
+
+
 def hilbert_main_term(ends, x: float) -> float:
-    """Unnormalized main term (no 1/pi, no affine part) of the transform of
-    the elementary field of ends = (a, b).  A ray with finite end a gives
-    (x-a) log|x-a| for either side; the interval (a, b) gives
-    -(x-a)(x-b)/(a-b) log|(x-b)/(x-a)|, with the removable singularities at
-    x = a, b set to their limit 0.  The main term is orientation-free."""
-    a, b = ends
-    if b == math.inf:
-        return _xlogx(x - a)
-    if a == math.inf:
-        return _xlogx(x - b)
-    if x == a or x == b:
-        return 0.0
-    r = (x - a) * (x - b) / (a - b)
-    return -r * (math.log(abs(x - b)) - math.log(abs(x - a)))
+    """Main term of the one elementary field of ends = (a, b) at x (see
+    hilbert_main_terms)."""
+    return hilbert_main_terms((ends,), x)[0]
 
 
 def elementary_hilbert(ends, x: float) -> float:
@@ -312,20 +323,34 @@ def bracket_plan(Q: Quadrilateral) -> BracketPlan:
     return BracketPlan(finite, (quo(b, c),), (quo(a, b),), a - c)
 
 
+def bracket_values(plan: BracketPlan, columns,
+                   quadratic_coefficient: float = 0.0) -> list:
+    """The bracket of a plan on many fields at once, columns[p] listing
+    each field's value at p, p the plan's finite vertices: per field, the
+    plus quotients summed in order, less the minus quotients in order, plus
+    the quadratic coefficient times the span (added even when it is 0.0,
+    which turns a -0.0 total into +0.0)."""
+    def quotients(u, v, h):
+        return [(fv - fu) / h for fu, fv in zip(columns[u], columns[v])]
+
+    first, *plus = plan.plus
+    total = quotients(*first)
+    for q in plus:
+        total = [t + w for t, w in zip(total, quotients(*q))]
+    for q in plan.minus:
+        total = [t - w for t, w in zip(total, quotients(*q))]
+    if plan.span is not None:
+        shift = quadratic_coefficient * plan.span
+        total = [t + shift for t in total]
+    return total
+
+
 def bracket_value(plan: BracketPlan, values,
                   quadratic_coefficient: float = 0.0) -> float:
-    """The bracket of a plan on values[p] = V(p), p its finite vertices:
-    the plus quotients summed in order, less the minus quotients in order,
-    plus the quadratic coefficient times the span."""
-    (u, v, h), *plus = plan.plus
-    total = (values[v] - values[u]) / h
-    for u, v, h in plus:
-        total += (values[v] - values[u]) / h
-    for u, v, h in plan.minus:
-        total -= (values[v] - values[u]) / h
-    if plan.span is not None:
-        total += quadratic_coefficient * plan.span
-    return total
+    """The bracket of a plan on values[p] = V(p), p its finite vertices
+    (see bracket_values)."""
+    return bracket_values(plan, {p: (values[p],) for p in plan.points},
+                          quadratic_coefficient)[0]
 
 
 def recovery_bracket(V, Q: Quadrilateral, quadratic_coefficient: float = 0.0) -> float:
@@ -366,6 +391,8 @@ def shear_recover(V, Q: Quadrilateral, quadratic_coefficient=None) -> float:
 
 def _cosh_factors(e_geo: HalfPlaneGeodesic, u: float, v: float):
     """(sinh^2(d/2), cosh^2(d/2), log coth^2(d/2)) for d = dist(e, {u,v})."""
+    # on use: no command that loads hilbert needs moebius
+    from .moebius import HalfPlaneGeodesic, geodesic_cosh_distance
     ch = geodesic_cosh_distance(e_geo, HalfPlaneGeodesic(u, v))
     s2 = 0.5 * (ch - 1.0)
     c2 = 0.5 * (ch + 1.0)
@@ -388,6 +415,8 @@ def delta_weight_hyperbolic(edge, Q: Quadrilateral) -> float:
     """delta_weight by the equivalent hyperbolic-distance expressions, an
     independent second route for the disjoint and shared-endpoint positions;
     raises ValueError where only the bracket applies."""
+    # on use: no command that loads hilbert needs moebius
+    from .moebius import HalfPlaneGeodesic
     u, v = edge_ends(edge)
     pts = list(Q.points())
     e_geo = HalfPlaneGeodesic(u, v)

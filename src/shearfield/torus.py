@@ -31,8 +31,12 @@ import math
 
 from .farey import (ExtRational, FareyEdge, IDENTITY, INFINITY, IntegerMoebius,
                     ONE, ZERO, oriented_edge)
-from .hilbert import (bracket_plan, bracket_value, edge_quadrilateral,
-                      hilbert_main_term)
+from .hilbert import (bracket_plan, bracket_values, edge_quadrilateral,
+                      hilbert_main_terms)
+
+# most words _weight_matrices holds before it evaluates them, so its batches
+# add O(_WORD_CHUNK) memory to the walk's at any depth
+_WORD_CHUNK = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +257,17 @@ def lift_edges(group: CoveringGroup, depth: int):
             for j, e in enumerate(_TRI.edges)]
 
 
-def _vertex_image(g: IntegerMoebius, p: ExtRational) -> float:
-    """float(g(p)) straight from the matrix entries: the correctly rounded
-    quotient of the unreduced image, which is the reduced one's; + 0.0 gives
-    zero the positive sign that ExtRational's positive denominator gives."""
-    num = g.a * p.num + g.b * p.den
-    den = g.c * p.num + g.d * p.den
-    return num / den + 0.0 if den else math.inf
+def _vertex_images(words, p: ExtRational) -> list:
+    """float(g(p)) for each word's matrix entries (a, b, c, d), straight
+    from the entries: the correctly rounded quotient of the unreduced
+    image, which is the reduced one's; + 0.0 gives zero the positive sign
+    that ExtRational's positive denominator gives."""
+    pn, pd = p.num, p.den
+    out = []
+    for a, b, c, d in words:
+        den = c * pn + d * pd
+        out.append((a * pn + b * pd) / den + 0.0 if den else math.inf)
+    return out
 
 
 def _weight_matrices(depth: int) -> list:
@@ -268,10 +276,15 @@ def _weight_matrices(depth: int) -> list:
     quadrilateral of fundamental edge i.  The walk to depth d is a prefix
     of the longer walk, so W_d is bitwise what a walk to depth d builds.
 
-    Each entry is delta_weight(g.map_edge(e_k), Q_i), bit for bit, from
-    work done once: the three quadrilaterals' bracket plans once per walk;
-    per word, the float images of the fundamental edges' ends; per lift,
-    the main term at the five finite vertices the plans read."""
+    Each entry is the sum of delta_weight(g.map_edge(e_k), Q_i) in walk
+    order, bit for bit, from work done in batches: the three
+    quadrilaterals' bracket plans once per walk; the words' matrix entries
+    collected and evaluated at each shell's end, and whenever _WORD_CHUNK
+    of them are waiting, column by column: the float images of each
+    fundamental vertex, then per class the main terms of its lifts at each
+    of the five finite vertices the plans read, then per plan their
+    brackets, added to W one by one (an explicit loop: sum() compensates
+    from Python 3.12 on)."""
     plans = [bracket_plan(edge_quadrilateral(e)) for e in _TRI.edges]
     xs = sorted({x for P in plans for x in P.points})
     vertices = list(dict.fromkeys(p for e in _TRI.edges
@@ -279,16 +292,29 @@ def _weight_matrices(depth: int) -> list:
     slots = [(vertices.index(e.initial), vertices.index(e.terminal))
              for e in _TRI.edges]
     W = [[0.0] * len(_TRI.edges) for _ in plans]
+
+    def flush(words):
+        images = [_vertex_images(words, p) for p in vertices]
+        for k, (s, t) in enumerate(slots):
+            lifts = list(zip(images[s], images[t]))
+            columns = {x: hilbert_main_terms(lifts, x) for x in xs}
+            for i, P in enumerate(plans):
+                total = W[i][k]
+                for w in bracket_values(P, columns):
+                    total += w
+                W[i][k] = total
+        words.clear()
+
     shells = []
+    words = []
     for length, g in _reduced_words(_GROUP, depth):
         if length > len(shells):       # the shell length - 1 is closed
+            flush(words)
             shells.append([row[:] for row in W])
-        images = [_vertex_image(g, p) for p in vertices]
-        for k, (s, t) in enumerate(slots):
-            lift = (images[s], images[t])
-            values = {x: hilbert_main_term(lift, x) for x in xs}
-            for i, P in enumerate(plans):
-                W[i][k] += bracket_value(P, values)
+        words.append((g.a, g.b, g.c, g.d))
+        if len(words) == _WORD_CHUNK:
+            flush(words)
+    flush(words)
     return shells + [W]
 
 

@@ -6,10 +6,12 @@ import pytest
 from shearfield.farey import ExtRational, INFINITY, ONE, ZERO, oriented_edge
 from shearfield.fields import (FieldExpr, ShearFunction, assemble_field,
                                halved_terms)
-from shearfield.hilbert import (Quadrilateral, closed_hilbert_field,
+from shearfield.hilbert import (Quadrilateral, bracket_plan, bracket_value,
+                                bracket_values, closed_hilbert_field,
                                 delta_weight, delta_weight_hyperbolic,
                                 edge_quadrilateral, elementary_hilbert,
-                                hilbert_main_term, hilbert_pv_oracle,
+                                hilbert_main_term, hilbert_main_terms,
+                                hilbert_pv_oracle,
                                 hilbert_series_eval, hilbert_shear_series,
                                 shear_recover)
 from shearfield.moebius import RealMoebius
@@ -62,6 +64,31 @@ def test_main_term_orientation_free():
         x = RNG.uniform(-5, 5)
         assert hilbert_main_term((a, b), x) == pytest.approx(
             hilbert_main_term((b, a), x), abs=1e-12)
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+def test_batched_main_terms_are_the_scalar_main_term_bitwise():
+    """A column of main terms is, entry by entry, the main term of each
+    lift alone: rays with inf at either end, x at an end, and results of
+    either zero sign, all in one column."""
+    lifts = [(0.0, INF), (INF, 0.0), (1.0, INF), (INF, 1.0), (0.0, 1.0),
+             (1.0, 0.0), (0.5, 2.0), (-1.0, 0.5), (0.25, 0.5)]
+    for x in (-1.0, 0.0, 0.5, 0.7, 1.0, 2.0):
+        assert _hex(hilbert_main_terms(lifts, x)) == [
+            hilbert_main_term(ends, x).hex() for ends in lifts]
+    assert hilbert_main_terms([], 0.5) == []
+    # the written-out formulas, with their signed zeros
+    r = (0.7 - 0.5) * (0.7 - 2.0) / (0.5 - 2.0)
+    want = -r * (math.log(abs(0.7 - 2.0)) - math.log(abs(0.7 - 0.5)))
+    assert hilbert_main_term((0.5, 2.0), 0.7).hex() == want.hex()
+    assert hilbert_main_term((INF, 1.0), 0.0).hex() == (-0.0).hex()
+    assert hilbert_main_term((0.0, 1.0), 0.5).hex() == (-0.0).hex()
+    assert hilbert_main_term((1.0, 0.0), 0.5).hex() == (0.0).hex()
+    assert hilbert_main_term((0.0, 1.0), 1.0).hex() == (0.0).hex()
+    assert hilbert_main_term((0.0, INF), 0.0).hex() == (0.0).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +201,47 @@ def test_edge_quadrilateral_neighbors():
     e2 = oriented_edge(ZERO, ONE)
     Q2 = edge_quadrilateral(e2)
     assert Q2.points() == (INF, 0.0, 0.5, 1.0)
+
+
+def _four_point_bracket(plan, values, quadratic_coefficient):
+    """The bracket of a plan on one field, quotient by quotient."""
+    (u, v, h), *plus = plan.plus
+    total = (values[v] - values[u]) / h
+    for u, v, h in plus:
+        total += (values[v] - values[u]) / h
+    for u, v, h in plan.minus:
+        total -= (values[v] - values[u]) / h
+    if plan.span is not None:
+        total += quadratic_coefficient * plan.span
+    return total
+
+
+def test_batched_brackets_are_the_scalar_bracket_bitwise():
+    """A column of brackets is, entry by entry, bracket_value on each
+    field alone and the four-point bracket in the plan's order: on the
+    three fundamental plans (one infinite vertex each) and on the plan of
+    {1/2, 1}, whose four vertices are finite."""
+    edges = [oriented_edge(ZERO, INFINITY), oriented_edge(ONE, INFINITY),
+             oriented_edge(ZERO, ONE), oriented_edge(ExtRational(1, 2), ONE)]
+    plans = [bracket_plan(edge_quadrilateral(e)) for e in edges]
+    assert [len(P.points) for P in plans] == [3, 3, 3, 4]
+    rng = np.random.default_rng(5)     # the module's RNG feeds later tests
+    for P in plans:
+        fields = [{p: float(v) for p, v in zip(P.points,
+                                                rng.uniform(-2, 2, 4))}
+                  for _ in range(6)]
+        fields += [dict.fromkeys(P.points, c) for c in (0.0, -0.0, 1.0)]
+        columns = {p: [V[p] for V in fields] for p in P.points}
+        for q in (0.0, 1.5):
+            got = _hex(bracket_values(P, columns, q))
+            assert got == [bracket_value(P, V, q).hex() for V in fields]
+            assert got == [_four_point_bracket(P, V, q).hex() for V in fields]
+    # the quotients leave -0.0 here; adding 0.0 * span makes it +0.0
+    P = plans[2]
+    zeros = {0.0: 0.0, 0.5: -0.0, 1.0: 0.0}
+    assert P.span == 1.0
+    assert bracket_value(P, zeros).hex() == (0.0).hex()
+    assert bracket_values(P, {p: [] for p in P.points}) == []
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import shearfield.torus
 from shearfield.farey import (IDENTITY, INFINITY, ExtRational,
                               IntegerMoebius, ONE, ZERO, oriented_edge)
 from shearfield.hilbert import delta_weight, edge_quadrilateral
 from shearfield.torus import (CoveringGroup, SurfaceTriangulation,
                               TangentShear, _reduced_words, _transform,
-                              _vertex_image, _weight_matrices,
+                              _vertex_images, _weight_matrices,
                               cusp_condition_check,
                               edge_class, hilbert_shear_vector,
                               invariant_hilbert_shear, lift_edges,
@@ -204,6 +205,27 @@ def test_weight_matrices_are_delta_weight_sums_bitwise(depth):
     assert got == want
 
 
+def test_weight_matrices_flushed_in_chunks_bitwise(monkeypatch):
+    """With a chunk of 7 words, every shell of word length 2 or more is
+    evaluated in several flushes, and each still gives the delta_weight
+    sum."""
+    tri, grp = punctured_torus()
+    quads = [edge_quadrilateral(f) for f in tri.edges]
+    W = [[0.0] * 3 for _ in quads]
+    want = []
+    for length, g in _reduced_words(grp, 4):
+        if length > len(want):
+            want.append([[w.hex() for w in row] for row in W])
+        for k, e in enumerate(tri.edges):
+            for i, Q in enumerate(quads):
+                W[i][k] += delta_weight(g.map_edge(e), Q)
+    want.append([[w.hex() for w in row] for row in W])
+    monkeypatch.setattr(shearfield.torus, "_WORD_CHUNK", 7)
+    got = [[[w.hex() for w in row] for row in shell]
+           for shell in _weight_matrices(4)]
+    assert got == want
+
+
 def test_vertex_images_equal_exact_images_bitwise():
     """The float image read off the matrix entries is float(g(x)), the sign
     of zero and infinity included, across the depth-4 ball; the last two
@@ -213,10 +235,11 @@ def test_vertex_images_equal_exact_images_bitwise():
     words += [IntegerMoebius(0, 1, -1, 0), IntegerMoebius(0, -1, 1, 0)]
     points = [ZERO, ONE, INFINITY, ExtRational(-1), ExtRational(1, 2),
               ExtRational(2)]
-    for g in words:
-        for x in points:
-            assert _vertex_image(g, x).hex() == float(g(x)).hex(), (g, x)
-    assert _vertex_image(words[-2], INFINITY).hex() == (0.0).hex()
+    entries = [(g.a, g.b, g.c, g.d) for g in words]
+    for x in points:
+        assert ([w.hex() for w in _vertex_images(entries, x)]
+                == [float(g(x)).hex() for g in words]), x
+    assert _vertex_images(entries[-2:-1], INFINITY)[0].hex() == (0.0).hex()
 
 
 def test_thurston_form_structure():
