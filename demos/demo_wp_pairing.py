@@ -12,15 +12,15 @@ definite.
 import numpy as np
 
 from shearfield import (TangentShear, cusp_condition_check, lift_edges,
-                        punctured_torus, thurston_form, wp_gram, wp_pairing)
+                        thurston_form, wp_gram, wp_pairing)
+from shearfield.torus import EDGES
 
-tri, group = punctured_torus()
 print("quotient edges (fundamental representatives):")
-for j, e in enumerate(tri.edges):
+for j, e in enumerate(EDGES):
     print(f"  class {j}: {e.initial} -> {e.terminal}")
 
 print("\nlifted edge counts by word length:",
-      [len(lift_edges(group, d)) for d in range(4)])
+      [len(lift_edges(d)) for d in range(4)])
 
 t1 = TangentShear(1.0, -1.0, 0.0)
 t2 = TangentShear(0.0, 1.0, -1.0)

@@ -32,14 +32,11 @@ _EXPORTS = {
                 "elementary_hilbert", "hilbert_main_term",
                 "hilbert_pv_oracle", "hilbert_series_eval",
                 "hilbert_shear_series", "shear_recover"),
-    "moebius": ("HalfPlaneGeodesic", "RealMoebius", "cayley_to_disk",
-                "cross_ratio", "cross_ratio_sym", "geodesic_angle",
-                "geodesic_distance", "geodesic_relation",
-                "pushforward_field"),
-    "torus": ("CoveringGroup", "SurfaceTriangulation", "TangentShear",
-              "cusp_condition_check", "invariant_hilbert_shear",
-              "lift_edges", "punctured_torus", "thurston_form", "wp_gram",
-              "wp_pairing"),
+    "moebius": ("HalfPlaneGeodesic", "RealMoebius", "geodesic_cosh_distance",
+                "geodesic_relation"),
+    "torus": ("TangentShear", "cusp_condition_check",
+              "invariant_hilbert_shear", "lift_edges", "thurston_form",
+              "wp_gram", "wp_pairing"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items()
           for name in names}

@@ -355,15 +355,18 @@ def cmd_wp(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p, shears=True, grid=False):
+def _add_common(p, shears=True, grid=False, csv=True):
+    """The options a command shares: the shear file and its fan window
+    (shears), the order cut, the CSV/JSON choice (csv) and the output."""
     if shears:
         p.add_argument("--shears", required=True,
                        help="shear JSON file (see module docstring)")
+        p.add_argument("--window", type=int, default=20,
+                       help="fan index window |n| <= window")
     p.add_argument("--max-order", type=int, default=6, dest="max_order",
                    help="largest Farey order of fan tips in truncated sums")
-    p.add_argument("--window", type=int, default=20,
-                   help="fan index window |n| <= window")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    if csv:
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--output", default=None, help="output path (default stdout)")
     if grid:
         p.add_argument("--from", type=float, default=-3.0, dest="grid_from")
@@ -403,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zygmund", help="admissibility condition checker")
     p.add_argument("action", choices=["check"])
-    _add_common(p)
+    # --max-order is validated but unused: the bench's deep job passes it
+    _add_common(p, csv=False)
     p.set_defaults(func=cmd_zygmund)
 
     p = sub.add_parser("hilbert", help="Hilbert transform of the field")

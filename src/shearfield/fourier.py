@@ -23,7 +23,6 @@ import cmath
 import math
 
 from .fields import edge_ends
-from .moebius import cayley_angle
 
 TWO_PI = 2.0 * math.pi
 
@@ -115,6 +114,16 @@ def fourier_quadrature_oracle(V, n: int, breakpoints=()) -> complex:
             continue
         total += quad(integrand, lo, hi, 1e-13, 1e-13, limit=300)[0]
     return total / TWO_PI
+
+
+def cayley_angle(x) -> float:
+    """Argument in [0, 2*pi) of the Cayley image (1 + ix)/(1 - ix) of an
+    extended real."""
+    x = float(x)
+    if math.isinf(x):
+        return math.pi
+    phi = 2.0 * math.atan(x)
+    return phi if phi >= 0 else phi + TWO_PI
 
 
 def edge_to_arc(edge) -> CircleArc:

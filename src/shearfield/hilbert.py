@@ -20,6 +20,7 @@ the ground truth and the distance expressions are verified against it.
 from __future__ import annotations
 
 import math
+from itertools import takewhile
 from typing import NamedTuple
 
 from .farey import FareyEdge, edge_neighbors, in_ccw_arc
@@ -401,12 +402,25 @@ def _cosh_factors(e_geo: HalfPlaneGeodesic, u: float, v: float):
     return s2, c2, math.log(c2 / s2)
 
 
+def edge_weights(plans, lifts: list) -> list:
+    """delta_weight of every edge of ends (a, b) in lifts over the
+    quadrilateral of every plan, bit for bit: one list per plan, in lifts
+    order.  The main terms are evaluated once per distinct plan vertex, as
+    columns the plans' brackets share."""
+    columns = {}
+    for P in plans:
+        for x in P.points:
+            if x not in columns:
+                columns[x] = hilbert_main_terms(lifts, x)
+    return [bracket_values(P, columns) for P in plans]
+
+
 def delta_weight(edge, Q: Quadrilateral) -> float:
     """Weight with which the shear on `edge` (a FareyEdge or its ends) feeds
     the recovered transform shear on the diagonal of Q: the bracket of the
     unnormalized main-term transform of the edge's elementary field over Q.
     Covers every admissible position, the edge crossing the diagonal
-    included."""
+    included.  The scalar form of edge_weights."""
     ends = edge_ends(edge)
     return recovery_bracket(lambda x: hilbert_main_term(ends, x), Q)
 
@@ -508,12 +522,12 @@ def hilbert_shear_series(terms, edge: FareyEdge, max_order: int) -> list[float]:
     over the quadrilateral of `edge`, scaled so that a unit shear on a
     single edge e returns exactly the bracket of e's normalized closed-form
     transform."""
-    Q = edge_quadrilateral(edge)
+    kept = list(takewhile(lambda t: t.order <= max_order, terms))
+    plan = bracket_plan(edge_quadrilateral(edge))
+    weights, = edge_weights([plan], [t.ends for t in kept])
     partials = []
     total = 0.0
-    for t in terms:
-        if t.order > max_order:
-            break
+    for t, w in zip(kept, weights):
         partials += [total / math.pi] * (t.order - 1 - len(partials))
-        total += t.coef * delta_weight(t.ends, Q)
+        total += t.coef * w
     return partials + [total / math.pi] * (max_order - len(partials))

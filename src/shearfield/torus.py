@@ -6,12 +6,13 @@ an ideal triangulation with two triangles, three edges and a single cusp
 where every edge ends twice.  Tangent vectors to its deformation space are
 triples of edge shears summing to zero (the cusp condition).
 
-Edge classification uses the abelianization of the modular group: the group
-acts simply transitively on oriented tessellation edges, so an oriented
-edge corresponds to a unique group element, and its residue in Z/6 (kernel
-= the commutator subgroup) labels the quotient edge.  The three sides of
-the base triangle land in the three distinct unordered-residue classes
-{0,3}, {2,5}, {1,4}.
+The surface is three constants: the fundamental edges (the sides of the
+base triangle), the two triangles' slot order, and the two generators of
+the covering group with their inverses.  A tessellation edge's quotient edge
+is read off the Stern-Brocot path to its younger endpoint: the gaps of the
+tree, walked from (0, oo) and from (-oo, 0), give a left child the class
+of its parent gap plus 2 and a right child plus 1 (mod 3), with {0, oo} of
+class 0.
 
 Everything the pairing needs at every truncation depth up to d comes from
 one walk of the word ball to depth d: the 3x3 edge-weight matrix W, copied
@@ -31,8 +32,7 @@ import math
 
 from .farey import (ExtRational, FareyEdge, IDENTITY, INFINITY, IntegerMoebius,
                     ONE, ZERO, oriented_edge)
-from .hilbert import (bracket_plan, bracket_values, edge_quadrilateral,
-                      hilbert_main_terms)
+from .hilbert import bracket_plan, edge_quadrilateral, edge_weights
 
 # most words _weight_matrices holds before it evaluates them, so its batches
 # add O(_WORD_CHUNK) memory to the walk's at any depth
@@ -40,154 +40,53 @@ _WORD_CHUNK = 2048
 
 
 # ---------------------------------------------------------------------------
-# modular-group bookkeeping
+# the surface
 # ---------------------------------------------------------------------------
 
-def moebius_abelianized(g: IntegerMoebius) -> int:
-    """Image of g in Z/6, the abelianization of the modular group.
-
-    Computed by peeling translations: with S: x -> -1/x and T: x -> x + 1,
-    every element is a word in S, T; the map sends T to 1 and S to 3.
-    """
-    a, b, c, d = g.a, g.b, g.c, g.d
-    total = 0
-    while c != 0:
-        q = a // c
-        total += q
-        a, b = a - q * c, b - q * d
-        # multiply by S^{-1} on the left: (a b; c d) -> (c, d; -a, -b)
-        a, b, c, d = c, d, -a, -b
-        total += 3
-    if a < 0:
-        a, b, d = -a, -b, -d     # projective sign
-    # now (1 b; 0 1) = T^b
-    total += b
-    return total % 6
-
-
-def edge_group_element(initial: ExtRational, terminal: ExtRational) -> IntegerMoebius:
-    """The unique modular transformation carrying the oriented edge
-    (oo -> 0) onto (initial -> terminal)."""
-    det = initial.num * terminal.den - terminal.num * initial.den
-    if abs(det) != 1:
-        raise ValueError("endpoints are not Farey-adjacent")
-    return IntegerMoebius(initial.num, det * terminal.num,
-                          initial.den, det * terminal.den)
+# Fundamental representatives of the three quotient edges, indexed by
+# edge_class: the sides of the base triangle.
+EDGES = (oriented_edge(ZERO, INFINITY), oriented_edge(ONE, INFINITY),
+         oriented_edge(ZERO, ONE))
+# Each triangle's edge slots in the cyclic order of the surface orientation;
+# both triangles traverse the classes in the same order.  The corner form
+# changes sign with that order, and this one makes the pairing positive
+# definite: the corner-form convention leaves the global sign free, so
+# positivity is the anchor that fixes it.
+TRIANGLES = ((0, 1, 2), (0, 1, 2))
+# Generators a, b of the covering group, the commutator subgroup of the
+# modular group, in walk order (a, b, a^-1, b^-1): letter k has inverse k ^ 2.
+GENERATORS = (IntegerMoebius(2, 1, 1, 1), IntegerMoebius(1, 1, 1, 2),
+              IntegerMoebius(1, -1, -1, 2), IntegerMoebius(2, -1, -1, 1))
 
 
 def edge_class(edge: FareyEdge) -> int:
-    """Residue pair index of an unoriented edge: 0, 1 or 2.
+    """Quotient edge of a tessellation edge: 0, 1 or 2, in O(log) of its
+    endpoints.
 
-    Classes are the unordered residue pairs {0,3}, {2,5}, {1,4} of Z/6,
-    realized by the base-triangle sides {0,oo}, {0,1}, {1,oo}.
+    {0, oo} is class 0.  Every other edge joins its younger end u (the
+    larger |num| + den) to one of u's two Stern-Brocot parents.  Walking
+    the tree's gaps from (0, oo), the left child of a class-c gap has class
+    c + 2 and the right child c + 1 (mod 3), so for u > 0 the walk to u's
+    gap, read off u's partial quotients as in farey._stern_brocot (the last
+    block one step short), reaches class c = (right steps) + 2 (left steps);
+    the edge is the right child, c + 1, when its other end is the parent
+    farther from 0 (oo included), else the left child, c + 2.  An edge with
+    u < 0 has the negative class of its mirror image.
     """
-    r = moebius_abelianized(edge_group_element(edge.initial, edge.terminal))
-    return r % 3
-
-
-class SurfaceTriangulation:
-    """Combinatorial ideal triangulation of the once-punctured torus.
-
-    ``edges`` are fundamental tessellation representatives of the three
-    quotient edges, indexed by their residue class; ``triangles`` list each
-    triangle's edge slots in the cyclic order induced by the surface
-    orientation; every edge has both ends at the single cusp.  Equal only
-    to a SurfaceTriangulation with the same (edges, triangles), and hashed
-    as that pair.
-    """
-
-    __slots__ = ("edges", "triangles")
-
-    def __init__(self, edges: tuple, triangles: tuple):
-        slots = [s for tri in triangles for s in tri]
-        for j in range(len(edges)):
-            if slots.count(j) != 2:
-                raise ValueError("each edge must bound exactly two triangle "
-                                 "slots")
-        # punctured torus: 1 vertex - 3 edges + 2 faces = 0
-        if len(edges) - len(triangles) != 1:
-            raise ValueError("not a once-punctured torus gluing")
-        self.edges = edges
-        self.triangles = triangles
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.edges, self.triangles)
-                    == (other.edges, other.triangles))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.edges, self.triangles))
-
-    def __repr__(self) -> str:
-        return (f"SurfaceTriangulation(edges={self.edges!r}, "
-                f"triangles={self.triangles!r})")
-
-
-class CoveringGroup:
-    """Two modular generators of the covering group of the quotient.  Equal
-    only to a CoveringGroup with the same (gen_a, gen_b), and hashed as that
-    pair."""
-
-    __slots__ = ("gen_a", "gen_b")
-
-    def __init__(self, gen_a: IntegerMoebius, gen_b: IntegerMoebius):
-        for g in (gen_a, gen_b):
-            if moebius_abelianized(g) != 0:
-                raise ValueError("generator is not in the commutator "
-                                 "subgroup; it would not act freely on the "
-                                 "quotient data")
-        ab = gen_a.compose(gen_b)
-        ba = gen_b.compose(gen_a)
-        if (ab.a, ab.b, ab.c, ab.d) in ((ba.a, ba.b, ba.c, ba.d),
-                                        (-ba.a, -ba.b, -ba.c, -ba.d)):
-            raise ValueError("generators commute; the group is not free of "
-                             "rank two")
-        self.gen_a = gen_a
-        self.gen_b = gen_b
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.gen_a, self.gen_b) == (other.gen_a, other.gen_b)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.gen_a, self.gen_b))
-
-    def __repr__(self) -> str:
-        return f"CoveringGroup(gen_a={self.gen_a!r}, gen_b={self.gen_b!r})"
-
-    def generators(self):
-        g1, g2 = self.gen_a, self.gen_b
-        return [g1, g2, g1.inverse(), g2.inverse()]
-
-
-def punctured_torus() -> tuple[SurfaceTriangulation, CoveringGroup]:
-    """The standard once-punctured torus: quotient of the tessellation by
-    the commutator subgroup of the modular group, with all shears zero at
-    the basepoint.
-
-    Fundamental edges (by residue class): {0, oo}, {0, 1}, {1, oo}, the
-    sides of the base triangle.  Both triangles traverse the classes in the
-    same cyclic order; the corner form changes sign with that cyclic order,
-    and the order below is the one making the pairing positive definite
-    (the adopted corner-form convention leaves the global sign free, so
-    positivity is the anchor that fixes it).
-    """
-    e0 = oriented_edge(ZERO, INFINITY)   # residue class 0
-    e1 = oriented_edge(ONE, INFINITY)    # residue class 1
-    e2 = oriented_edge(ZERO, ONE)        # residue class 2
-    tri = SurfaceTriangulation(
-        edges=(e0, e1, e2),
-        triangles=((0, 1, 2), (0, 1, 2)),
-    )
-    group = CoveringGroup(IntegerMoebius(2, 1, 1, 1),
-                          IntegerMoebius(1, 1, 1, 2))
-    return tri, group
-
-
-# the one punctured torus every function below works on
-_TRI, _GROUP = punctured_torus()
+    u, v = edge.initial, edge.terminal
+    if abs(u.num) + u.den < abs(v.num) + v.den:
+        u, v = v, u
+    if u.num == 0 or u.den == 0:
+        return 0
+    x, y = abs(u.num), u.den
+    c, right = 0, True
+    while y:
+        q, r = divmod(x, y)
+        c += (q if r else q - 1) * (1 if right else 2)
+        x, y, right = y, r, not right
+    far = v.den == 0 or abs(v.num) * u.den > abs(u.num) * v.den
+    c += 1 if far else 2
+    return (c if u.num > 0 else -c) % 3
 
 
 # ---------------------------------------------------------------------------
@@ -226,18 +125,16 @@ def cusp_condition_check(t) -> bool:
     return abs(2.0 * sum(float(v) for v in vals)) < 1e-12
 
 
-def _reduced_words(group: CoveringGroup, depth: int):
-    """Freely reduced words of length <= depth, breadth-first, with the
-    generator order (a, b, a^-1, b^-1); deterministic.  Yields (word length,
-    element); the frontier keeps only each word's last letter (the letter k
-    has inverse k ^ 2)."""
-    gens = group.generators()
+def _reduced_words(depth: int):
+    """Freely reduced words in GENERATORS of length <= depth, breadth-first,
+    in the generator order; deterministic.  Yields (word length, element);
+    the frontier keeps only each word's last letter."""
     frontier = [(None, IDENTITY)]
     yield 0, IDENTITY
     for length in range(1, depth + 1):
         nxt = []
         for last, g in frontier:
-            for k, gen in enumerate(gens):
+            for k, gen in enumerate(GENERATORS):
                 if last is not None and k == last ^ 2:
                     continue
                 g2 = g.compose(gen)
@@ -246,15 +143,15 @@ def _reduced_words(group: CoveringGroup, depth: int):
         frontier = nxt
 
 
-def lift_edges(group: CoveringGroup, depth: int):
+def lift_edges(depth: int):
     """All word-translates of the fundamental edges up to the given word
     length, each tagged with its quotient edge index, in walk order.  No
     lift repeats: the covering group is free, so no element but the
     identity fixes an edge (an edge flip has order 2), and the fundamental
     edges lie in distinct orbits; distinct reduced words thus give distinct
     lifts."""
-    return [(g.map_edge(e), j) for _, g in _reduced_words(group, depth)
-            for j, e in enumerate(_TRI.edges)]
+    return [(g.map_edge(e), j) for _, g in _reduced_words(depth)
+            for j, e in enumerate(EDGES)]
 
 
 def _vertex_images(words, p: ExtRational) -> list:
@@ -281,33 +178,30 @@ def _weight_matrices(depth: int) -> list:
     quadrilaterals' bracket plans once per walk; the words' matrix entries
     collected and evaluated at each shell's end, and whenever _WORD_CHUNK
     of them are waiting, column by column: the float images of each
-    fundamental vertex, then per class the main terms of its lifts at each
-    of the five finite vertices the plans read, then per plan their
-    brackets, added to W one by one (an explicit loop: sum() compensates
-    from Python 3.12 on)."""
-    plans = [bracket_plan(edge_quadrilateral(e)) for e in _TRI.edges]
-    xs = sorted({x for P in plans for x in P.points})
-    vertices = list(dict.fromkeys(p for e in _TRI.edges
+    fundamental vertex, then per class the edge_weights of its lifts over
+    the three plans, added to W one by one (an explicit loop: sum()
+    compensates from Python 3.12 on)."""
+    plans = [bracket_plan(edge_quadrilateral(e)) for e in EDGES]
+    vertices = list(dict.fromkeys(p for e in EDGES
                                   for p in (e.initial, e.terminal)))
     slots = [(vertices.index(e.initial), vertices.index(e.terminal))
-             for e in _TRI.edges]
-    W = [[0.0] * len(_TRI.edges) for _ in plans]
+             for e in EDGES]
+    W = [[0.0] * len(EDGES) for _ in plans]
 
     def flush(words):
         images = [_vertex_images(words, p) for p in vertices]
         for k, (s, t) in enumerate(slots):
             lifts = list(zip(images[s], images[t]))
-            columns = {x: hilbert_main_terms(lifts, x) for x in xs}
-            for i, P in enumerate(plans):
+            for i, weights in enumerate(edge_weights(plans, lifts)):
                 total = W[i][k]
-                for w in bracket_values(P, columns):
+                for w in weights:
                     total += w
                 W[i][k] = total
         words.clear()
 
     shells = []
     words = []
-    for length, g in _reduced_words(_GROUP, depth):
+    for length, g in _reduced_words(depth):
         if length > len(shells):       # the shell length - 1 is closed
             flush(words)
             shells.append([row[:] for row in W])
@@ -354,7 +248,7 @@ def thurston_form(t1, t2) -> float:
     v1 = t1.values if isinstance(t1, TangentShear) else tuple(t1)
     v2 = t2.values if isinstance(t2, TangentShear) else tuple(t2)
     total = 0.0
-    for slots in _TRI.triangles:
+    for slots in TRIANGLES:
         k = len(slots)
         for i in range(k):
             e, e2 = slots[i], slots[(i + 1) % k]

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from shearfield.cli import CliError, parse_shear_file, run
+from shearfield.farey import enumerate_edges
 
 
 def write_shears(tmp_path, edges, name="shears.json"):
@@ -172,7 +174,7 @@ _SHEARS = ["--shears", "{shears}"]
        "--max-order", "3"]],
      ["cli", "farey", "fields", "hilbert", "quadrature"]),
     ([["fourier", *_SHEARS, "--n-max", "2"]],
-     ["cli", "farey", "fields", "fourier", "moebius"]),
+     ["cli", "farey", "fields", "fourier"]),
     ([["wp", "gram", "--depth", "2"], ["wp", "pair", "--depth", "2"]],
      ["cli", "farey", "fields", "hilbert", "torus"]),
 ], ids=["import", "farey", "field", "zygmund", "hilbert", "oracle",
@@ -326,6 +328,10 @@ def test_grid_end_in_exponent_form_as_separate_argument(tmp_path, capsys):
     (["field", "eval", "--shears", "s.json", "--tolerance", "1e-6"],
      "tolerance"),
     (["field", "eval", "--shears", "s.json", "--n-max=3"], "n-max"),
+    # `zygmund check` writes JSON only, and `farey` reads no fan window
+    (["zygmund", "check", "--shears", "s.json", "--format", "json"],
+     "format"),
+    (["farey", "edges", "--window", "3"], "window"),
 ])
 def test_usage_error_is_one_json_line(capsys, argv, field):
     assert run(argv) == 2
@@ -365,6 +371,48 @@ def test_wp_stdout_golden_bytes(capsys, argv, digest):
     """The exact bytes `wp` printed when W was summed one lift at a time:
     evaluating the word ball in batches changes no bit of the output."""
     assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _edge_entries(edges, values):
+    return [{"p": e.to_json()[:2], "q": e.to_json()[2:], "value": v}
+            for e, v in zip(edges, values)]
+
+
+def _bench_grid_shears(tmp_path):
+    """The benchmark's `grid` shear file at seed 0: the first 60 edges of
+    enumerate_edges(6), valued by the nonzero standard normal draws of
+    random.Random("grid:0")."""
+    rng, values = random.Random("grid:0"), []
+    while len(values) < 60:
+        v = rng.gauss(0.0, 1.0)
+        if v != 0.0:
+            values.append(v)
+    return write_shears(tmp_path, _edge_entries(enumerate_edges(6), values))
+
+
+def _negative_tip_shears(tmp_path):
+    """The first 40 edges of enumerate_edges(7) with a negative end, the
+    k-th valued sin(k + 1)."""
+    edges = [e for e in enumerate_edges(7)
+             if min(float(e.initial), float(e.terminal)) < 0][:40]
+    return write_shears(tmp_path, _edge_entries(
+        edges, [math.sin(k + 1.0) for k in range(len(edges))]))
+
+
+@pytest.mark.parametrize("shears, argv, digest", [
+    (_bench_grid_shears, ["--edge", "0,1,1,1", "--max-order", "6"],
+     "15db5a5fe046f7b30cb4f83454759755db966d0f84afad24df6d384333ee25f0"),
+    (_negative_tip_shears, ["--edge=-1,2,0,1", "--max-order", "8"],
+     "820a7af0152e72ab1192e6e35cc0f077581a46c558055b092003c9fb43e196f5"),
+], ids=["grid", "negative"])
+def test_hilbert_shear_stdout_golden_bytes(tmp_path, capsys, shears, argv,
+                                           digest):
+    """The exact bytes `hilbert shear` printed when each term's weight was
+    its own delta_weight call: the batched edge weights change no bit."""
+    assert run(["hilbert", "shear", "--shears", shears(tmp_path),
+                *argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -594,7 +642,7 @@ _COMMANDS = {
     ("field", "eval"): _GRID,
     ("hilbert", "eval"): _GRID,
     ("hilbert", "shear"): _GRID + ["--edge"],
-    ("zygmund", "check"): _COMMON,
+    ("zygmund", "check"): ["--max-order", "--window"],
     ("fourier",): _COMMON + ["--n-min", "--n-max"],
     ("wp", "gram"): ["--depth"],
     ("wp", "pair"): ["--depth", "--t1", "--t2"],

@@ -7,10 +7,9 @@ import pytest
 from shearfield.farey import ExtRational, FareyEdge, INFINITY, ONE, ZERO, oriented_edge
 from shearfield.fields import ShearFunction, halved_terms
 from shearfield.fourier import (CircleArc, assemble_circle_field,
-                                circle_elementary_eval, edge_to_arc,
-                                elementary_fourier, field_fourier,
-                                fourier_quadrature_oracle)
-from shearfield.moebius import cayley_angle
+                                cayley_angle, circle_elementary_eval,
+                                edge_to_arc, elementary_fourier,
+                                field_fourier, fourier_quadrature_oracle)
 
 RNG = np.random.default_rng(23)
 
@@ -77,6 +76,17 @@ def test_oracle_trivials():
         pytest.approx(1.0, abs=1e-12)
     assert fourier_quadrature_oracle(lambda z: 1.0 + 0j, 4) == \
         pytest.approx(0.0, abs=1e-12)
+
+
+def test_cayley_angle_monotone_circular():
+    xs = [-50.0, -2.0, -0.5, 0.0, 0.7, 3.0, 40.0]
+    angles = [cayley_angle(x) for x in xs]
+    assert angles[3] == 0.0
+    assert cayley_angle(math.inf) == pytest.approx(math.pi)
+    # increasing x sweeps counterclockwise: angles of positives increase,
+    # negatives sit above pi
+    assert 0 < angles[4] < angles[5] < angles[6] < math.pi
+    assert math.pi < angles[0] < angles[1] < angles[2] < 2 * math.pi
 
 
 def test_edge_to_arc_examples():

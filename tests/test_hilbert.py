@@ -9,7 +9,8 @@ from shearfield.fields import (FieldExpr, ShearFunction, assemble_field,
 from shearfield.hilbert import (Quadrilateral, bracket_plan, bracket_value,
                                 bracket_values, closed_hilbert_field,
                                 delta_weight, delta_weight_hyperbolic,
-                                edge_quadrilateral, elementary_hilbert,
+                                edge_quadrilateral, edge_weights,
+                                elementary_hilbert,
                                 hilbert_main_term, hilbert_main_terms,
                                 hilbert_pv_oracle,
                                 hilbert_series_eval, hilbert_shear_series,
@@ -247,6 +248,20 @@ def test_batched_brackets_are_the_scalar_bracket_bitwise():
 # ---------------------------------------------------------------------------
 # edge weights
 # ---------------------------------------------------------------------------
+
+def test_edge_weights_are_delta_weights_bitwise():
+    """Per plan, the batched weights are delta_weight of each edge alone:
+    over the three fundamental quadrilaterals and the all-finite one of
+    {1/2, 1}, which share vertices, for rays of either side, intervals and
+    edges with an end at a plan vertex."""
+    targets = [oriented_edge(ZERO, INFINITY), oriented_edge(ONE, INFINITY),
+               oriented_edge(ZERO, ONE), oriented_edge(ExtRational(1, 2), ONE)]
+    quads = [edge_quadrilateral(e) for e in targets]
+    lifts = [(0.0, INF), (INF, -1.0), (2.0, INF), (0.5, 1.0), (-3.0, -2.0),
+             (1.0, 2.0), (1 / 3, 0.5), (0.0, 1.0), (-1.0, 0.0)]
+    got = edge_weights([bracket_plan(Q) for Q in quads], lifts)
+    assert [_hex(ws) for ws in got] == \
+        [[delta_weight(e, Q).hex() for e in lifts] for Q in quads]
 
 def _two_route(edge, Q):
     return delta_weight(edge, Q), delta_weight_hyperbolic(edge, Q)

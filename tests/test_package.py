@@ -12,8 +12,7 @@ from shearfield.fields import ZygmundReport
 from shearfield.fourier import CircleArc
 from shearfield.hilbert import Quadrilateral, edge_quadrilateral
 from shearfield.moebius import HalfPlaneGeodesic, RealMoebius
-from shearfield.torus import (CoveringGroup, SurfaceTriangulation,
-                              TangentShear, punctured_torus)
+from shearfield.torus import TangentShear
 
 # the names `shearfield` exports, by the module that defines them
 EXPORTS = {
@@ -34,13 +33,11 @@ EXPORTS = {
                 "elementary_hilbert", "hilbert_main_term",
                 "hilbert_pv_oracle", "hilbert_series_eval",
                 "hilbert_shear_series", "shear_recover"],
-    "moebius": ["HalfPlaneGeodesic", "RealMoebius", "cayley_to_disk",
-                "cross_ratio", "cross_ratio_sym", "geodesic_angle",
-                "geodesic_distance", "geodesic_relation", "pushforward_field"],
-    "torus": ["CoveringGroup", "SurfaceTriangulation", "TangentShear",
-              "cusp_condition_check", "invariant_hilbert_shear",
-              "lift_edges", "punctured_torus", "thurston_form", "wp_gram",
-              "wp_pairing"],
+    "moebius": ["HalfPlaneGeodesic", "RealMoebius", "geodesic_cosh_distance",
+                "geodesic_relation"],
+    "torus": ["TangentShear", "cusp_condition_check",
+              "invariant_hilbert_shear", "lift_edges", "thurston_form",
+              "wp_gram", "wp_pairing"],
 }
 
 
@@ -62,8 +59,6 @@ def test_root_unknown_name_raises_attribute_error():
     assert farey.ExtRational is ExtRational
 
 
-TRI, GROUP = punctured_torus()
-
 # instance, its field tuple, its repr (as the dataclasses printed them)
 VALUES = [
     (ExtRational(1, 2), (1, 2), "1/2"),
@@ -78,13 +73,6 @@ VALUES = [
     (edge_quadrilateral(oriented_edge(ZERO, ONE)),
      (ExtRational(1, 0), ZERO, ExtRational(1, 2), ONE),
      "Quadrilateral(a=oo, b=0, c=1/2, d=1)"),
-    (TRI, (TRI.edges, TRI.triangles),
-     "SurfaceTriangulation(edges=(FareyEdge(initial=oo, terminal=0), "
-     "FareyEdge(initial=1, terminal=oo), FareyEdge(initial=0, terminal=1)), "
-     "triangles=((0, 1, 2), (0, 1, 2)))"),
-    (GROUP, (IntegerMoebius(2, 1, 1, 1), IntegerMoebius(1, 1, 1, 2)),
-     "CoveringGroup(gen_a=IntegerMoebius(a=2, b=1, c=1, d=1), "
-     "gen_b=IntegerMoebius(a=1, b=1, c=1, d=2))"),
     (TangentShear(1, -1, 0), ((1.0, -1.0, 0.0),),
      "TangentShear(values=(1.0, -1.0, 0.0))"),
     (ZygmundReport(2.0, (ONE, 1, 2)), (2.0, (ONE, 1, 2)),
@@ -132,10 +120,6 @@ def test_value_classes_with_equal_fields_differ_across_classes():
      "geodesic endpoints must be distinct"),
     (lambda: Quadrilateral(1.0, 0.0, -1.0, math.inf), ValueError,
      "vertices are not in counterclockwise order (a, b, c, d)"),
-    (lambda: SurfaceTriangulation(TRI.edges, ((0, 1, 2), (0, 1, 1))),
-     ValueError, "each edge must bound exactly two triangle slots"),
-    (lambda: CoveringGroup(GROUP.gen_a, GROUP.gen_a), ValueError,
-     "generators commute; the group is not free of rank two"),
 ])
 def test_value_class_validation(make, error, message):
     with pytest.raises(error) as err:

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 import shearfield.torus
-from shearfield.farey import (IDENTITY, INFINITY, ExtRational,
-                              IntegerMoebius, ONE, ZERO, oriented_edge)
+from shearfield.farey import (INFINITY, ExtRational, IntegerMoebius, ONE,
+                              ZERO, enumerate_edges, oriented_edge)
 from shearfield.hilbert import delta_weight, edge_quadrilateral
-from shearfield.torus import (CoveringGroup, SurfaceTriangulation,
-                              TangentShear, _reduced_words, _transform,
-                              _vertex_images, _weight_matrices,
-                              cusp_condition_check,
+from shearfield.torus import (EDGES, GENERATORS, TRIANGLES, TangentShear,
+                              _reduced_words, _transform, _vertex_images,
+                              _weight_matrices, cusp_condition_check,
                               edge_class, hilbert_shear_vector,
                               invariant_hilbert_shear, lift_edges,
-                              moebius_abelianized, punctured_torus,
                               thurston_form, wp_gram, wp_pairing)
 
 RNG = np.random.default_rng(31)
@@ -25,57 +23,82 @@ def test_cusp_condition_examples():
     assert not cusp_condition_check((1.0, 1.0, 1.0))
 
 
-def test_abelianization_is_homomorphism():
-    mats = [IntegerMoebius(1, 1, 0, 1), IntegerMoebius(0, -1, 1, 0),
-            IntegerMoebius(2, 1, 1, 1), IntegerMoebius(1, -3, 0, 1),
-            IntegerMoebius(5, 2, 2, 1), IntegerMoebius(1, 0, -4, 1)]
-    for g in mats:
-        for h in mats:
-            lhs = moebius_abelianized(g.compose(h))
-            rhs = (moebius_abelianized(g) + moebius_abelianized(h)) % 6
-            assert lhs == rhs
-    assert moebius_abelianized(IDENTITY) == 0
-    assert moebius_abelianized(IntegerMoebius(1, 1, 0, 1)) == 1   # x -> x+1
-    assert moebius_abelianized(IntegerMoebius(0, -1, 1, 0)) == 3  # x -> -1/x
+def _tree_classes(max_order):
+    """Class of every edge with endpoints of order <= max_order, by the
+    gap recursion: {0, oo} is class 0, and in the gap (lo, hi) of class c
+    the left child {lo, m} gets c + 2 and the right child {m, hi} c + 1
+    (mod 3), m the mediant; the negative side is the mirror image, each
+    mirrored edge of the negated class."""
+    classes = {oriented_edge(ZERO, INFINITY).unordered(): 0}
+
+    def walk(lo, hi, c, order):
+        m = (lo[0] + hi[0], lo[1] + hi[1])
+        for a, b, k in ((lo, m, (c + 2) % 3), (m, hi, (c + 1) % 3)):
+            for sign in (1, -1):
+                edge = oriented_edge(ExtRational(sign * a[0], a[1]),
+                                     ExtRational(sign * b[0], b[1]))
+                classes[edge.unordered()] = sign * k % 3
+            if order < max_order:
+                walk(a, b, k, order + 1)
+
+    walk((0, 1), (1, 0), 0, 2)
+    return classes
+
+
+def test_edge_class_is_the_tree_recursion():
+    edges = enumerate_edges(12)
+    classes = _tree_classes(12)
+    assert len(edges) == len(classes) == 8189
+    for e in edges:
+        assert edge_class(e) == classes[e.unordered()], e
 
 
 def test_edge_classes_partition_base_triangle():
-    tri, _ = punctured_torus()
-    for j, e in enumerate(tri.edges):
+    for j, e in enumerate(EDGES):
         assert edge_class(e) == j
     # translated edges keep their class
-    _, grp = punctured_torus()
-    for img, j in lift_edges(grp, 3):
+    lifted = lift_edges(6)
+    assert len(lifted) == 4371
+    for img, j in lifted:
         assert edge_class(img) == j
 
 
 def test_covering_group_validation():
-    with pytest.raises(ValueError):
-        CoveringGroup(IntegerMoebius(1, 1, 0, 1),      # bare translation
-                      IntegerMoebius(1, 1, 1, 2))
-    A = IntegerMoebius(2, 1, 1, 1)
-    A2 = A.compose(A)
-    with pytest.raises(ValueError):
-        CoveringGroup(A, A2)                           # commuting pair
+    """Each generator lies in the commutator subgroup of the modular group,
+    the kernel of its abelianization Z/6 = Z/3 x Z/2: it keeps every edge
+    class (the Z/3 part), and mod 2 it is even, in A3 inside
+    PSL(2, F2) = S3 (the Z/2 part).  The generators do not commute, even
+    up to sign, so they span a free group of rank two; the last two are
+    the inverses of the first."""
+    # the identity and the two 3-cycles of PSL(2, F2) acting on 0, 1, oo
+    a3 = {(1, 0, 0, 1), (0, 1, 1, 1), (1, 1, 1, 0)}
+    for g in GENERATORS:
+        for k, e in enumerate(EDGES):
+            assert edge_class(g.map_edge(e)) == k
+        assert tuple(x % 2 for x in (g.a, g.b, g.c, g.d)) in a3
+    a, b, a_inv, b_inv = GENERATORS
+    assert (a_inv, b_inv) == (a.inverse(), b.inverse())
+    ab, ba = a.compose(b), b.compose(a)
+    entries = (ba.a, ba.b, ba.c, ba.d)
+    assert (ab.a, ab.b, ab.c, ab.d) not in (entries,
+                                            tuple(-x for x in entries))
 
 
 def test_triangulation_validation():
-    e0 = oriented_edge(ZERO, INFINITY)
-    e1 = oriented_edge(ONE, INFINITY)
-    e2 = oriented_edge(ZERO, ONE)
-    with pytest.raises(ValueError):
-        SurfaceTriangulation(edges=(e0, e1, e2),
-                             triangles=((0, 1, 2), (0, 1, 1)))
+    """The two triangles fill each class's two slots, and the gluing is a
+    once-punctured torus: 1 vertex - 3 edges + 2 faces = 0."""
+    slots = [s for tri in TRIANGLES for s in tri]
+    assert all(slots.count(k) == 2 for k in range(len(EDGES)))
+    assert 1 - len(EDGES) + len(TRIANGLES) == 0
 
 
 def test_lift_edges_depth_zero_and_growth():
-    tri, grp = punctured_torus()
-    lifted = lift_edges(grp, 0)
+    lifted = lift_edges(0)
     assert len(lifted) == 3
     assert {e.unordered() for e, _ in lifted} == \
-        {e.unordered() for e in tri.edges}
+        {e.unordered() for e in EDGES}
     for d in (1, 2, 3, 4):
-        lifted = lift_edges(grp, d)
+        lifted = lift_edges(d)
         assert len(lifted) <= 2 * 3 * 3 ** d
         assert len(lifted) == 3 * (2 * 3 ** d - 1)   # free action, no overlap
         # distinct words give distinct edges, with no dedup in the walk
@@ -84,10 +107,9 @@ def test_lift_edges_depth_zero_and_growth():
 
 def test_lift_edges_triangle_closure():
     """Every word's three fundamental-edge images appear together."""
-    tri, grp = punctured_torus()
-    lifted = {e.unordered() for e, _ in lift_edges(grp, 3)}
-    for _, g in _reduced_words(grp, 3):
-        for e in tri.edges:
+    lifted = {e.unordered() for e, _ in lift_edges(3)}
+    for _, g in _reduced_words(3):
+        for e in EDGES:
             assert g.map_edge(e).unordered() in lifted
 
 
@@ -124,9 +146,8 @@ def test_invariant_hilbert_depth_plateau():
 
 
 def test_invariant_hilbert_representative_free():
-    tri, grp = punctured_torus()
     t = TangentShear(1.0, 0.5, -1.5)
-    lifted = lift_edges(grp, 2)
+    lifted = lift_edges(2)
     for idx in (4, 9, 17, 30):
         img, cls = lifted[idx]
         v_canon = invariant_hilbert_shear(t, cls, 4)
@@ -139,10 +160,9 @@ def test_delta_weight_covering_invariance():
     Q) for covering-group elements g.  Some weights vanish and others come
     from cancelling brackets, so the error is measured relative to the
     largest weight on the quadrilateral, the scale of the sum they enter."""
-    tri, grp = punctured_torus()
-    lifted = lift_edges(grp, 3)
-    for _, g in _reduced_words(grp, 2):
-        for f in tri.edges:
+    lifted = lift_edges(3)
+    for _, g in _reduced_words(2):
+        for f in EDGES:
             Q = edge_quadrilateral(f)
             gQ = edge_quadrilateral(g.map_edge(f))
             want = [delta_weight(e, Q) for e, _ in lifted]
@@ -154,12 +174,11 @@ def test_delta_weight_covering_invariance():
 
 def _per_lift_shear_vector(t, depth):
     """Transformed shears summed lift by lift over a walk to ``depth``."""
-    tri, grp = punctured_torus()
-    quads = [edge_quadrilateral(e) for e in tri.edges]
+    quads = [edge_quadrilateral(e) for e in EDGES]
     want = [0.0, 0.0, 0.0]
     seen = set()
-    for _, g in _reduced_words(grp, depth):
-        for j, e in enumerate(tri.edges):
+    for _, g in _reduced_words(depth):
+        for j, e in enumerate(EDGES):
             img = g.map_edge(e)
             if img.unordered() in seen:
                 continue
@@ -189,14 +208,13 @@ def test_weight_matrices_are_delta_weight_sums_bitwise(depth):
     by lift in walk order, each lifted edge over each fundamental
     quadrilateral, with no vertex image, main term or bracket plan
     shared."""
-    tri, grp = punctured_torus()
-    quads = [edge_quadrilateral(f) for f in tri.edges]
+    quads = [edge_quadrilateral(f) for f in EDGES]
     W = [[0.0] * 3 for _ in quads]
     want = []
-    for length, g in _reduced_words(grp, depth):
+    for length, g in _reduced_words(depth):
         if length > len(want):
             want.append([[w.hex() for w in row] for row in W])
-        for k, e in enumerate(tri.edges):
+        for k, e in enumerate(EDGES):
             for i, Q in enumerate(quads):
                 W[i][k] += delta_weight(g.map_edge(e), Q)
     want.append([[w.hex() for w in row] for row in W])
@@ -209,14 +227,13 @@ def test_weight_matrices_flushed_in_chunks_bitwise(monkeypatch):
     """With a chunk of 7 words, every shell of word length 2 or more is
     evaluated in several flushes, and each still gives the delta_weight
     sum."""
-    tri, grp = punctured_torus()
-    quads = [edge_quadrilateral(f) for f in tri.edges]
+    quads = [edge_quadrilateral(f) for f in EDGES]
     W = [[0.0] * 3 for _ in quads]
     want = []
-    for length, g in _reduced_words(grp, 4):
+    for length, g in _reduced_words(4):
         if length > len(want):
             want.append([[w.hex() for w in row] for row in W])
-        for k, e in enumerate(tri.edges):
+        for k, e in enumerate(EDGES):
             for i, Q in enumerate(quads):
                 W[i][k] += delta_weight(g.map_edge(e), Q)
     want.append([[w.hex() for w in row] for row in W])
@@ -230,8 +247,7 @@ def test_vertex_images_equal_exact_images_bitwise():
     """The float image read off the matrix entries is float(g(x)), the sign
     of zero and infinity included, across the depth-4 ball; the last two
     maps send oo to 0 through a denominator of either sign."""
-    _, grp = punctured_torus()
-    words = [g for _, g in _reduced_words(grp, 4)]
+    words = [g for _, g in _reduced_words(4)]
     words += [IntegerMoebius(0, 1, -1, 0), IntegerMoebius(0, -1, 1, 0)]
     points = [ZERO, ONE, INFINITY, ExtRational(-1), ExtRational(1, 2),
               ExtRational(2)]
