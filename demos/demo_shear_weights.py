@@ -11,7 +11,7 @@ transformed shear function is then a fan-ordered double sum of weights.
 
 import math
 
-from shearfield import (ExtRational, INFINITY, Quadrilateral, ShearFunction,
+from shearfield import (ExtRational, Quadrilateral, ShearFunction,
                         delta_weight, delta_weight_hyperbolic,
                         edge_quadrilateral, halved_terms,
                         hilbert_shear_series, oriented_edge)

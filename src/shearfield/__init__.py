@@ -32,8 +32,7 @@ _EXPORTS = {
                 "elementary_hilbert", "hilbert_main_term",
                 "hilbert_pv_oracle", "hilbert_series_eval",
                 "hilbert_shear_series", "shear_recover"),
-    "moebius": ("HalfPlaneGeodesic", "RealMoebius", "geodesic_cosh_distance",
-                "geodesic_relation"),
+    "moebius": ("geodesic_cosh_distance",),
     "torus": ("TangentShear", "cusp_condition_check",
               "invariant_hilbert_shear", "lift_edges", "thurston_form",
               "wp_gram", "wp_pairing"),

@@ -17,6 +17,7 @@ so a process loads only those (`farey` loads only `shearfield.farey`).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -319,12 +320,14 @@ def cmd_fourier(args) -> int:
     for n in range(lo, hi + 1):
         c = field_fourier(terms, n, arcs)
         rows.append((n, c.real, c.imag))
-    low_mass = sum(abs(v) for e, v in sdot
-                   if min(farey_order(e.initial), farey_order(e.terminal)) <= 2)
-    total_mass = sum(abs(v) for _, v in sdot) or 1.0
+    low_mass = total_mass = 0.0
+    for e, v in sdot:
+        if min(farey_order(e.initial), farey_order(e.terminal)) <= 2:
+            low_mass += abs(v)
+        total_mass += abs(v)
     _emit(args.format, args.output, ["n", "re", "im"], rows,
           _meta(max_order=args.max_order, window=args.window,
-                low_order_shear_fraction=low_mass / total_mass))
+                low_order_shear_fraction=low_mass / (total_mass or 1.0)))
     return 0
 
 
@@ -355,28 +358,70 @@ def cmd_wp(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p, shears=True, grid=False, csv=True):
-    """The options a command shares: the shear file and its fan window
-    (shears), the order cut, the CSV/JSON choice (csv) and the output."""
-    if shears:
-        p.add_argument("--shears", required=True,
-                       help="shear JSON file (see module docstring)")
-        p.add_argument("--window", type=int, default=20,
-                       help="fan index window |n| <= window")
-    p.add_argument("--max-order", type=int, default=6, dest="max_order",
-                   help="largest Farey order of fan tips in truncated sums")
-    if csv:
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--output", default=None, help="output path (default stdout)")
-    if grid:
-        p.add_argument("--from", type=float, default=-3.0, dest="grid_from")
-        p.add_argument("--to", type=float, default=3.0, dest="grid_to")
-        p.add_argument("--samples", type=int, default=61)
+# every option, as add_argument's keyword arguments
+_OPTIONS = {
+    "--shears": {"required": True,
+                 "help": "shear JSON file (see module docstring)"},
+    "--window": {"type": int, "default": 20,
+                 "help": "fan index window |n| <= window"},
+    "--max-order": {"type": int, "default": 6, "help": "largest Farey order "
+                    "of fan tips in truncated sums"},
+    "--format": {"choices": ["csv", "json"], "default": "csv"},
+    "--output": {"help": "output path (default stdout)"},
+    "--from": {"type": float, "default": -3.0, "dest": "grid_from"},
+    "--to": {"type": float, "default": 3.0, "dest": "grid_to"},
+    "--samples": {"type": int, "default": 61},
+    "--mode": {"choices": ["closed", "oracle"], "default": "closed"},
+    "--tolerance": {"type": float, "default": 1e-8,
+                    "help": "principal-value oracle tolerance"},
+    "--edge": {"default": "0,1,1,0",
+               "help": "target edge as p_num,p_den,q_num,q_den"},
+    "--n-min": {"type": int, "default": 0},
+    "--n-max": {"type": int, "default": 10},
+    "--t1": {"default": "1,-1,0"},
+    "--t2": {"default": "0,1,-1"},
+    "--depth": {"type": int, "default": 6},
+}
+_FILE = ("--shears", "--window", "--max-order")
+_GRID = _FILE + ("--format", "--output", "--from", "--to", "--samples")
+# command: (help, function, {action: the options it reads}); `fourier`
+# takes no action word, keyed None
+_COMMANDS = {
+    "farey": ("tessellation combinatorics", cmd_farey,
+              dict.fromkeys(["vertices", "edges"],
+                            ("--max-order", "--format", "--output"))),
+    "field": ("evaluate the vector field of a shear file", cmd_field,
+              {"eval": _GRID}),
+    # --max-order is checked but not read: the bench's deep job passes it
+    "zygmund": ("admissibility condition checker", cmd_zygmund,
+                {"check": _FILE + ("--output",)}),
+    "hilbert": ("Hilbert transform of the field", cmd_hilbert,
+                {"eval": _GRID + ("--mode", "--tolerance"),
+                 "shear": _FILE + ("--edge", "--output")}),
+    "fourier": ("Fourier coefficients of the field", cmd_fourier,
+                {None: _FILE + ("--format", "--output", "--n-min",
+                                "--n-max")}),
+    "wp": ("Weil-Petersson pairing on the punctured torus", cmd_wp,
+           {"pair": ("--t1", "--t2", "--depth", "--output"),
+            "gram": ("--depth", "--output")}),
+}
 
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a CliError (exit 2, one JSON line) instead
-    of printing the usage text; subparsers reuse the class."""
+    of printing the usage text; subparsers reuse the class.  A parser made
+    with fill=f gets its arguments from f(parser) when it first parses, so
+    a run builds the options of the command it runs alone."""
+
+    def __init__(self, *args, fill=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fill = fill
+
+    def parse_known_args(self, args=None, namespace=None):
+        fill, self._fill = self._fill, None
+        if fill is not None:
+            fill(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         # "argument --depth: ...", "... required: --shears", "unrecognized
@@ -386,6 +431,18 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message, named.group(1) if named else "")
 
 
+def _fill_command(p, func, actions: dict) -> None:
+    """A command's parser: its options, or one subparser per action with
+    only the options that action reads."""
+    if None not in actions:
+        sub = p.add_subparsers(dest="action", required=True)
+    for action, options in actions.items():
+        q = p if action is None else sub.add_parser(action)
+        for name in options:
+            q.add_argument(name, **_OPTIONS[name])
+        q.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="shearfield",
@@ -393,47 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "evaluation, Hilbert transform, Fourier coefficients, "
                     "Weil-Petersson pairing.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("farey", help="tessellation combinatorics")
-    p.add_argument("action", choices=["vertices", "edges"])
-    _add_common(p, shears=False)
-    p.set_defaults(func=cmd_farey)
-
-    p = sub.add_parser("field", help="evaluate the vector field of a shear file")
-    p.add_argument("action", choices=["eval"])
-    _add_common(p, grid=True)
-    p.set_defaults(func=cmd_field)
-
-    p = sub.add_parser("zygmund", help="admissibility condition checker")
-    p.add_argument("action", choices=["check"])
-    # --max-order is validated but unused: the bench's deep job passes it
-    _add_common(p, csv=False)
-    p.set_defaults(func=cmd_zygmund)
-
-    p = sub.add_parser("hilbert", help="Hilbert transform of the field")
-    p.add_argument("action", choices=["eval", "shear"])
-    _add_common(p, grid=True)
-    p.add_argument("--mode", choices=["closed", "oracle"], default="closed")
-    p.add_argument("--tolerance", type=float, default=1e-8,
-                   help="principal-value oracle tolerance")
-    p.add_argument("--edge", default="0,1,1,0",
-                   help="target edge as p_num,p_den,q_num,q_den")
-    p.set_defaults(func=cmd_hilbert)
-
-    p = sub.add_parser("fourier", help="Fourier coefficients of the field")
-    _add_common(p)
-    p.add_argument("--n-min", type=int, default=0, dest="n_min")
-    p.add_argument("--n-max", type=int, default=10, dest="n_max")
-    p.set_defaults(func=cmd_fourier)
-
-    p = sub.add_parser("wp", help="Weil-Petersson pairing on the punctured torus")
-    p.add_argument("action", choices=["pair", "gram"])
-    p.add_argument("--t1", default="1,-1,0")
-    p.add_argument("--t2", default="0,1,-1")
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_wp)
-
+    for name, (helptext, func, actions) in _COMMANDS.items():
+        sub.add_parser(name, help=helptext, fill=functools.partial(
+            _fill_command, func=func, actions=actions))
     return ap
 
 

@@ -478,7 +478,10 @@ def partial_sum_diag(sdot: ShearFunction, tip, k: int, n: int) -> float:
     """Raw partial sum of fan shears over indices k..k+n (sublinearity
     diagnostic for admissible shear functions)."""
     shears = fan_shears_at_tip(sdot, tip)
-    return sum(shears.get(i, 0.0) for i in range(k, k + n + 1))
+    total = 0.0
+    for i in range(k, k + n + 1):
+        total += shears.get(i, 0.0)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,10 @@ def assemble_circle_field(terms):
     pieces = [(t.coef, edge_to_arc(t.ends)) for t in terms]
 
     def V(z: complex) -> complex:
-        return sum(c * circle_elementary_eval(arc, z) for c, arc in pieces)
+        total = 0j
+        for c, arc in pieces:
+            total += c * circle_elementary_eval(arc, z)
+        return total
 
     V.breakpoints = sorted({phi for _, arc in pieces
                             for phi in (arc.phi0, arc.phi1)})

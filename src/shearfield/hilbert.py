@@ -13,8 +13,10 @@ Shears are read off a field by the four-point difference-quotient bracket
 (the first variation of the log cross-ratio of a quadrilateral); applying
 the bracket to the transform of one elementary field yields the weight with
 which one edge's shear feeds the transformed shear of another.  Those
-weights admit hyperbolic-distance expressions case by case; the bracket is
-the ground truth and the distance expressions are verified against it.
+weights admit hyperbolic-distance expressions case by case, each distance
+read from a cross-ratio of geodesic ends (moebius.geodesic_cosh_distance);
+the bracket is the ground truth and the distance expressions are verified
+against it.
 """
 
 from __future__ import annotations
@@ -94,7 +96,10 @@ def closed_hilbert_field(F: FieldExpr):
     terms = list(F.terms)
 
     def H(x: float) -> float:
-        return sum(c * elementary_hilbert(ends, x) for c, ends in terms)
+        total = 0.0
+        for c, ends in terms:
+            total += c * elementary_hilbert(ends, x)
+        return total
 
     H.breakpoints = F.breakpoints
     H.quad = (0.0, 0.0, 0.0)
@@ -191,7 +196,9 @@ def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
         segs.append((cur, R))
         return segs
 
-    base = sum(integrate(a, b) for a, b in excised(eps_list[0]))
+    base = 0.0
+    for a, b in excised(eps_list[0]):
+        base += integrate(a, b)
     vals = [base]
     for eps_prev, eps in zip(eps_list[:-1], eps_list[1:]):
         add = 0.0
@@ -390,16 +397,18 @@ def shear_recover(V, Q: Quadrilateral, quadratic_coefficient=None) -> float:
 # edge weights
 # ---------------------------------------------------------------------------
 
-def _cosh_factors(e_geo: HalfPlaneGeodesic, u: float, v: float):
-    """(sinh^2(d/2), cosh^2(d/2), log coth^2(d/2)) for d = dist(e, {u,v})."""
+def _cosh_factors(e: tuple, u: float, v: float):
+    """(sinh^2(d/2) L, cosh^2(d/2) L, L), L = log coth^2(d/2), for d the
+    distance between the geodesics with ends e and (u, v)."""
     # on use: no command that loads hilbert needs moebius
-    from .moebius import HalfPlaneGeodesic, geodesic_cosh_distance
-    ch = geodesic_cosh_distance(e_geo, HalfPlaneGeodesic(u, v))
+    from .moebius import geodesic_cosh_distance
+    ch = geodesic_cosh_distance(e, (u, v))
     s2 = 0.5 * (ch - 1.0)
     c2 = 0.5 * (ch + 1.0)
     if s2 <= 0.0:
         raise ValueError("degenerate distance in weight formula")
-    return s2, c2, math.log(c2 / s2)
+    L = math.log(c2 / s2)
+    return s2 * L, c2 * L, L
 
 
 def edge_weights(plans, lifts: list) -> list:
@@ -429,77 +438,58 @@ def delta_weight_hyperbolic(edge, Q: Quadrilateral) -> float:
     """delta_weight by the equivalent hyperbolic-distance expressions, an
     independent second route for the disjoint and shared-endpoint positions;
     raises ValueError where only the bracket applies."""
-    # on use: no command that loads hilbert needs moebius
-    from .moebius import HalfPlaneGeodesic
-    u, v = edge_ends(edge)
+    e = u, v = edge_ends(edge)
     pts = list(Q.points())
-    e_geo = HalfPlaneGeodesic(u, v)
     shared = [i for i, p in enumerate(pts) if p == u or p == v]
 
     def rot(k):
         return pts[k:] + pts[:k]
 
-    if len(shared) == 0:
-        gap = None
+    def S(p, q):                # sinh^2(d/2) L for d = dist(e, {p, q})
+        return _cosh_factors(e, p, q)[0]
+
+    def C(p, q):                # cosh^2(d/2) L
+        return _cosh_factors(e, p, q)[1]
+
+    if not shared:
+        # the gap (pts[i], pts[i + 1]) that holds the whole edge
         for i in range(4):
             lo, hi = pts[i], pts[(i + 1) % 4]
             if in_ccw_arc(lo, u, hi) and in_ccw_arc(lo, v, hi):
-                gap = i
-                break
-        if gap is None:
-            raise ValueError("edge crosses the quadrilateral; "
-                             "use the bracket route")
-        shift = (gap + 1) % 4
-        sign = -1.0 if shift % 2 else 1.0
-        a, b, c, d = rot(shift)
-        s2bc, _, Lbc = _cosh_factors(e_geo, b, c)
-        _, c2ad, Lad = _cosh_factors(e_geo, a, d)
-        _, c2ab, Lab = _cosh_factors(e_geo, a, b)
-        _, c2cd, Lcd = _cosh_factors(e_geo, c, d)
-        return sign * (s2bc * Lbc + c2ad * Lad - c2ab * Lab - c2cd * Lcd)
-
-    if len(shared) == 1:
+                shift = (i + 1) % 4
+                sign = -1.0 if shift % 2 else 1.0
+                a, b, c, d = rot(shift)
+                return sign * (S(b, c) + C(a, d) - C(a, b) - C(c, d))
+    elif len(shared) == 1:
         pos = shared[0]
+        free = v if (pts[pos] == u) else u
         if pos in (0, 2):                       # off-diagonal vertex
             a, b, c, d = rot(2) if pos == 2 else pts
-            free = v if (pts[pos] == u) else u
-            s2bc, _, Lbc = _cosh_factors(e_geo, b, c)
-            _, c2cd, Lcd = _cosh_factors(e_geo, c, d)
             if in_ccw_arc(d, free, a):
-                _, _, Lbd = _cosh_factors(e_geo, b, d)
-                return s2bc * Lbc + Lbd - c2cd * Lcd
+                return S(b, c) + _cosh_factors(e, b, d)[2] - C(c, d)
             if in_ccw_arc(a, free, b):
-                return s2bc * Lbc - c2cd * Lcd
-            raise ValueError("edge crosses the quadrilateral; "
-                             "use the bracket route")
-        # diagonal vertex
-        a, b, c, d = rot(2) if pos == 1 else pts
-        free = v if (pts[pos] == u) else u
-        if in_ccw_arc(c, free, d):
-            s2bc, _, Lbc = _cosh_factors(e_geo, b, c)
-            _, c2ab, Lab = _cosh_factors(e_geo, a, b)
-            return s2bc * Lbc - c2ab * Lab
-        if in_ccw_arc(d, free, a):
-            _, c2bc, Lbc = _cosh_factors(e_geo, b, c)
-            s2ab, _, Lab = _cosh_factors(e_geo, a, b)
-            return c2bc * Lbc - s2ab * Lab
-        raise ValueError("edge crosses the quadrilateral; "
-                         "use the bracket route")
-
-    pos = set(shared)
-    if pos == {1, 3}:
-        raise ValueError("edge equals the diagonal: the weight has no "
-                         "distance expression; use the bracket route")
-    if pos == {0, 2}:
-        raise ValueError("edge crosses the diagonal; use the bracket route")
-    if pos == {3, 0} or pos == {1, 2}:
-        a, b, c, d = pts if pos == {3, 0} else rot(2)
-        _, c2bc, Lbc = _cosh_factors(e_geo, b, c)
-        return c2bc * Lbc
-    # remaining sides {0,1} and {2,3}
-    a, b, c, d = pts if pos == {0, 1} else rot(2)
-    _, c2cd, Lcd = _cosh_factors(e_geo, c, d)
-    return -c2cd * Lcd
+                return S(b, c) - C(c, d)
+        else:                                   # diagonal vertex
+            a, b, c, d = rot(2) if pos == 1 else pts
+            if in_ccw_arc(c, free, d):
+                return S(b, c) - C(a, b)
+            if in_ccw_arc(d, free, a):
+                return C(b, c) - S(a, b)
+    else:
+        pos = set(shared)
+        if pos == {1, 3}:
+            raise ValueError("edge equals the diagonal: the weight has no "
+                             "distance expression; use the bracket route")
+        if pos == {0, 2}:
+            raise ValueError("edge crosses the diagonal; use the bracket "
+                             "route")
+        if pos == {3, 0} or pos == {1, 2}:
+            a, b, c, d = pts if pos == {3, 0} else rot(2)
+            return C(b, c)
+        # remaining sides {0,1} and {2,3}
+        a, b, c, d = pts if pos == {0, 1} else rot(2)
+        return -C(c, d)
+    raise ValueError("edge crosses the quadrilateral; use the bracket route")
 
 
 # ---------------------------------------------------------------------------

@@ -121,8 +121,10 @@ class TangentShear:
 
 def cusp_condition_check(t) -> bool:
     """True iff the doubled shear sum at the cusp vanishes (tol 1e-12)."""
-    vals = t.values if isinstance(t, TangentShear) else tuple(t)
-    return abs(2.0 * sum(float(v) for v in vals)) < 1e-12
+    total = 0.0
+    for v in t.values if isinstance(t, TangentShear) else t:
+        total += float(v)
+    return abs(2.0 * total) < 1e-12
 
 
 def _reduced_words(depth: int):
@@ -213,9 +215,14 @@ def _weight_matrices(depth: int) -> list:
 
 
 def _transform(W: list, t: TangentShear) -> TangentShear:
-    """W t / pi, summed in a fixed order."""
-    return TangentShear(*(sum(w * v for w, v in zip(row, t.values)) / math.pi
-                          for row in W))
+    """W t / pi, each row summed left to right."""
+    out = []
+    for row in W:
+        total = 0.0
+        for w, v in zip(row, t.values):
+            total += w * v
+        out.append(total / math.pi)
+    return TangentShear(*out)
 
 
 def hilbert_shear_vector(t: TangentShear, depth: int) -> TangentShear:

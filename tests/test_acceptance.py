@@ -23,12 +23,23 @@ from shearfield.hilbert import (FieldExpr, Quadrilateral,
                                 delta_weight_hyperbolic, edge_quadrilateral,
                                 elementary_hilbert, hilbert_pv_oracle,
                                 shear_recover)
-from shearfield.moebius import RealMoebius
 from shearfield.torus import wp_gram
 from shearfield.cli import run as cli_run
 
 INF = float("inf")
 RNG = np.random.default_rng(424242)
+
+
+def _real_moebius(m):
+    """x -> (m0 x + m1)/(m2 x + m3) on the extended reals, oo as inf."""
+    a, b, c, d = m
+
+    def M(x):
+        if math.isinf(x):
+            return a / c if c != 0 else INF
+        den = c * x + d
+        return INF if den == 0 else (a * x + b) / den
+    return M
 
 
 def report(num, name, detail):
@@ -190,7 +201,7 @@ def test_criterion_4_weight_two_route_and_invariance():
             continue
         if det < 0:
             m[0], m[1] = -m[0], -m[1]
-        M = RealMoebius(*m)
+        M = _real_moebius(m)
         pts = [M(p) for p in Q.points()]
         img_edge = (M(edge[0]), M(edge[1]))
         if any(abs(p) > 1e4 for p in pts if not math.isinf(p)):

@@ -332,6 +332,18 @@ def test_grid_end_in_exponent_form_as_separate_argument(tmp_path, capsys):
     (["zygmund", "check", "--shears", "s.json", "--format", "json"],
      "format"),
     (["farey", "edges", "--window", "3"], "window"),
+    # each `hilbert` and `wp` action takes only the options it reads
+    (["hilbert", "shear", "--shears", "s.json", "--format", "csv"], "format"),
+    (["hilbert", "shear", "--shears", "s.json", "--from=-1"], "from"),
+    (["hilbert", "shear", "--shears", "s.json", "--to", "2"], "to"),
+    (["hilbert", "shear", "--shears", "s.json", "--samples", "20000"],
+     "samples"),
+    (["hilbert", "shear", "--shears", "s.json", "--mode", "oracle"], "mode"),
+    (["hilbert", "shear", "--shears", "s.json", "--tolerance=1e-6"],
+     "tolerance"),
+    (["hilbert", "eval", "--shears", "s.json", "--edge", "1,2,3,4"], "edge"),
+    (["wp", "gram", "--t1", "1,2,3"], "t1"),
+    (["wp", "gram", "--t2=1,2,3"], "t2"),
 ])
 def test_usage_error_is_one_json_line(capsys, argv, field):
     assert run(argv) == 2
@@ -339,6 +351,15 @@ def test_usage_error_is_one_json_line(capsys, argv, field):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert json.loads(captured.err)["field"] == field
+
+
+def test_action_help_lists_only_its_options(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["hilbert", "shear", "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--edge" in out and "--max-order" in out
+    assert "--tolerance" not in out and "--samples" not in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -618,6 +639,7 @@ _OPTIONS = {
     "--n-min": _number_text(st.integers(-3, 3)),
     "--n-max": _number_text(st.integers(-3, 3)),
     "--format": st.sampled_from(["csv", "json", "xml"]),
+    "--tolerance": _number_text(st.sampled_from([1e-8, 1e-3, 0.0])),
     "--edge": st.one_of(
         st.sampled_from(["0,1,1,0", "0,1,1,1", "1,2,1,1", "-1,1,0,1"]),
         st.lists(st.integers(-3, 3), min_size=3, max_size=5).map(
@@ -634,15 +656,17 @@ _OPTIONS = {
                              "1e200,-1e200,0", "1,1,1"]),
     "--bogus": st.just("1"),
 }
-_COMMON = ["--max-order", "--window", "--format"]
+_TRUNCATION = ["--max-order", "--window"]
+_COMMON = _TRUNCATION + ["--format"]
 _GRID = _COMMON + ["--from", "--to", "--samples"]
-# the options each command takes; the quadrature oracle is left out for
-# its cost, and at most 3 edges of small endpoints keep the rest cheap
+# the options each command takes; the quadrature oracle (--mode) is left
+# out for its cost, and at most 3 edges of small endpoints keep the rest
+# cheap
 _COMMANDS = {
     ("field", "eval"): _GRID,
-    ("hilbert", "eval"): _GRID,
-    ("hilbert", "shear"): _GRID + ["--edge"],
-    ("zygmund", "check"): ["--max-order", "--window"],
+    ("hilbert", "eval"): _GRID + ["--tolerance"],
+    ("hilbert", "shear"): _TRUNCATION + ["--edge"],
+    ("zygmund", "check"): _TRUNCATION,
     ("fourier",): _COMMON + ["--n-min", "--n-max"],
     ("wp", "gram"): ["--depth"],
     ("wp", "pair"): ["--depth", "--t1", "--t2"],

@@ -15,10 +15,21 @@ from shearfield.hilbert import (Quadrilateral, bracket_plan, bracket_value,
                                 hilbert_pv_oracle,
                                 hilbert_series_eval, hilbert_shear_series,
                                 shear_recover)
-from shearfield.moebius import RealMoebius
 
 INF = float("inf")
 RNG = np.random.default_rng(11)
+
+
+def _real_moebius(m):
+    """x -> (m0 x + m1)/(m2 x + m3) on the extended reals, oo as inf."""
+    a, b, c, d = m
+
+    def M(x):
+        if math.isinf(x):
+            return a / c if c != 0 else INF
+        den = c * x + d
+        return INF if den == 0 else (a * x + b) / den
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +345,7 @@ def test_delta_moebius_invariance():
             continue
         if det < 0:
             m[0], m[1] = -m[0], -m[1]
-        M = RealMoebius(*m)
+        M = _real_moebius(m)
         img = [M(p) for p in (a, b, c, d, 0.0, INF)]
         if any(math.isinf(t) for t in img[:4]) or \
                 math.isinf(img[4]) or math.isinf(img[5]):
