@@ -399,14 +399,18 @@ def fan_shears_at_tip(sdot: ShearFunction, tip) -> dict[int, float]:
 
 
 def averaged_coefficient_sum(shears, m: int, k: int) -> float:
-    """s(m) + sum_{j=1}^{k-1} ((k-j)/k) (s(m+j) + s(m-j)) for one fan."""
+    """s(m) + sum_{j=1}^{k-1} ((k-j)/k) (s(m+j) + s(m-j)) for one fan.
+
+    Summed with the integer weights k - j and divided by k once, as
+    :func:`zygmund_condition_sup` does: rounding each weight (k-j)/k
+    apart makes the two differ by a whole unit on subnormal shears."""
     if k < 1:
         raise ValueError("window k must be >= 1")
     get = lambda i: shears.get(i, 0.0)
-    total = get(m)
+    total = k * get(m)
     for j in range(1, k):
-        total += (k - j) / k * (get(m + j) + get(m - j))
-    return total
+        total += (k - j) * (get(m + j) + get(m - j))
+    return total / k
 
 
 def zygmund_condition_sup(sdot: ShearFunction, tips, K: int) -> ZygmundReport:

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shearfield.farey import (ExtRational, INFINITY, ONE, ZERO,
@@ -197,6 +197,8 @@ def test_zygmund_condition_sup_alternating_fan():
 
 
 @settings(max_examples=60, deadline=None)
+@example(INFINITY, {0: 5e-324, 1: 5e-324}, 2)
+@example(INFINITY, {0: 5e-324, 1: 5e-324}, 3)
 @given(st.sampled_from([INFINITY, ZERO, ONE, ExtRational(-2, 3)]),
        st.dictionaries(st.integers(min_value=-8, max_value=8),
                        st.floats(min_value=-5.0, max_value=5.0),
