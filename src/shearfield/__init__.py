@@ -29,9 +29,9 @@ _EXPORTS = {
                 "fourier_quadrature_oracle"),
     "hilbert": ("Quadrilateral", "closed_hilbert_field", "delta_weight",
                 "delta_weight_hyperbolic", "edge_quadrilateral",
-                "elementary_hilbert", "hilbert_main_term",
-                "hilbert_pv_oracle", "hilbert_series_eval",
-                "hilbert_shear_series", "shear_recover"),
+                "elementary_hilbert", "hilbert_pv_oracle",
+                "hilbert_series_eval", "hilbert_shear_series",
+                "shear_recover"),
     "moebius": ("geodesic_cosh_distance",),
     "torus": ("TangentShear", "cusp_condition_check",
               "invariant_hilbert_shear", "lift_edges", "thurston_form",

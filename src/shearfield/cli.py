@@ -281,13 +281,13 @@ def cmd_hilbert(args) -> int:
     sdot = parse_shear_file(args.shears)
     terms = halved_terms(sdot, args.max_order, args.window)
     if args.action == "eval":
+        grid = _grid(args)
         if args.mode == "oracle":
             V = assemble_field(terms)
-            rows = [(float(x), hilbert_pv_oracle(V, x, args.tolerance))
-                    for x in _grid(args)]
+            values = [hilbert_pv_oracle(V, x, args.tolerance) for x in grid]
         else:
-            rows = [(float(x), hilbert_series_eval(terms, x))
-                    for x in _grid(args)]
+            values = hilbert_series_eval(terms, grid)
+        rows = list(zip(grid, values))
         _emit(args.format, args.output, ["x", "value"], rows,
               _meta(mode=args.mode, max_order=args.max_order,
                     window=args.window))
@@ -489,3 +489,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -68,14 +68,10 @@ class ExtRational:
         return self.num / self.den
 
     def __lt__(self, other) -> bool:
-        a, b = self, as_extrational(other)
-        if a.is_infinity or b.is_infinity:
+        if self.is_infinity or other.is_infinity:
             raise ValueError("infinity has no place in the linear order; "
                              "use circular predicates")
-        return a.num * b.den < b.num * a.den
-
-    def __le__(self, other) -> bool:
-        return self == as_extrational(other) or self < other
+        return self.num * other.den < other.num * self.den
 
     def __neg__(self) -> "ExtRational":
         if self.is_infinity:
@@ -93,18 +89,6 @@ class ExtRational:
 INFINITY = ExtRational(1, 0)
 ZERO = ExtRational(0, 1)
 ONE = ExtRational(1, 1)
-
-
-def as_extrational(x) -> ExtRational:
-    if isinstance(x, ExtRational):
-        return x
-    if isinstance(x, int):
-        return ExtRational(x, 1)
-    if isinstance(x, tuple) and len(x) == 2:
-        return ExtRational(x[0], x[1])
-    if isinstance(x, float) and math.isinf(x):
-        return INFINITY
-    raise TypeError(f"cannot interpret {x!r} as an extended rational")
 
 
 class FareyEdge:
@@ -148,13 +132,6 @@ class FareyEdge:
         """Serialize as [p_num, p_den, q_num, q_den]; oo is [1, 0]."""
         return [self.initial.num, self.initial.den,
                 self.terminal.num, self.terminal.den]
-
-    @staticmethod
-    def from_json(data) -> "FareyEdge":
-        if len(data) != 4:
-            raise ValueError("edge JSON must be [p_num, p_den, q_num, q_den]")
-        return FareyEdge(ExtRational(data[0], data[1]),
-                         ExtRational(data[2], data[3]))
 
 
 class IntegerMoebius:
@@ -207,22 +184,12 @@ class IntegerMoebius:
 IDENTITY = IntegerMoebius(1, 0, 0, 1)
 
 
-def apply_moebius(B, x):
-    """Evaluate a Moebius map at an extended rational (exactly) or float."""
-    if isinstance(x, ExtRational):
-        if x.is_infinity:
-            return ExtRational(B.a, B.c)
-        return ExtRational(B.a * x.num + B.b * x.den,
-                           B.c * x.num + B.d * x.den)
-    x = float(x)
-    if math.isinf(x):
-        if B.c == 0:
-            return math.inf
-        return B.a / B.c
-    den = B.c * x + B.d
-    if den == 0:
-        return math.inf
-    return (B.a * x + B.b) / den
+def apply_moebius(B, x: ExtRational) -> ExtRational:
+    """Evaluate a Moebius map at an extended rational, exactly."""
+    if x.is_infinity:
+        return ExtRational(B.a, B.c)
+    return ExtRational(B.a * x.num + B.b * x.den,
+                       B.c * x.num + B.d * x.den)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +245,6 @@ def oriented_edge(u, v) -> FareyEdge:
     of the two orientations qualifies because the base triangle lies on one
     side of every tessellation edge.
     """
-    u, v = as_extrational(u), as_extrational(v)
     anchors = [p for p in (ZERO, ONE, INFINITY)
                if not _same_point(p, u) and not _same_point(p, v)]
     if all(not in_ccw_arc(u, a, v) for a in anchors):
@@ -300,7 +266,6 @@ def mediant(p, q, infinity_sign: int = 1) -> ExtRational:
     side of the circle and as -1/0 on the negative side; ``infinity_sign``
     selects the side and is ignored when neither argument is infinite.
     """
-    p, q = as_extrational(p), as_extrational(q)
     if infinity_sign not in (1, -1):
         raise ValueError("infinity_sign must be +1 or -1")
     pn, pd = p.num, p.den
@@ -343,7 +308,6 @@ def _stern_brocot(p: ExtRational) -> tuple[int, ExtRational, ExtRational]:
 
 def farey_parents(p) -> tuple[ExtRational, ExtRational]:
     """The two lower-order neighbours whose mediant is p (order >= 2 only)."""
-    p = as_extrational(p)
     if p in (ZERO, INFINITY):
         raise ValueError("0 and oo have no parents")
     return _stern_brocot(p)[1:]
@@ -353,7 +317,6 @@ def farey_order(p) -> int:
     """Order of a vertex under the mediant recursion: 0 and oo have order 1,
     1 and -1 order 2, and the mediant of adjacent vertices of maximal order
     n has order n + 1."""
-    p = as_extrational(p)
     return 1 if p in (ZERO, INFINITY) else _stern_brocot(p)[0]
 
 
@@ -414,7 +377,6 @@ def fan_moebius(p) -> IntegerMoebius:
     B sends oo to p and 0 to the terminal endpoint of e_0 at p; it maps the
     edge (n, oo) onto the n-th fan edge at p, orientation included.
     """
-    p = as_extrational(p)
     if p.is_infinity:
         return IDENTITY
     a = _fan_anchor(p)
@@ -424,7 +386,6 @@ def fan_moebius(p) -> IntegerMoebius:
 
 def fan_edge(p, n: int) -> FareyEdge:
     """The n-th edge of the fan with tip p (e_0 leaves p, e_1 enters p)."""
-    p = as_extrational(p)
     other = fan_moebius(p)(ExtRational(n, 1))
     return FareyEdge(other, p) if n >= 1 else FareyEdge(p, other)
 
@@ -436,7 +397,6 @@ def fan_edges(p, n_lo: int, n_hi: int) -> list[FareyEdge]:
 
 def fan_index(p, q) -> int:
     """Index n with fan_edge(p, n) joining p and q (q adjacent to p)."""
-    p, q = as_extrational(p), as_extrational(q)
     pre = fan_moebius(p).inverse()(q)
     if pre.den != 1:
         raise ValueError(f"{q} is not adjacent to {p}")

@@ -21,8 +21,8 @@ import math
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .farey import (ExtRational, FareyEdge, as_extrational, fan_index,
-                    farey_order, oriented_edge)
+from .farey import (ExtRational, FareyEdge, fan_index, farey_order,
+                    oriented_edge)
 
 DELTA_GAP = 2.0 * math.log(1.0 + math.sqrt(2.0))  # distance between nested fan walls
 
@@ -50,9 +50,7 @@ class ShearFunction:
             for edge, value in assignments:
                 self.set(edge, value)
 
-    def set(self, edge, value: float):
-        if not isinstance(edge, FareyEdge):
-            edge = oriented_edge(*edge)
+    def set(self, edge: FareyEdge, value: float):
         key = _edge_key(edge)
         if value == 0.0:
             self._data.pop(key, None)
@@ -60,9 +58,7 @@ class ShearFunction:
             self._data[key] = float(value)
         self._cache = None
 
-    def value(self, edge) -> float:
-        if not isinstance(edge, FareyEdge):
-            edge = oriented_edge(*edge)
+    def value(self, edge: FareyEdge) -> float:
         return self._data.get(_edge_key(edge), 0.0)
 
     def _index(self):
@@ -91,7 +87,7 @@ class ShearFunction:
 
     def fan(self, tip) -> list[tuple[int, float, FareyEdge]]:
         """(fan index, value, edge) of each support edge at tip."""
-        entry = self._index()[1].get(as_extrational(tip))
+        entry = self._index()[1].get(tip)
         return entry[1] if entry else []
 
     def support_tips(self) -> list[ExtRational]:
@@ -439,7 +435,7 @@ def zygmund_condition_sup(sdot: ShearFunction, tips, K: int) -> ZygmundReport:
                         total += box
                     v = abs(total / k)
                     if v > best:
-                        best, best_w = v, (as_extrational(tip), m, k)
+                        best, best_w = v, (tip, m, k)
             done = i + K
     return ZygmundReport(best, best_w)
 
@@ -503,13 +499,12 @@ def _interp_quadratic(pts, vals):
     return (a2, a1, a0)
 
 
-def normalize_at(V, x1, x2, x3=math.inf):
+def normalize_at(V: FieldExpr, x1, x2, x3=math.inf) -> FieldExpr:
     """Subtract the unique quadratic making V vanish at x1, x2, x3.
 
-    With x3 infinite the subtracted quadratic instead carries the field's own
-    leading coefficient (zero for a bare callable, the explicit quadratic
-    part for a FieldExpr) and interpolates at x1, x2.  FieldExpr in,
-    FieldExpr out; callables come back wrapped.
+    With x3 infinite the subtracted quadratic instead carries V's own
+    leading coefficient (its explicit quadratic part) and interpolates at
+    x1, x2.
     """
     pts = [x1, x2, x3]
     finite = [float(p) for p in pts if not math.isinf(float(p))]
@@ -520,12 +515,10 @@ def normalize_at(V, x1, x2, x3=math.inf):
     if len(finite) == 3:
         q = _interp_quadratic(tuple(finite), tuple(V(p) for p in finite))
     else:
-        a2 = V.quad[0] if isinstance(V, FieldExpr) else 0.0
+        a2 = V.quad[0]
         u, w = finite
         ru, rw = V(u) - a2 * u * u, V(w) - a2 * w * w
         a1 = (rw - ru) / (w - u)
         a0 = ru - a1 * u
         q = (a2, a1, a0)
-    if isinstance(V, FieldExpr):
-        return V.plus_quad((-q[0], -q[1], -q[2]))
-    return lambda x: V(x) - ((q[0] * x + q[1]) * x + q[2])
+    return V.plus_quad((-q[0], -q[1], -q[2]))

@@ -60,35 +60,42 @@ def hilbert_main_terms(lifts, x: float) -> list:
     return out
 
 
-def hilbert_main_term(ends, x: float) -> float:
-    """Main term of the one elementary field of ends = (a, b) at x (see
-    hilbert_main_terms)."""
-    return hilbert_main_terms((ends,), x)[0]
+def hilbert_series_eval(terms, xs) -> list:
+    """Closed-form transform of the field sum of terms at each x of xs:
+    terms is a halved term list (see fields.halved_terms) or a FieldExpr's
+    (coefficient, ends) pairs.  With S(x) the coefficients times the main
+    terms (see hilbert_main_terms) summed in list order, the transform is
+    (S(x) - x S(1) + (x - 1) S(0)) / pi: S less its chord through 0 and 1,
+    so it vanishes at 0 and 1 exactly and grows like x log|x|."""
+    coefs, lifts = [], []
+    for *_, c, ends in terms:       # (order, coef, ends) or (coef, ends)
+        coefs.append(c)
+        lifts.append(ends)
+
+    def S(x: float) -> float:
+        total = 0.0
+        for c, m in zip(coefs, hilbert_main_terms(lifts, x)):
+            total += c * m
+        return total
+
+    s0, s1 = S(0.0), S(1.0)
+    return [(S(x) - x * s1 + (x - 1.0) * s0) / math.pi
+            for x in map(float, xs)]
 
 
 def elementary_hilbert(ends, x: float) -> float:
     """Closed-form Hilbert transform of the elementary field of ends,
     normalized to vanish at 0 and 1 (and at infinity in the x log|x| growth
     sense)."""
-    x = float(x)
-    a, b = ends
-    if a == math.inf:                   # a left ray: its finite end is b
-        a, b = b, a
-    if b == math.inf:
-        return (_xlogx(x - a) + _xlogx(a - 1.0) * x - _xlogx(a) * (x - 1.0)) / math.pi
-    main = hilbert_main_term(ends, x)
-    t1 = 0.0 if b == 1.0 else (1.0 - a) * (1.0 - b) * math.log(abs(b - 1.0))
-    t1 -= 0.0 if a == 1.0 else (1.0 - a) * (1.0 - b) * math.log(abs(a - 1.0))
-    t0 = 0.0 if b == 0.0 else a * b * math.log(abs(b))
-    t0 -= 0.0 if a == 0.0 else a * b * math.log(abs(a))
-    return (main + (x * t1 - (x - 1.0) * t0) / (a - b)) / math.pi
+    return hilbert_series_eval([(1.0, ends)], [x])[0]
 
 
 def closed_hilbert_field(F: FieldExpr):
     """Closed-form transform of a field expression with no quadratic part.
 
-    Returns a callable summing the elementary closed forms with the same
-    coefficients; it vanishes at 0 and 1 and grows like x log|x|.
+    Returns a callable with the same coefficients' transform (see
+    hilbert_series_eval) at one x, and at a list of points through its
+    values(xs); it vanishes at 0 and 1 and grows like x log|x|.
     """
     if any(q != 0.0 for q in F.quad):
         raise ValueError("closed-form transform is defined for fields with "
@@ -96,11 +103,9 @@ def closed_hilbert_field(F: FieldExpr):
     terms = list(F.terms)
 
     def H(x: float) -> float:
-        total = 0.0
-        for c, ends in terms:
-            total += c * elementary_hilbert(ends, x)
-        return total
+        return hilbert_series_eval(terms, [x])[0]
 
+    H.values = lambda xs: hilbert_series_eval(terms, xs)
     H.breakpoints = F.breakpoints
     H.quad = (0.0, 0.0, 0.0)
     return H
@@ -299,7 +304,7 @@ class BracketPlan(NamedTuple):
 
 
 def bracket_plan(Q: Quadrilateral) -> BracketPlan:
-    """Resolve the bracket of Q once; bracket_value evaluates it.
+    """Resolve the bracket of Q once; bracket_values evaluates it.
 
     The four-point bracket reading the shear of the diagonal (b, d) is
 
@@ -353,22 +358,6 @@ def bracket_values(plan: BracketPlan, columns,
     return total
 
 
-def bracket_value(plan: BracketPlan, values,
-                  quadratic_coefficient: float = 0.0) -> float:
-    """The bracket of a plan on values[p] = V(p), p its finite vertices
-    (see bracket_values)."""
-    return bracket_values(plan, {p: (values[p],) for p in plan.points},
-                          quadratic_coefficient)[0]
-
-
-def recovery_bracket(V, Q: Quadrilateral, quadratic_coefficient: float = 0.0) -> float:
-    """Four-point bracket reading the shear of the diagonal of Q off V (see
-    bracket_plan), V evaluated once at each finite vertex."""
-    plan = bracket_plan(Q)
-    return bracket_value(plan, {p: V(p) for p in plan.points},
-                         quadratic_coefficient)
-
-
 def shear_recover(V, Q: Quadrilateral, quadratic_coefficient=None) -> float:
     """Shear of the diagonal of Q under the field V.
 
@@ -390,7 +379,9 @@ def shear_recover(V, Q: Quadrilateral, quadratic_coefficient=None) -> float:
                     raise ValueError("field grows too fast for an unbounded "
                                      "quadrilateral; supply its quadratic "
                                      "coefficient")
-    return recovery_bracket(V, Q, quadratic_coefficient)
+    plan = bracket_plan(Q)
+    return bracket_values(plan, {p: (V(p),) for p in plan.points},
+                          quadratic_coefficient)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +421,7 @@ def delta_weight(edge, Q: Quadrilateral) -> float:
     unnormalized main-term transform of the edge's elementary field over Q.
     Covers every admissible position, the edge crossing the diagonal
     included.  The scalar form of edge_weights."""
-    ends = edge_ends(edge)
-    return recovery_bracket(lambda x: hilbert_main_term(ends, x), Q)
+    return edge_weights([bracket_plan(Q)], [edge_ends(edge)])[0][0]
 
 
 def delta_weight_hyperbolic(edge, Q: Quadrilateral) -> float:
@@ -495,15 +485,6 @@ def delta_weight_hyperbolic(edge, Q: Quadrilateral) -> float:
 # ---------------------------------------------------------------------------
 # series
 # ---------------------------------------------------------------------------
-
-def hilbert_series_eval(terms, x: float) -> float:
-    """Transform of the truncated field sum of a halved term list (see
-    fields.halved_terms): elementary closed forms summed in list order."""
-    total = 0.0
-    for t in terms:
-        total += t.coef * elementary_hilbert(t.ends, x)
-    return total
-
 
 def hilbert_shear_series(terms, edge: FareyEdge, max_order: int) -> list[float]:
     """Recovered shear of the transform on `edge`, truncated at each Farey

@@ -144,6 +144,28 @@ def _run_fresh(tmp_path, commands, watched):
     return loaded
 
 
+def test_module_entry_point_runs_the_cli():
+    """`python -m shearfield.cli ARGS` runs the CLI in a fresh process: it
+    prints what `run` prints, and a usage error exits 2 with one JSON line
+    on stderr and nothing on stdout."""
+    import shearfield
+    src = os.path.dirname(os.path.dirname(shearfield.__file__))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "shearfield.cli", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+
+    done = cli("farey", "vertices", "--max-order", "2")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == ["vertex,num,den,order", "0,0,1,1",
+                                        "oo,1,0,1", "1,1,1,2", "-1,-1,1,2"]
+    done = cli("hilbert", "shear", "--format", "csv")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert len(done.stderr.splitlines()) == 1
+    assert set(json.loads(done.stderr)) == {"error", "field"}
+
+
 @pytest.mark.parametrize("commands", [
     [["farey", "edges", "--max-order", "3"],
      ["field", "eval", "--shears", "{shears}", "--samples", "5"],

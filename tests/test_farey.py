@@ -117,7 +117,6 @@ def test_apply_moebius_examples():
     assert apply_moebius(B, INFINITY) == ZERO
     T = IntegerMoebius(1, 1, 0, 1)
     assert apply_moebius(T, ExtRational(1, 2)) == ExtRational(3, 2)
-    assert apply_moebius(T, 0.5) == 1.5
 
 
 def test_edge_determinant_enforced():
@@ -176,8 +175,6 @@ def test_enumerate_edges_counts():
 def test_edge_serialization_round_trip():
     e = oriented_edge(ZERO, INFINITY)
     assert e.to_json() == [1, 0, 0, 1]
-    for edge in enumerate_edges(4):
-        assert FareyEdge.from_json(edge.to_json()) == edge
 
 
 def test_in_ccw_arc_basic():

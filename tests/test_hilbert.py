@@ -1,18 +1,19 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from shearfield.farey import ExtRational, INFINITY, ONE, ZERO, oriented_edge
+from shearfield.farey import (ExtRational, INFINITY, ONE, ZERO,
+                              enumerate_edges, oriented_edge)
 from shearfield.fields import (FieldExpr, ShearFunction, assemble_field,
-                               halved_terms)
-from shearfield.hilbert import (Quadrilateral, bracket_plan, bracket_value,
-                                bracket_values, closed_hilbert_field,
-                                delta_weight, delta_weight_hyperbolic,
-                                edge_quadrilateral, edge_weights,
-                                elementary_hilbert,
-                                hilbert_main_term, hilbert_main_terms,
-                                hilbert_pv_oracle,
+                               edge_ends, halved_terms)
+from shearfield.hilbert import (PVConvergenceError, Quadrilateral,
+                                bracket_plan, bracket_values,
+                                closed_hilbert_field, delta_weight,
+                                delta_weight_hyperbolic, edge_quadrilateral,
+                                edge_weights, elementary_hilbert,
+                                hilbert_main_terms, hilbert_pv_oracle,
                                 hilbert_series_eval, hilbert_shear_series,
                                 shear_recover)
 
@@ -70,12 +71,16 @@ def test_interval_transform_removable_points():
     assert math.isfinite(elementary_hilbert((1.0, 2.0), 1.5))
 
 
+def _main_term(ends, x):
+    return hilbert_main_terms((ends,), x)[0]
+
+
 def test_main_term_orientation_free():
     for _ in range(10):
         a, b = np.sort(RNG.uniform(-4, 4, 2))
         x = RNG.uniform(-5, 5)
-        assert hilbert_main_term((a, b), x) == pytest.approx(
-            hilbert_main_term((b, a), x), abs=1e-12)
+        assert _main_term((a, b), x) == pytest.approx(_main_term((b, a), x),
+                                                      abs=1e-12)
 
 
 def _hex(values):
@@ -90,17 +95,17 @@ def test_batched_main_terms_are_the_scalar_main_term_bitwise():
              (1.0, 0.0), (0.5, 2.0), (-1.0, 0.5), (0.25, 0.5)]
     for x in (-1.0, 0.0, 0.5, 0.7, 1.0, 2.0):
         assert _hex(hilbert_main_terms(lifts, x)) == [
-            hilbert_main_term(ends, x).hex() for ends in lifts]
+            _main_term(ends, x).hex() for ends in lifts]
     assert hilbert_main_terms([], 0.5) == []
     # the written-out formulas, with their signed zeros
     r = (0.7 - 0.5) * (0.7 - 2.0) / (0.5 - 2.0)
     want = -r * (math.log(abs(0.7 - 2.0)) - math.log(abs(0.7 - 0.5)))
-    assert hilbert_main_term((0.5, 2.0), 0.7).hex() == want.hex()
-    assert hilbert_main_term((INF, 1.0), 0.0).hex() == (-0.0).hex()
-    assert hilbert_main_term((0.0, 1.0), 0.5).hex() == (-0.0).hex()
-    assert hilbert_main_term((1.0, 0.0), 0.5).hex() == (0.0).hex()
-    assert hilbert_main_term((0.0, 1.0), 1.0).hex() == (0.0).hex()
-    assert hilbert_main_term((0.0, INF), 0.0).hex() == (0.0).hex()
+    assert _main_term((0.5, 2.0), 0.7).hex() == want.hex()
+    assert _main_term((INF, 1.0), 0.0).hex() == (-0.0).hex()
+    assert _main_term((0.0, 1.0), 0.5).hex() == (-0.0).hex()
+    assert _main_term((1.0, 0.0), 0.5).hex() == (0.0).hex()
+    assert _main_term((0.0, 1.0), 1.0).hex() == (0.0).hex()
+    assert _main_term((0.0, INF), 0.0).hex() == (0.0).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +138,19 @@ def test_oracle_rejects_quadratic_growth():
     V = FieldExpr([], quad=(0.2, 0.0, 0.0))
     with pytest.raises(ValueError):
         hilbert_pv_oracle(V, 0.5)
+
+
+def test_oracle_raises_when_the_extrapolation_does_not_settle():
+    """A jump at x leaves no principal value: the excised integral grows
+    by log 2 with each halving of the excision radius, and that is the
+    residual the error reports."""
+    def V(x):
+        return 1.0 if 2.5 < x < 3.5 else 0.0
+
+    V.breakpoints = lambda: [2.5, 3.5]
+    with pytest.raises(PVConvergenceError) as exc:
+        hilbert_pv_oracle(V, 2.5)
+    assert exc.value.residual == pytest.approx(math.log(2.0), rel=1e-9)
 
 
 def test_oracle_config_validation():
@@ -229,8 +247,8 @@ def _four_point_bracket(plan, values, quadratic_coefficient):
 
 
 def test_batched_brackets_are_the_scalar_bracket_bitwise():
-    """A column of brackets is, entry by entry, bracket_value on each
-    field alone and the four-point bracket in the plan's order: on the
+    """A column of brackets is, entry by entry, the bracket of each field
+    alone and the four-point bracket in the plan's order: on the
     three fundamental plans (one infinite vertex each) and on the plan of
     {1/2, 1}, whose four vertices are finite."""
     edges = [oriented_edge(ZERO, INFINITY), oriented_edge(ONE, INFINITY),
@@ -246,13 +264,15 @@ def test_batched_brackets_are_the_scalar_bracket_bitwise():
         columns = {p: [V[p] for V in fields] for p in P.points}
         for q in (0.0, 1.5):
             got = _hex(bracket_values(P, columns, q))
-            assert got == [bracket_value(P, V, q).hex() for V in fields]
+            assert got == [_hex(bracket_values(
+                P, {p: (V[p],) for p in P.points}, q))[0] for V in fields]
             assert got == [_four_point_bracket(P, V, q).hex() for V in fields]
     # the quotients leave -0.0 here; adding 0.0 * span makes it +0.0
     P = plans[2]
     zeros = {0.0: 0.0, 0.5: -0.0, 1.0: 0.0}
     assert P.span == 1.0
-    assert bracket_value(P, zeros).hex() == (0.0).hex()
+    one = {p: (v,) for p, v in zeros.items()}
+    assert bracket_values(P, one)[0].hex() == (0.0).hex()
     assert bracket_values(P, {p: [] for p in P.points}) == []
 
 
@@ -379,7 +399,33 @@ def _random_shears(n_edges=4, seed_pool=None):
 
 def test_series_zero():
     assert hilbert_series_eval(halved_terms(ShearFunction(), 5, 10),
-                               0.3) == 0.0
+                               [0.3]) == [0.0]
+
+
+def _bench_grid_terms():
+    """The benchmark's `grid` term list at seed 0, at the CLI's default
+    order 6 and window 20: the first 60 edges of enumerate_edges(6),
+    valued by the nonzero standard normal draws of random.Random("grid:0")."""
+    rng, sdot = random.Random("grid:0"), ShearFunction()
+    for e in enumerate_edges(6)[:60]:
+        v = 0.0
+        while v == 0.0:
+            v = rng.gauss(0.0, 1.0)
+        sdot.set(e, v)
+    return halved_terms(sdot, 6, 20)
+
+
+def test_series_vanishes_exactly_at_0_and_1():
+    """The summed main terms less their chord through 0 and 1 are +0.0
+    there, bit for bit: on the elementary field of every edge of order
+    <= 9 and on the benchmark's grid term list."""
+    zeros = [(0.0).hex()] * 2
+    for e in enumerate_edges(9):
+        assert _hex(hilbert_series_eval([(1.0, edge_ends(e))],
+                                        [0.0, 1.0])) == zeros
+    terms = _bench_grid_terms()
+    assert len(terms) > 60
+    assert _hex(hilbert_series_eval(terms, [0.0, 1.0])) == zeros
 
 
 def test_series_single_fan_matches_direct_sum():
@@ -392,8 +438,8 @@ def test_series_single_fan_matches_direct_sum():
         sdot.set(e, v)
         vals[n] = v
     terms = halved_terms(sdot, 6, 10)
-    for x in np.linspace(-3.3, 3.3, 11):
-        got = hilbert_series_eval(terms, x)
+    xs = np.linspace(-3.3, 3.3, 11)
+    for x, got in zip(xs, hilbert_series_eval(terms, xs)):
         # direct single-fan sum: halved shears on the infinity fan plus the
         # other tips' fans (integer tips), all of whose edges are the same
         direct = 0.0
@@ -411,8 +457,8 @@ def test_series_matches_oracle_on_grid():
     sdot = _random_shears(4)
     terms = halved_terms(sdot, 6, 40)
     V = assemble_field(terms)
-    for x in (-2.37, -0.41, 0.63, 2.29, 4.11):
-        closed = hilbert_series_eval(terms, x)
+    xs = (-2.37, -0.41, 0.63, 2.29, 4.11)
+    for x, closed in zip(xs, hilbert_series_eval(terms, xs)):
         oracle = hilbert_pv_oracle(V, x)
         assert closed == pytest.approx(oracle, abs=1e-4)
 
