@@ -41,7 +41,7 @@ MAX_ZYGMUND_WINDOW = 200
 # order, deep tips or not (`hilbert eval`, `field` and `zygmund` print no
 # such list and take any order)
 MAX_SHEAR_ORDER = 10_000
-# most coefficients in `fourier --n-min..--n-max`, each a pass over the terms
+# most coefficients in `fourier --n-min..--n-max`, each a column per term
 MAX_FOURIER_COEFFICIENTS = 4_096
 
 
@@ -71,7 +71,7 @@ def fmt(x: float) -> str:
 
 def parse_shear_file(path: str) -> ShearFunction:
     """Load and validate a shear JSON file."""
-    from .farey import oriented_edge
+    from .farey import FareyEdge
     from .fields import ShearFunction
     try:
         with open(path) as fh:
@@ -95,7 +95,7 @@ def parse_shear_file(path: str) -> ShearFunction:
         p = _parse_endpoint(entry["p"], where)
         q = _parse_endpoint(entry["q"], where)
         try:
-            edge = oriented_edge(p, q)
+            edge = FareyEdge(p, q)      # ShearFunction orients it
         except ValueError as exc:
             raise CliError(f"{where}: {exc}", where)
         key = edge.unordered()
@@ -306,7 +306,7 @@ def cmd_hilbert(args) -> int:
 def cmd_fourier(args) -> int:
     from .farey import farey_order
     from .fields import halved_terms
-    from .fourier import edge_to_arc, field_fourier
+    from .fourier import fourier_coefficients
     sdot = parse_shear_file(args.shears)
     lo, hi = args.n_min, args.n_max
     if hi < lo:
@@ -314,12 +314,9 @@ def cmd_fourier(args) -> int:
     if hi - lo >= MAX_FOURIER_COEFFICIENTS:
         raise CliError(f"--n-min..--n-max may span at most "
                        f"{MAX_FOURIER_COEFFICIENTS} coefficients", "n-max")
-    terms = halved_terms(sdot, args.max_order, args.window)
-    arcs = [edge_to_arc(t.ends) for t in terms]
-    rows = []
-    for n in range(lo, hi + 1):
-        c = field_fourier(terms, n, arcs)
-        rows.append((n, c.real, c.imag))
+    coefficients = fourier_coefficients(
+        halved_terms(sdot, args.max_order, args.window), range(lo, hi + 1))
+    rows = [(n, c.real, c.imag) for n, c in enumerate(coefficients, lo)]
     low_mass = total_mass = 0.0
     for e, v in sdot:
         if min(farey_order(e.initial), farey_order(e.terminal)) <= 2:

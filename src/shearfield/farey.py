@@ -8,12 +8,15 @@ Vertices are extended rationals (with a single point at infinity, stored as
 Every edge carries a canonical orientation: the edge points to the left as
 seen from the base triangle, which concretely means the counterclockwise
 boundary arc from the initial to the terminal endpoint avoids the vertices
-0, 1, oo (other than the edge's own endpoints).  The fan of edges sharing a
-tip ``p`` is indexed by the integers so that consecutive edges are adjacent,
-``e_0`` has initial point ``p`` and ``e_1`` has terminal point ``p``; when
-``p`` is itself a vertex of the base triangle this anchoring is still
-unambiguous and we keep it (the adjacent pair with opposite roles at ``p``
-is unique).
+0, 1, oo (other than the edge's own endpoints).  No edge crosses {0, oo} or
+{1, oo}, so this is an integer rule: a finite edge runs from its smaller to
+its larger end (one cross-multiplication), and {n, oo} runs n -> oo for
+n >= 1, oo -> n otherwise.  The fan of edges sharing a tip ``p`` is indexed
+by the integers so that consecutive edges are adjacent, ``e_0`` has initial
+point ``p`` and ``e_1`` has terminal point ``p``; when ``p`` is itself a
+vertex of the base triangle this anchoring is still unambiguous and we keep
+it (the adjacent pair with opposite roles at ``p`` is unique).  One
+Stern-Brocot walk gives a tip its Farey order and its fan map (fan_frame).
 
 All arithmetic is exact over Python integers; denominators of deep vertices
 grow like Fibonacci numbers, so fixed-width integers would overflow around
@@ -196,25 +199,15 @@ def apply_moebius(B, x: ExtRational) -> ExtRational:
 # circular order on the extended line
 # ---------------------------------------------------------------------------
 
-def _cmp(u, v):
-    """-1, 0, +1 comparison of finite points (exact where possible)."""
-    if isinstance(u, ExtRational) and isinstance(v, ExtRational):
-        lhs = u.num * v.den - v.num * u.den
-        return (lhs > 0) - (lhs < 0)
-    fu, fv = float(u), float(v)
-    return (fu > fv) - (fu < fv)
-
-
-def _is_inf(u) -> bool:
-    if isinstance(u, ExtRational):
-        return u.is_infinity
-    return math.isinf(float(u))
-
-
-def _same_point(u, v) -> bool:
-    if _is_inf(u) or _is_inf(v):
-        return _is_inf(u) and _is_inf(v)
-    return _cmp(u, v) == 0
+def _before(a, b) -> bool:
+    """a < b in the order of the circle cut at oo: the reals increasing,
+    then oo (an ExtRational's 1/0, or an infinite float).  Exact for two
+    ExtRationals; otherwise both are compared as floats."""
+    if isinstance(a, ExtRational) and isinstance(b, ExtRational):
+        return not a.is_infinity and (b.is_infinity
+                                      or a.num * b.den < b.num * a.den)
+    a, b = float(a), float(b)
+    return not math.isinf(a) and (math.isinf(b) or a < b)
 
 
 def in_ccw_arc(u, w, v) -> bool:
@@ -222,37 +215,25 @@ def in_ccw_arc(u, w, v) -> bool:
 
     Counterclockwise means increasing along the reals, passing through oo
     between +oo and -oo (the image of the upper half-plane boundary under
-    the disk model).
+    the disk model).  The arc is empty when u and v are the same point.
     """
-    if _same_point(u, v) or _same_point(w, u) or _same_point(w, v):
-        return False
-    if _is_inf(u):
-        return _cmp(w, v) < 0          # from oo: sweep -oo up to v
-    if _is_inf(v):
-        return _cmp(u, w) < 0          # up from u towards +oo
-    if _is_inf(w):
-        return _cmp(v, u) < 0          # passes oo only if the arc wraps
-    if _cmp(u, v) < 0:
-        return _cmp(u, w) < 0 and _cmp(w, v) < 0
-    return _cmp(u, w) < 0 or _cmp(w, v) < 0
+    if _before(u, v):
+        return _before(u, w) and _before(w, v)
+    return _before(v, u) and (_before(u, w) or _before(w, v))
 
 
-def oriented_edge(u, v) -> FareyEdge:
-    """Return the canonically oriented tessellation edge on {u, v}.
-
-    The counterclockwise arc from the initial to the terminal endpoint
-    avoids whichever of 0, 1, oo are not endpoints of the edge; exactly one
-    of the two orientations qualifies because the base triangle lies on one
-    side of every tessellation edge.
-    """
-    anchors = [p for p in (ZERO, ONE, INFINITY)
-               if not _same_point(p, u) and not _same_point(p, v)]
-    if all(not in_ccw_arc(u, a, v) for a in anchors):
+def oriented_edge(u: ExtRational, v: ExtRational) -> FareyEdge:
+    """The canonically oriented tessellation edge on {u, v}, by the integer
+    rule (see the module docstring): the smaller finite end first, n -> oo
+    for n >= 1 and oo -> n otherwise.  A pair that is not Farey-adjacent
+    raises FareyEdge's ValueError."""
+    if u.is_infinity:
+        u, v = v, u
+    if v.is_infinity:
+        return FareyEdge(u, v) if u.num >= 1 else FareyEdge(v, u)
+    if u.num * v.den < v.num * u.den:
         return FareyEdge(u, v)
-    if all(not in_ccw_arc(v, a, u) for a in anchors):
-        return FareyEdge(v, u)
-    raise ValueError(f"{{{u}, {v}}} separates the base triangle; "
-                     "not a tessellation edge")
+    return FareyEdge(v, u)
 
 
 # ---------------------------------------------------------------------------
@@ -361,27 +342,29 @@ def enumerate_edges(max_order: int) -> list[FareyEdge]:
 # fans
 # ---------------------------------------------------------------------------
 
-def _fan_anchor(p: ExtRational) -> ExtRational:
-    """Terminal endpoint of e_0 at a finite tip p, i.e. B(0) for the fan map:
-    1 at p = 0, else the parent above p on the real line (oo counts as +oo
-    for p > 0; for p < 0 the mirrored walk puts it below)."""
+def fan_frame(p) -> tuple[int, IntegerMoebius]:
+    """(Farey order, fan map B) of a tip p, both from one Stern-Brocot walk.
+
+    B carries the fan at oo onto the fan at p: it sends oo to p and 0 to
+    the terminal endpoint of e_0 at p, which is 1 at p = 0 and otherwise
+    the parent above p on the real line (oo counts as +oo for p > 0; for
+    p < 0 the mirrored walk puts it below).  So B maps the edge (n, oo)
+    onto the n-th fan edge at p, orientation included.
+    """
+    if p.is_infinity:
+        return 1, IDENTITY
     if p == ZERO:
-        return ONE
-    _, lo, hi = _stern_brocot(p)
-    return hi if p.num > 0 else lo
+        order, a = 1, ONE
+    else:
+        order, lo, hi = _stern_brocot(p)
+        a = hi if p.num > 0 else lo
+    det = p.num * a.den - a.num * p.den   # +-1 by adjacency
+    return order, IntegerMoebius(p.num, det * a.num, p.den, det * a.den)
 
 
 def fan_moebius(p) -> IntegerMoebius:
-    """The integer Moebius map carrying the fan at oo onto the fan at p.
-
-    B sends oo to p and 0 to the terminal endpoint of e_0 at p; it maps the
-    edge (n, oo) onto the n-th fan edge at p, orientation included.
-    """
-    if p.is_infinity:
-        return IDENTITY
-    a = _fan_anchor(p)
-    det = p.num * a.den - a.num * p.den   # +-1 by adjacency
-    return IntegerMoebius(p.num, det * a.num, p.den, det * a.den)
+    """The fan map of fan_frame: it carries the fan at oo onto that at p."""
+    return fan_frame(p)[1]
 
 
 def fan_edge(p, n: int) -> FareyEdge:

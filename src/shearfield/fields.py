@@ -9,8 +9,10 @@ standard fan at infinity around by integer Moebius maps yields the field of
 the whole shear function as an absolutely convergent sum over fan tips in
 increasing Farey order.
 
-The Zygmund-type checks live here as well: the fan-wise averaged-coefficient
-condition that characterizes admissible shear functions, the sampled
+One Stern-Brocot walk per tip gives its Farey order and the fan map that
+indexes its edges.  The Zygmund-type checks live here as well: the fan-wise
+averaged-coefficient condition that characterizes admissible shear
+functions (read from 4K - 3 shears per support edge), the sampled
 second-difference quotient, the quasisymmetry ratio, and the geometric tail
 estimate for truncation by Farey order.
 """
@@ -21,7 +23,7 @@ import math
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .farey import (ExtRational, FareyEdge, fan_index, farey_order,
+from .farey import (ExtRational, FareyEdge, fan_frame, farey_order,
                     oriented_edge)
 
 DELTA_GAP = 2.0 * math.log(1.0 + math.sqrt(2.0))  # distance between nested fan walls
@@ -70,13 +72,16 @@ class ShearFunction:
             keys = sorted(self._data)
             edges = [oriented_edge(ExtRational(*u), ExtRational(*v))
                      for u, v in keys]
-            fans = {}
+            fans, tips = {}, {}
             for key, edge in zip(keys, edges):
                 for p, q in ((edge.initial, edge.terminal),
                              (edge.terminal, edge.initial)):
-                    fans.setdefault(p, []).append(
-                        (fan_index(p, q), self._data[key], edge))
-            tips = {p: tip_sort_key(p) for p in fans}
+                    fans.setdefault(p, []).append((q, self._data[key], edge))
+            for p, fan in fans.items():
+                order, B = fan_frame(p)     # one walk per tip
+                to_index = B.inverse()      # neighbour q -> its fan index
+                fan[:] = [(to_index(q).num, v, e) for q, v, e in fan]
+                tips[p] = tip_sort_key(p, order)
             self._cache = (edges, {p: (tips[p][0], fans[p])
                                    for p in sorted(fans, key=tips.get)})
         return self._cache
@@ -104,18 +109,14 @@ class ShearFunction:
         return max((abs(v) for v in self._data.values()), default=0.0)
 
 
-def tip_sort_key(p: ExtRational):
+def tip_sort_key(p: ExtRational, order: int | None = None):
     """(Farey order, arc, p): tips by order, then by circular position from
     0 counterclockwise, the arc being 0 for [0, oo), 1 for oo and 2 for the
     negative reals.  Tips on one arc compare by ExtRational's exact order;
-    oo is alone on its arc, so it is never compared."""
-    if p.is_infinity:
-        arc = 1
-    elif p.num >= 0:
-        arc = 0
-    else:
-        arc = 2
-    return (farey_order(p), arc, p)
+    oo is alone on its arc, so it is never compared.  A caller that knows
+    p's order passes it and spares the walk."""
+    arc = 1 if p.is_infinity else 0 if p.num >= 0 else 2
+    return (farey_order(p) if order is None else order, arc, p)
 
 
 # ---------------------------------------------------------------------------
@@ -416,22 +417,25 @@ def zygmund_condition_sup(sdot: ShearFunction, tips, K: int) -> ZygmundReport:
     k A(m, k) = sum_{|j|<k} (k - |j|) s(m+j) grows by the box sum
     sum_{|j|<k+1} s(m+j) from k to k + 1, so running sums cost O(1) per
     (m, k); they agree with :func:`averaged_coefficient_sum` to rounding.
-    Only m within K - 1 of a support index can give a nonzero sum, so the
-    scan walks the union of those windows in increasing m, each m once:
-    O(support * K^2) per fan, whatever the span of its indices."""
+    Only m within K - 1 of a support index i can give a nonzero sum, so the
+    scan walks the union of those windows in increasing m, each m once,
+    reading the shears at i - 2K + 2 .. i + 2K - 2 from one dense list per
+    i: O(support * K^2) per fan, whatever the span of its indices."""
     best, best_w = 0.0, None
     for tip in tips:
         shears = fan_shears_at_tip(sdot, tip)
         if not shears:
             continue
-        get = lambda i: shears.get(i, 0.0)
         done = min(shears) - K + 1          # first m not yet visited
         for i in sorted(shears):
+            lo = i - 2 * K + 2              # index of s[0]
+            s = [shears.get(j, 0.0) for j in range(lo, i + 2 * K - 1)]
             for m in range(max(done, i - K + 1), i + K):
-                box = total = get(m)
+                c = m - lo
+                box = total = s[c]
                 for k in range(1, K + 1):
                     if k > 1:
-                        box += get(m + k - 1) + get(m - k + 1)
+                        box += s[c + k - 1] + s[c - k + 1]
                         total += box
                     v = abs(total / k)
                     if v > best:

@@ -9,7 +9,9 @@ on the open arc and 0 elsewhere, treated verbatim as a complex-valued
 function of z.  Its n-th coefficient in the plain exponential basis
 (1/2pi) Integral V(e^{i phi}) e^{-i n phi} d phi has a closed form whose
 three frequency factors degenerate at n = 2, 1, 0 into arc lengths; the
-quadrature oracle below integrates the defining formula directly.
+quadrature oracle below integrates the defining formula directly.  A range
+of n costs one exponential table per arc: the factors at m = 2 - n, 1 - n
+and -n are shared by neighbouring n (fourier_coefficients).
 
 Tessellation edges are carried to arcs by the boundary Cayley map sending
 0, 1, oo to 1, i, -1; an edge's support arc is the image of its half-plane
@@ -79,6 +81,20 @@ def _freq_factor(m: int, phi0: float, phi1: float) -> complex:
     return (cmath.exp(1j * m * phi1) - cmath.exp(1j * m * phi0)) / (1j * m)
 
 
+def _arc_fourier(arc, ns) -> list[complex]:
+    """Closed-form coefficients of the elementary field of an arc at each n
+    of the list ns, from one table: w0, w1 and _freq_factor(m) for each
+    m in {2 - n, 1 - n, -n} are computed once and serve every n."""
+    phi0, phi1 = _angles(arc)
+    if phi0 == phi1:
+        return [0j] * len(ns)
+    w0, w1 = cmath.exp(1j * phi0), cmath.exp(1j * phi1)
+    s, p, d = w0 + w1, w0 * w1, TWO_PI * (w0 - w1)
+    f = {m: _freq_factor(m, phi0, phi1)
+         for m in {k for n in ns for k in (2 - n, 1 - n, -n)}}
+    return [(f[2 - n] - s * f[1 - n] + p * f[-n]) / d for n in ns]
+
+
 def elementary_fourier(arc, n: int) -> complex:
     """Closed-form n-th coefficient of the elementary field of an arc.
 
@@ -86,14 +102,7 @@ def elementary_fourier(arc, n: int) -> complex:
     respective factor (the arc length).  A degenerate arc (given as a raw
     pair with phi0 == phi1) has the zero field, hence coefficient 0.
     """
-    phi0, phi1 = _angles(arc)
-    if phi0 == phi1:
-        return 0j
-    w0, w1 = cmath.exp(1j * phi0), cmath.exp(1j * phi1)
-    bracket = (_freq_factor(2 - n, phi0, phi1)
-               - (w0 + w1) * _freq_factor(1 - n, phi0, phi1)
-               + w0 * w1 * _freq_factor(-n, phi0, phi1))
-    return bracket / (TWO_PI * (w0 - w1))
+    return _arc_fourier(arc, [n])[0]
 
 
 def fourier_quadrature_oracle(V, n: int, breakpoints=()) -> complex:
@@ -140,18 +149,21 @@ def edge_to_arc(edge) -> CircleArc:
     return CircleArc(phi0, phi1)
 
 
-def field_fourier(terms, n: int, arcs=None) -> complex:
-    """n-th coefficient of the truncated field sum of a halved term list
-    (see fields.halved_terms): closed-form arc coefficients summed in list
-    order.  ``arcs``, when given, are the terms' support arcs
-    (edge_to_arc of each term's ends), built once by a caller that asks
-    for many n."""
-    if arcs is None:
-        arcs = [edge_to_arc(t.ends) for t in terms]
-    total = 0j
-    for t, arc in zip(terms, arcs):
-        total += t.coef * elementary_fourier(arc, n)
-    return total
+def fourier_coefficients(terms, ns) -> list[complex]:
+    """Coefficients at each n of ns (a list or range) of the truncated field
+    sum of a halved term list (see fields.halved_terms), in one pass over
+    the terms: each term's arc coefficients come from one exponential
+    table (see _arc_fourier) and are summed in list order."""
+    totals = [0j] * len(ns)
+    for t in terms:
+        cs = _arc_fourier(edge_to_arc(t.ends), ns)
+        totals = [total + t.coef * c for total, c in zip(totals, cs)]
+    return totals
+
+
+def field_fourier(terms, n: int) -> complex:
+    """n-th coefficient of the truncated field sum of a halved term list."""
+    return fourier_coefficients(terms, [n])[0]
 
 
 def assemble_circle_field(terms):

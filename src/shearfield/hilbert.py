@@ -26,7 +26,6 @@ from itertools import takewhile
 from typing import NamedTuple
 
 from .farey import FareyEdge, edge_neighbors, in_ccw_arc
-from .fields import FieldExpr, edge_ends
 
 
 def _xlogx(t: float) -> float:
@@ -67,6 +66,11 @@ def hilbert_series_eval(terms, xs) -> list:
     terms (see hilbert_main_terms) summed in list order, the transform is
     (S(x) - x S(1) + (x - 1) S(0)) / pi: S less its chord through 0 and 1,
     so it vanishes at 0 and 1 exactly and grows like x log|x|."""
+    return _hilbert_series(terms)(xs)
+
+
+def _hilbert_series(terms):
+    """values(xs) = hilbert_series_eval(terms, xs); S(0), S(1) summed once."""
     coefs, lifts = [], []
     for *_, c, ends in terms:       # (order, coef, ends) or (coef, ends)
         coefs.append(c)
@@ -79,8 +83,8 @@ def hilbert_series_eval(terms, xs) -> list:
         return total
 
     s0, s1 = S(0.0), S(1.0)
-    return [(S(x) - x * s1 + (x - 1.0) * s0) / math.pi
-            for x in map(float, xs)]
+    return lambda xs: [(S(x) - x * s1 + (x - 1.0) * s0) / math.pi
+                       for x in map(float, xs)]
 
 
 def elementary_hilbert(ends, x: float) -> float:
@@ -95,17 +99,15 @@ def closed_hilbert_field(F: FieldExpr):
 
     Returns a callable with the same coefficients' transform (see
     hilbert_series_eval) at one x, and at a list of points through its
-    values(xs); it vanishes at 0 and 1 and grows like x log|x|.
+    values(xs), summing S(0) and S(1) once per field; it vanishes at 0 and 1
+    and grows like x log|x|.
     """
     if any(q != 0.0 for q in F.quad):
         raise ValueError("closed-form transform is defined for fields with "
                          "zero quadratic part; normalize first")
-    terms = list(F.terms)
-
-    def H(x: float) -> float:
-        return hilbert_series_eval(terms, [x])[0]
-
-    H.values = lambda xs: hilbert_series_eval(terms, xs)
+    values = _hilbert_series(list(F.terms))
+    H = lambda x: values([x])[0]
+    H.values = values
     H.breakpoints = F.breakpoints
     H.quad = (0.0, 0.0, 0.0)
     return H
@@ -368,7 +370,7 @@ def shear_recover(V, Q: Quadrilateral, quadratic_coefficient=None) -> float:
     """
     pts = Q.points()
     if quadratic_coefficient is None:
-        if isinstance(V, FieldExpr) or hasattr(V, "quad"):
+        if hasattr(V, "quad"):
             quadratic_coefficient = V.quad[0]
         else:
             quadratic_coefficient = 0.0
@@ -421,6 +423,7 @@ def delta_weight(edge, Q: Quadrilateral) -> float:
     unnormalized main-term transform of the edge's elementary field over Q.
     Covers every admissible position, the edge crossing the diagonal
     included.  The scalar form of edge_weights."""
+    from .fields import edge_ends   # on use: `wp` never loads fields
     return edge_weights([bracket_plan(Q)], [edge_ends(edge)])[0][0]
 
 
@@ -428,6 +431,7 @@ def delta_weight_hyperbolic(edge, Q: Quadrilateral) -> float:
     """delta_weight by the equivalent hyperbolic-distance expressions, an
     independent second route for the disjoint and shared-endpoint positions;
     raises ValueError where only the bracket applies."""
+    from .fields import edge_ends   # on use: `wp` never loads fields
     e = u, v = edge_ends(edge)
     pts = list(Q.points())
     shared = [i for i, p in enumerate(pts) if p == u or p == v]

@@ -14,7 +14,7 @@ import numpy as np
 from shearfield.farey import (INFINITY, ONE, ZERO, ExtRational,
                               enumerate_edges, fan_index, farey_order,
                               oriented_edge)
-from shearfield.fields import (ShearFunction, assemble_field,
+from shearfield.fields import (FieldExpr, ShearFunction, assemble_field,
                                averaged_coefficient_sum, edge_ends,
                                fan_field_eval, halved_terms, tail_bound,
                                zygmund_quotient_sup)
@@ -22,11 +22,10 @@ from shearfield.fourier import (CircleArc, assemble_circle_field,
                                 cayley_angle, circle_elementary_eval,
                                 edge_to_arc, elementary_fourier,
                                 field_fourier, fourier_quadrature_oracle)
-from shearfield.hilbert import (FieldExpr, Quadrilateral,
-                                closed_hilbert_field, delta_weight,
-                                delta_weight_hyperbolic, edge_quadrilateral,
-                                elementary_hilbert, hilbert_pv_oracle,
-                                shear_recover)
+from shearfield.hilbert import (Quadrilateral, closed_hilbert_field,
+                                delta_weight, delta_weight_hyperbolic,
+                                edge_quadrilateral, elementary_hilbert,
+                                hilbert_pv_oracle, shear_recover)
 from shearfield.quadrature import quad
 from shearfield.torus import wp_gram
 from shearfield.cli import run as cli_run

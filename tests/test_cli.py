@@ -198,7 +198,7 @@ _SHEARS = ["--shears", "{shears}"]
     ([["fourier", *_SHEARS, "--n-max", "2"]],
      ["cli", "farey", "fields", "fourier"]),
     ([["wp", "gram", "--depth", "2"], ["wp", "pair", "--depth", "2"]],
-     ["cli", "farey", "fields", "hilbert", "torus"]),
+     ["cli", "farey", "hilbert", "torus"]),
 ], ids=["import", "farey", "field", "zygmund", "hilbert", "oracle",
         "fourier", "wp"])
 def test_command_loads_only_what_it_runs(tmp_path, commands, modules):
@@ -455,6 +455,33 @@ def test_hilbert_shear_stdout_golden_bytes(tmp_path, capsys, shears, argv,
     """The exact bytes `hilbert shear` printed when each term's weight was
     its own delta_weight call: the batched edge weights change no bit."""
     assert run(["hilbert", "shear", "--shears", shears(tmp_path),
+                *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_GRID_X = ["--from", "-2.9", "--to", "3.1", "--samples", "7"]
+
+
+@pytest.mark.parametrize("command, argv, digest", [
+    (["fourier"], ["--n-max", "16"],
+     "1255bc73d17a574a385aebda3a7e4054f9b581866478635772447a5c6cdf288c"),
+    (["zygmund", "check"], [],
+     "9d33c891b9f49f782c77ea1e6edf97266f83e5927262f0fdf361521ccbb146c9"),
+    (["field", "eval"], _GRID_X,
+     "035f01df8933ebc340f5c4ce4ee5005db3e83538b2cc72725a2e5f1ffc7e64ad"),
+    (["hilbert", "eval"], _GRID_X,
+     "eaece1677258cd394e29420d73c35ca730e76c1a288056033c4667fa8c3929a3"),
+], ids=["fourier", "zygmund", "field", "hilbert"])
+def test_shear_file_stdout_golden_bytes(tmp_path, capsys, command, argv,
+                                        digest):
+    """The exact bytes the shear-file commands printed on the benchmark's
+    grid file when every edge was oriented by its arc, every fan index had
+    a fan map of its own, the Zygmund scan read a dict per index and each
+    Fourier coefficient took its own exponentials: the integer orientation,
+    one fan map per tip, the windowed scan and one exponential table per
+    arc change no bit."""
+    assert run([*command, "--shears", _bench_grid_shears(tmp_path),
                 *argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from shearfield.farey import (ExtRational, FareyEdge, IDENTITY, INFINITY, ONE,
                               ZERO, IntegerMoebius, apply_moebius,
                               enumerate_edges, enumerate_vertices, fan_edge,
-                              fan_index, fan_moebius, farey_order,
+                              fan_edges, fan_index, fan_moebius, farey_order,
                               farey_parents, in_ccw_arc, mediant,
                               oriented_edge)
 
@@ -175,6 +175,57 @@ def test_enumerate_edges_counts():
 def test_edge_serialization_round_trip():
     e = oriented_edge(ZERO, INFINITY)
     assert e.to_json() == [1, 0, 0, 1]
+
+
+def _orientation_by_anchors(u, v):
+    """The canonical orientation by its definition: the one (initial,
+    terminal) order of {u, v} whose counterclockwise arc avoids whichever
+    of 0, 1, oo are not ends of the edge."""
+    anchors = [a for a in (ZERO, ONE, INFINITY) if a not in (u, v)]
+    fits = [(i, t) for i, t in ((u, v), (v, u))
+            if not any(in_ccw_arc(i, a, t) for a in anchors)]
+    assert len(fits) == 1
+    return fits[0]
+
+
+_BIG = 10 ** 9
+_BIG_EDGES = [
+    (ExtRational(0), ExtRational(1, _BIG)),
+    (ExtRational(1, _BIG), ExtRational(1, _BIG + 1)),
+    (ExtRational(_BIG), ExtRational(_BIG + 1)),
+    (ExtRational(-_BIG - 1), ExtRational(-_BIG)),
+    (ExtRational(_BIG), INFINITY),
+    (ExtRational(-_BIG), INFINITY),
+    (ExtRational(_BIG, _BIG + 1), ONE),
+    (ExtRational(-1), ExtRational(-_BIG, _BIG + 1)),
+] + [(e.initial, e.terminal) for p in (ExtRational(_BIG + 1, _BIG),
+                                        ExtRational(-1, _BIG))
+     for e in fan_edges(p, -3, 3)]
+
+
+def test_oriented_edge_integer_rule_is_the_anchor_rule():
+    """The integer rule (smaller finite end first; n -> oo for n >= 1,
+    oo -> n otherwise) gives the arc-avoids-the-base-triangle orientation
+    on every edge of order <= 12 and on edges with 10^9-sized ends, in
+    both argument orders."""
+    pairs = [(e.initial, e.terminal) for e in enumerate_edges(12)]
+    assert len(pairs) == 8189
+    for u, v in pairs + _BIG_EDGES:
+        want = _orientation_by_anchors(u, v)
+        for a, b in ((u, v), (v, u)):
+            e = oriented_edge(a, b)
+            assert (e.initial, e.terminal) == want
+
+
+@pytest.mark.parametrize("u, v", [(ExtRational(-1), ONE),
+                                  (ZERO, ExtRational(2)),
+                                  (ExtRational(1, 2), INFINITY),
+                                  (ExtRational(1, 3), ExtRational(2, 3)),
+                                  (ONE, ONE), (INFINITY, INFINITY)])
+def test_oriented_edge_rejects_non_adjacent_pairs(u, v):
+    for a, b in ((u, v), (v, u)):
+        with pytest.raises(ValueError, match="not Farey-adjacent"):
+            oriented_edge(a, b)
 
 
 def test_in_ccw_arc_basic():

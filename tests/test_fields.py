@@ -259,6 +259,32 @@ def test_zygmund_scan_skips_only_zero_windows(tip, fan, K):
     assert (report.sup_value, report.witness) == want
 
 
+def test_zygmund_scan_cost_is_independent_of_index_span():
+    """A fan with indices 1 and 10^9 at K = 20: the scan reads one window
+    of 4K - 3 shears per support index, never the 10^9 indices between,
+    and gives the brute-force max of averaged_coefficient_sum.  Every m
+    farther than K - 1 from both indices has a zero sum, so the brute force
+    runs over the two windows.  The shears are dyadic and never meet in
+    one window, so both routes round once and agree exactly."""
+    import time
+    K, far = 20, 10 ** 9
+    sdot = ShearFunction()
+    sdot.set(fan_edge(INFINITY, 1), 0.75)
+    sdot.set(fan_edge(INFINITY, far), -1.25)
+    start = time.perf_counter()
+    report = zygmund_condition_sup(sdot, [INFINITY], K)
+    assert time.perf_counter() - start < 0.5
+    shears = fan_shears_at_tip(sdot, INFINITY)
+    assert shears == {1: 0.75, far: -1.25}
+    brute = max(abs(averaged_coefficient_sum(shears, m, k))
+                for i in shears for m in range(i - K + 1, i + K)
+                for k in range(1, K + 1))
+    assert report.sup_value == brute > 0.0
+    tip, m, k = report.witness
+    assert tip == INFINITY
+    assert abs(averaged_coefficient_sum(shears, m, k)) == brute
+
+
 def test_qs_ratio_examples():
     assert qs_ratio(ShearFunction(), INFINITY, 3, 7) == pytest.approx(1.0)
     sdot = ShearFunction()

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from shearfield.farey import ExtRational, FareyEdge, INFINITY, ONE, ZERO, oriented_edge
+from shearfield.farey import (ExtRational, FareyEdge, INFINITY, ONE, ZERO,
+                              enumerate_edges, oriented_edge)
 from shearfield.fields import ShearFunction, halved_terms
 from shearfield.fourier import (CircleArc, assemble_circle_field,
                                 cayley_angle, circle_elementary_eval,
                                 edge_to_arc, elementary_fourier,
-                                field_fourier, fourier_quadrature_oracle)
+                                field_fourier, fourier_coefficients,
+                                fourier_quadrature_oracle)
 
 RNG = np.random.default_rng(23)
 
@@ -135,6 +137,26 @@ def test_field_fourier_single_edge_bookkeeping():
         got = field_fourier(terms, n)
         want = elementary_fourier(edge_to_arc(e), n)
         assert got == pytest.approx(want, abs=1e-13)
+
+
+def test_coefficient_range_matches_per_n_sums_bit_for_bit():
+    """One pass over the terms with one exponential table per arc gives,
+    bit for bit, the per-n sums of elementary_fourier over n in [-30, 40],
+    a range that crosses the singular n = 0, 1, 2."""
+    sdot = ShearFunction()
+    for k, e in enumerate(enumerate_edges(6)[:60]):
+        sdot.set(e, math.sin(k + 1.0))
+    terms = halved_terms(sdot, 6, 20)
+    ns = range(-30, 41)
+    got = fourier_coefficients(terms, ns)
+    assert len(got) == len(ns)
+    for n, c in zip(ns, got):
+        want = 0j
+        for t in terms:
+            want += t.coef * elementary_fourier(edge_to_arc(t.ends), n)
+        assert (c.real.hex(), c.imag.hex()) == (want.real.hex(),
+                                                want.imag.hex()), n
+        assert field_fourier(terms, n) == c
 
 
 def test_field_fourier_linearity():
