@@ -16,13 +16,11 @@ __version__ = "0.1.0"
 # the modules its subcommand runs.
 _EXPORTS = {
     "farey": ("ExtRational", "FareyEdge", "IntegerMoebius", "INFINITY",
-              "apply_moebius", "enumerate_vertices", "fan_edge", "fan_edges",
-              "fan_index", "fan_moebius", "farey_order", "farey_parents",
-              "in_ccw_arc", "mediant", "oriented_edge"),
-    "fields": ("FieldExpr", "HalfTerm", "ShearFunction", "ZygmundReport",
-               "assemble_field", "edge_ends", "elementary_eval",
-               "fan_field_eval", "halved_terms", "normalize_at",
-               "partial_sum_diag", "qs_ratio", "tail_bound", "tip_field",
+              "enumerate_vertices", "fan_edges", "fan_index", "fan_moebius",
+              "farey_order", "in_ccw_arc", "mediant", "oriented_edge"),
+    "fields": ("FieldExpr", "ShearFunction", "assemble_field", "edge_ends",
+               "elementary_eval", "fan_field_eval", "halved_terms",
+               "normalize_at", "tail_bound", "tip_field",
                "zygmund_condition_sup", "zygmund_quotient_sup"),
     "fourier": ("CircleArc", "circle_elementary_eval", "edge_to_arc",
                 "elementary_fourier", "field_fourier",
@@ -33,9 +31,8 @@ _EXPORTS = {
                 "hilbert_series_eval", "hilbert_shear_series",
                 "shear_recover"),
     "moebius": ("geodesic_cosh_distance",),
-    "torus": ("TangentShear", "cusp_condition_check",
-              "invariant_hilbert_shear", "lift_edges", "thurston_form",
-              "wp_gram", "wp_pairing"),
+    "torus": ("TangentShear", "cusp_condition_check", "lift_edges",
+              "thurston_form", "wp_gram", "wp_pairing"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items()
           for name in names}

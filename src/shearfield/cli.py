@@ -304,7 +304,7 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_fourier(args) -> int:
-    from .farey import farey_order
+    from .farey import INFINITY, ONE, ZERO, ExtRational
     from .fields import halved_terms
     from .fourier import fourier_coefficients
     sdot = parse_shear_file(args.shears)
@@ -318,8 +318,9 @@ def cmd_fourier(args) -> int:
         halved_terms(sdot, args.max_order, args.window), range(lo, hi + 1))
     rows = [(n, c.real, c.imag) for n, c in enumerate(coefficients, lo)]
     low_mass = total_mass = 0.0
+    low = {ZERO, INFINITY, ONE, ExtRational(-1)}     # Farey order <= 2
     for e, v in sdot:
-        if min(farey_order(e.initial), farey_order(e.terminal)) <= 2:
+        if e.initial in low or e.terminal in low:
             low_mass += abs(v)
         total_mass += abs(v)
     _emit(args.format, args.output, ["n", "re", "im"], rows,
@@ -478,7 +479,7 @@ def run(argv=None) -> int:
         diag = {"error": str(exc), "field": exc.field_name}
         sys.stderr.write(json.dumps(diag, sort_keys=True) + "\n")
         return exc.code
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
         diag = {"error": str(exc), "field": ""}
         sys.stderr.write(json.dumps(diag, sort_keys=True) + "\n")
         return 1

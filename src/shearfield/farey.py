@@ -28,11 +28,37 @@ from __future__ import annotations
 import math
 
 
+class Value:
+    """Base of the package's value classes.  An instance is equal only to
+    an instance of the same class with equal slots, hashes as the tuple of
+    its slots, and prints as Class(slot=value, ...)."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        slots = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self.__slots__)
+        return f"{self.__class__.__name__}({slots})"
+
+
 class ExtRational:
     """Reduced fraction on the extended real line; oo is stored as 1/0.
 
     Equal only to an ExtRational with the same (num, den), and hashed as
-    that pair."""
+    that pair.  It writes Value's protocol out rather than inherit it: its
+    repr is the fraction (1/2, oo), and its equality and hash run on the
+    per-tip path (farey_order, the fan dicts)."""
 
     __slots__ = ("num", "den")
 
@@ -76,11 +102,6 @@ class ExtRational:
                              "use circular predicates")
         return self.num * other.den < other.num * self.den
 
-    def __neg__(self) -> "ExtRational":
-        if self.is_infinity:
-            return self
-        return ExtRational(-self.num, self.den)
-
     def __repr__(self) -> str:
         if self.is_infinity:
             return "oo"
@@ -94,13 +115,12 @@ ZERO = ExtRational(0, 1)
 ONE = ExtRational(1, 1)
 
 
-class FareyEdge:
+class FareyEdge(Value):
     """Oriented tessellation edge with exact rational endpoints.
 
     The determinant condition |p*s - r*q| = 1 (with oo = 1/0) is enforced;
     the orientation is whatever the caller supplies, with
-    :func:`oriented_edge` producing the canonical one.  Equal only to a
-    FareyEdge with the same (initial, terminal), and hashed as that pair.
+    :func:`oriented_edge` producing the canonical one.
     """
 
     __slots__ = ("initial", "terminal")
@@ -114,19 +134,6 @@ class FareyEdge:
         self.initial = i
         self.terminal = t
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.initial, self.terminal)
-                    == (other.initial, other.terminal))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.initial, self.terminal))
-
-    def __repr__(self) -> str:
-        return (f"FareyEdge(initial={self.initial!r}, "
-                f"terminal={self.terminal!r})")
-
     def unordered(self):
         key = lambda r: (r.num, r.den)
         return tuple(sorted([self.initial, self.terminal], key=key))
@@ -137,11 +144,9 @@ class FareyEdge:
                 self.terminal.num, self.terminal.den]
 
 
-class IntegerMoebius:
-    """Element of PSL(2, Z) acting as x -> (a x + b) / (c x + d).
-
-    Equal only to an IntegerMoebius with the same entries (a matrix, not
-    its projective class), and hashed as the tuple (a, b, c, d)."""
+class IntegerMoebius(Value):
+    """Element of PSL(2, Z) acting as x -> (a x + b) / (c x + d); equal
+    entries make equal maps (a matrix, not its projective class)."""
 
     __slots__ = ("a", "b", "c", "d")
 
@@ -153,21 +158,12 @@ class IntegerMoebius:
         self.c = c
         self.d = d
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.a, self.b, self.c, self.d)
-                    == (other.a, other.b, other.c, other.d))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
-    def __repr__(self) -> str:
-        return (f"IntegerMoebius(a={self.a!r}, b={self.b!r}, c={self.c!r}, "
-                f"d={self.d!r})")
-
-    def __call__(self, x):
-        return apply_moebius(self, x)
+    def __call__(self, x: ExtRational) -> ExtRational:
+        """The map at an extended rational, exactly."""
+        if x.is_infinity:
+            return ExtRational(self.a, self.c)
+        return ExtRational(self.a * x.num + self.b * x.den,
+                           self.c * x.num + self.d * x.den)
 
     def inverse(self) -> "IntegerMoebius":
         return IntegerMoebius(self.d, -self.b, -self.c, self.a)
@@ -185,14 +181,6 @@ class IntegerMoebius:
 
 
 IDENTITY = IntegerMoebius(1, 0, 0, 1)
-
-
-def apply_moebius(B, x: ExtRational) -> ExtRational:
-    """Evaluate a Moebius map at an extended rational, exactly."""
-    if x.is_infinity:
-        return ExtRational(B.a, B.c)
-    return ExtRational(B.a * x.num + B.b * x.den,
-                       B.c * x.num + B.d * x.den)
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +273,6 @@ def _stern_brocot(p: ExtRational) -> tuple[int, ExtRational, ExtRational]:
     sign = -1 if p.num < 0 else 1
     return (order, ExtRational(sign * lo[0], lo[1]),
             ExtRational(sign * hi[0], hi[1]))
-
-
-def farey_parents(p) -> tuple[ExtRational, ExtRational]:
-    """The two lower-order neighbours whose mediant is p (order >= 2 only)."""
-    if p in (ZERO, INFINITY):
-        raise ValueError("0 and oo have no parents")
-    return _stern_brocot(p)[1:]
 
 
 def farey_order(p) -> int:

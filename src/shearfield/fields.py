@@ -13,8 +13,8 @@ One Stern-Brocot walk per tip gives its Farey order and the fan map that
 indexes its edges.  The Zygmund-type checks live here as well: the fan-wise
 averaged-coefficient condition that characterizes admissible shear
 functions (read from 4K - 3 shears per support edge), the sampled
-second-difference quotient, the quasisymmetry ratio, and the geometric tail
-estimate for truncation by Farey order.
+second-difference quotient, and the geometric tail estimate for truncation
+by Farey order.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import math
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .farey import (ExtRational, FareyEdge, fan_frame, farey_order,
-                    oriented_edge)
+from .farey import ExtRational, FareyEdge, Value, fan_frame, oriented_edge
 
 DELTA_GAP = 2.0 * math.log(1.0 + math.sqrt(2.0))  # distance between nested fan walls
 
@@ -105,18 +104,14 @@ class ShearFunction:
         for e in self.edges():
             yield e, self.value(e)
 
-    def max_abs(self) -> float:
-        return max((abs(v) for v in self._data.values()), default=0.0)
 
-
-def tip_sort_key(p: ExtRational, order: int | None = None):
-    """(Farey order, arc, p): tips by order, then by circular position from
-    0 counterclockwise, the arc being 0 for [0, oo), 1 for oo and 2 for the
-    negative reals.  Tips on one arc compare by ExtRational's exact order;
-    oo is alone on its arc, so it is never compared.  A caller that knows
-    p's order passes it and spares the walk."""
+def tip_sort_key(p: ExtRational, order: int):
+    """(order, arc, p): tips by their Farey order, then by circular position
+    from 0 counterclockwise, the arc being 0 for [0, oo), 1 for oo and 2 for
+    the negative reals.  Tips on one arc compare by ExtRational's exact
+    order; oo is alone on its arc, so it is never compared."""
     arc = 1 if p.is_infinity else 0 if p.num >= 0 else 2
-    return (farey_order(p) if order is None else order, arc, p)
+    return (order, arc, p)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +145,9 @@ def elementary_eval(ends, x: float) -> float:
     (a, inf):       x-a for x > a, else 0 (right ray).
     (inf, b):       -(x-b) for x < b, else 0 (left ray).
 
-    Ends that name no field raise ValueError (see check_ends).
+    Ends that name no field raise ValueError (see check_ends).  No command
+    calls it: it is the definition, term by term, that the tests hold
+    FieldExpr's panel table to.
     """
     check_ends(ends)
     a, b = ends
@@ -177,8 +174,7 @@ class FieldExpr:
     expanded about a breakpoint (see _panel_table); every point then costs
     one bisection and one Horner step, and values(xs) takes a whole list
     of points in one call.  A FieldExpr is not mutated after its first
-    call: plus_quad, scaled and + return new fields with tables of their
-    own.
+    call: plus_quad returns a new field with a table of its own.
     """
 
     def __init__(self, terms=(), quad=(0.0, 0.0, 0.0)):
@@ -215,14 +211,6 @@ class FieldExpr:
         a2, a1, a0 = self.quad
         return FieldExpr(self.terms,
                          (a2 + quad[0], a1 + quad[1], a0 + quad[2]))
-
-    def __add__(self, other: "FieldExpr") -> "FieldExpr":
-        q = tuple(u + v for u, v in zip(self.quad, other.quad))
-        return FieldExpr(self.terms + other.terms, q)
-
-    def scaled(self, factor: float) -> "FieldExpr":
-        return FieldExpr([(factor * c, ends) for c, ends in self.terms],
-                         tuple(factor * q for q in self.quad))
 
 
 def _panel_table(terms, quad, points):
@@ -326,7 +314,9 @@ class HalfTerm(NamedTuple):
 def tip_field(p, sdot: ShearFunction, N: int) -> FieldExpr:
     """Field contributed by the fan with tip p, with halved shears on fan
     indices |n| <= N.  Vanishes at 0, 1 and infinity by construction; a
-    degenerate window (N <= 0) is the zero field, not an error."""
+    degenerate window (N <= 0) is the zero field, not an error.  No command
+    calls it: it is the per-tip reference that the tests check
+    halved_terms against."""
     if N <= 0:
         return FieldExpr()
     return FieldExpr((0.5 * value, edge_ends(edge))
@@ -367,10 +357,9 @@ def tail_bound(n: int, C: float) -> float:
 # admissibility checks
 # ---------------------------------------------------------------------------
 
-class ZygmundReport:
+class ZygmundReport(Value):
     """A sampled sup and the arguments that reach it (witness None when
-    the sup is 0).  Equal only to a ZygmundReport with the same
-    (sup_value, witness); mutable, so unhashable."""
+    the sup is 0); mutable, so unhashable."""
 
     __slots__ = ("sup_value", "witness")
     __hash__ = None
@@ -378,16 +367,6 @@ class ZygmundReport:
     def __init__(self, sup_value: float, witness: tuple):
         self.sup_value = sup_value
         self.witness = witness
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.sup_value, self.witness)
-                    == (other.sup_value, other.witness))
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (f"ZygmundReport(sup_value={self.sup_value!r}, "
-                f"witness={self.witness!r})")
 
 
 def fan_shears_at_tip(sdot: ShearFunction, tip) -> dict[int, float]:
@@ -444,26 +423,6 @@ def zygmund_condition_sup(sdot: ShearFunction, tips, K: int) -> ZygmundReport:
     return ZygmundReport(best, best_w)
 
 
-def qs_ratio(s: ShearFunction, tip, m: int, k: int) -> float:
-    """Quasisymmetry ratio of a fan: e^{s(e_m)} times the ratio of the
-    partial exponential sums over the k following and k preceding edges."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    shears = fan_shears_at_tip(s, tip)
-    get = lambda i: shears.get(i, 0.0)
-    num = 1.0
-    acc = 0.0
-    for j in range(1, k + 1):
-        acc += get(m + j)
-        num += math.exp(acc)
-    den = 1.0
-    acc = 0.0
-    for j in range(1, k + 1):
-        acc -= get(m - j)
-        den += math.exp(acc)
-    return math.exp(get(m)) * num / den
-
-
 def zygmund_quotient_sup(V, xs, ts) -> ZygmundReport:
     """Sampled sup of |V(x+t) + V(x-t) - 2 V(x)| / t over the grids."""
     best, best_w = 0.0, None
@@ -476,16 +435,6 @@ def zygmund_quotient_sup(V, xs, ts) -> ZygmundReport:
             if q > best:
                 best, best_w = q, (float(x), float(t))
     return ZygmundReport(best, best_w)
-
-
-def partial_sum_diag(sdot: ShearFunction, tip, k: int, n: int) -> float:
-    """Raw partial sum of fan shears over indices k..k+n (sublinearity
-    diagnostic for admissible shear functions)."""
-    shears = fan_shears_at_tip(sdot, tip)
-    total = 0.0
-    for i in range(k, k + n + 1):
-        total += shears.get(i, 0.0)
-    return total
 
 
 # ---------------------------------------------------------------------------

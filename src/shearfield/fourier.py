@@ -24,16 +24,14 @@ from __future__ import annotations
 import cmath
 import math
 
+from .farey import Value
 from .fields import edge_ends
 
 TWO_PI = 2.0 * math.pi
 
 
-class CircleArc:
-    """Boundary arc 0 <= phi0 < phi1 <= 2*pi (proper: phi1 - phi0 < 2*pi).
-
-    Equal only to a CircleArc with the same (phi0, phi1), and hashed as
-    that pair."""
+class CircleArc(Value):
+    """Boundary arc 0 <= phi0 < phi1 <= 2*pi (proper: phi1 - phi0 < 2*pi)."""
 
     __slots__ = ("phi0", "phi1")
 
@@ -44,17 +42,6 @@ class CircleArc:
             raise ValueError("arc must be proper")
         self.phi0 = phi0
         self.phi1 = phi1
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.phi0, self.phi1) == (other.phi0, other.phi1)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.phi0, self.phi1))
-
-    def __repr__(self) -> str:
-        return f"CircleArc(phi0={self.phi0!r}, phi1={self.phi1!r})"
 
 
 def _angles(arc) -> tuple[float, float]:

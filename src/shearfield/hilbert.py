@@ -25,7 +25,7 @@ import math
 from itertools import takewhile
 from typing import NamedTuple
 
-from .farey import FareyEdge, edge_neighbors, in_ccw_arc
+from .farey import FareyEdge, Value, edge_neighbors, in_ccw_arc
 
 
 def _xlogx(t: float) -> float:
@@ -237,11 +237,9 @@ def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
 # quadrilaterals and the recovery bracket
 # ---------------------------------------------------------------------------
 
-class Quadrilateral:
+class Quadrilateral(Value):
     """Ideal quadrilateral (a, b, c, d) in counterclockwise order with
-    diagonal (b, d); a and c are the off-diagonal vertices.  Equal only to
-    a Quadrilateral with the same vertices, and hashed as the tuple
-    (a, b, c, d)."""
+    diagonal (b, d); a and c are the off-diagonal vertices."""
 
     __slots__ = ("a", "b", "c", "d")
 
@@ -260,19 +258,6 @@ class Quadrilateral:
         if not (in_ccw_arc(a, b, c) and in_ccw_arc(c, d, a)):
             raise ValueError("vertices are not in counterclockwise order "
                              "(a, b, c, d)")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.a, self.b, self.c, self.d)
-                    == (other.a, other.b, other.c, other.d))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
-    def __repr__(self) -> str:
-        return (f"Quadrilateral(a={self.a!r}, b={self.b!r}, c={self.c!r}, "
-                f"d={self.d!r})")
 
     def points(self) -> tuple[float, float, float, float]:
         return tuple(float(p) for p in (self.a, self.b, self.c, self.d))

@@ -307,6 +307,42 @@ def test_wp_pair_cusp_violation_exit(tmp_path, capsys):
     assert diag["field"] == "t1"
 
 
+@pytest.mark.parametrize("t1", ["100000000.1,-100000000.3,0.2",
+                                "100.0000001,-100.0000003,0.0000002"])
+def test_wp_pair_accepts_decimal_triple_summing_to_zero(capsys, t1):
+    """The float sum of the first triple is -3e-9: zero to rounding at its
+    scale, so the cusp condition holds."""
+    assert run(["wp", "pair", "--depth", "2", "--t1", t1]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["data"]["t1"] == [float(v) for v in t1.split(",")]
+
+
+_BEYOND_FLOAT = 10 ** 400           # an integer beyond the float range
+
+
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "shear", "--edge", f"{_BEYOND_FLOAT},1,1,0"],
+    ["field", "eval", "--window", str(10 * _BEYOND_FLOAT)],
+    ["hilbert", "eval", "--window", str(10 * _BEYOND_FLOAT)],
+    ["hilbert", "shear", "--window", str(10 * _BEYOND_FLOAT)],
+    ["fourier", "--window", str(10 * _BEYOND_FLOAT)],
+], ids=["edge", "field", "hilbert-eval", "hilbert-shear", "fourier"])
+def test_end_beyond_float_range_exits_with_diagnostic(tmp_path, capsys,
+                                                      argv):
+    """An edge end of 10^400, given by --edge or kept in the window of the
+    fan at oo, overflows float conversion: exit 1 with the one-line JSON
+    diagnostic, nothing on stdout."""
+    edge = [{"p": [_BEYOND_FLOAT, 1], "q": [1, 0], "value": 0.5}]
+    if "--edge" in argv:
+        edge = [{"p": [0, 1], "q": [1, 0], "value": 0.5}]
+    path = write_shears(tmp_path, edge)
+    assert run([*argv, "--shears", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["field"] == ""
+
+
 def test_wp_pair_negative_triple_as_separate_argument(capsys):
     attached = ["wp", "pair", "--depth", "3", "--t1=-3,2,1", "--t2=1,-2,1"]
     separate = ["wp", "pair", "--depth", "3", "--t1", "-3,2,1",

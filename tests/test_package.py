@@ -2,6 +2,8 @@
 
 import importlib
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -16,13 +18,11 @@ from shearfield.torus import TangentShear
 # the names `shearfield` exports, by the module that defines them
 EXPORTS = {
     "farey": ["ExtRational", "FareyEdge", "IntegerMoebius", "INFINITY",
-              "apply_moebius", "enumerate_vertices", "fan_edge", "fan_edges",
-              "fan_index", "fan_moebius", "farey_order", "farey_parents",
-              "in_ccw_arc", "mediant", "oriented_edge"],
-    "fields": ["FieldExpr", "HalfTerm", "ShearFunction", "ZygmundReport",
-               "assemble_field", "edge_ends", "elementary_eval",
-               "fan_field_eval", "halved_terms", "normalize_at",
-               "partial_sum_diag", "qs_ratio", "tail_bound", "tip_field",
+              "enumerate_vertices", "fan_edges", "fan_index", "fan_moebius",
+              "farey_order", "in_ccw_arc", "mediant", "oriented_edge"],
+    "fields": ["FieldExpr", "ShearFunction", "assemble_field", "edge_ends",
+               "elementary_eval", "fan_field_eval", "halved_terms",
+               "normalize_at", "tail_bound", "tip_field",
                "zygmund_condition_sup", "zygmund_quotient_sup"],
     "fourier": ["CircleArc", "circle_elementary_eval", "edge_to_arc",
                 "elementary_fourier", "field_fourier",
@@ -33,9 +33,15 @@ EXPORTS = {
                 "hilbert_series_eval", "hilbert_shear_series",
                 "shear_recover"],
     "moebius": ["geodesic_cosh_distance"],
-    "torus": ["TangentShear", "cusp_condition_check",
-              "invariant_hilbert_shear", "lift_edges", "thurston_form",
-              "wp_gram", "wp_pairing"],
+    "torus": ["TangentShear", "cusp_condition_check", "lift_edges",
+              "thurston_form", "wp_gram", "wp_pairing"],
+}
+
+# exports that only tests call, each with the test that holds the package
+# to it as an independent reference
+REFERENCES = {
+    "elementary_eval": "test_fields.py::test_field_table_matches_definition",
+    "tip_field": "test_halved_terms.py::test_term_list_matches_per_tip_sums",
 }
 
 
@@ -55,6 +61,30 @@ def test_root_unknown_name_raises_attribute_error():
     assert not hasattr(shearfield, "enumerate_edges")   # never exported
     from shearfield import farey      # submodules still import by name
     assert farey.ExtRational is ExtRational
+
+
+def test_every_export_is_used_outside_its_module():
+    """Each exported name appears, as a word, in another package module, a
+    demo or the acceptance tests: the package exports what a command, a
+    demo or an acceptance criterion runs, and the references above."""
+    root = Path(__file__).resolve().parent.parent
+    package = root / "src" / "shearfield"
+    users = [*package.glob("*.py"), *(root / "demos").glob("*.py"),
+             root / "tests" / "test_acceptance.py"]
+    texts = {path: path.read_text() for path in users}
+    unused = []
+    for module, names in shearfield._EXPORTS.items():
+        own = package / f"{module}.py"
+        for name in names:
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(word.search(text) for path, text in texts.items()
+                       if path not in (own, package / "__init__.py")):
+                unused.append(name)
+    assert sorted(unused) == sorted(REFERENCES)
+    for name, test in REFERENCES.items():
+        path, func = test.split("::")
+        text = (root / "tests" / path).read_text()
+        assert f"def {func}(" in text and re.search(rf"\b{name}\b", text)
 
 
 # instance, its field tuple, its repr (as the dataclasses printed them)
