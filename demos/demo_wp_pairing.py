@@ -11,8 +11,8 @@ definite.
 
 import numpy as np
 
-from shearfield import (TangentShear, cusp_condition_check, lift_edges,
-                        thurston_form, wp_gram, wp_pairing)
+from shearfield import (cusp_condition_check, lift_edges, thurston_form,
+                        wp_gram, wp_pairing)
 from shearfield.torus import EDGES
 
 print("quotient edges (fundamental representatives):")
@@ -22,8 +22,8 @@ for j, e in enumerate(EDGES):
 print("\nlifted edge counts by word length:",
       [len(lift_edges(d)) for d in range(4)])
 
-t1 = TangentShear(1.0, -1.0, 0.0)
-t2 = TangentShear(0.0, 1.0, -1.0)
+t1 = (1.0, -1.0, 0.0)
+t2 = (0.0, 1.0, -1.0)
 print(f"\ncusp condition holds for both basis vectors: "
       f"{cusp_condition_check(t1)}, {cusp_condition_check(t2)}")
 print(f"corner form i(t1, t2) = {thurston_form(t1, t2)} "

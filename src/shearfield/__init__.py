@@ -31,8 +31,8 @@ _EXPORTS = {
                 "hilbert_series_eval", "hilbert_shear_series",
                 "shear_recover"),
     "moebius": ("geodesic_cosh_distance",),
-    "torus": ("TangentShear", "cusp_condition_check", "lift_edges",
-              "thurston_form", "wp_gram", "wp_pairing"),
+    "torus": ("cusp_condition_check", "lift_edges", "thurston_form",
+              "wp_gram", "wp_pairing"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items()
           for name in names}

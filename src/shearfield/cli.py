@@ -142,13 +142,12 @@ def _parse_edge_arg(text: str) -> FareyEdge:
         raise CliError(f"bad edge '{text}': {exc}", "edge")
 
 
-def _parse_triple(text: str, name: str) -> TangentShear:
-    from .torus import TangentShear
+def _parse_triple(text: str, name: str) -> tuple:
     try:
         vals = [float(v) for v in text.split(",")]
         if len(vals) != 3:
             raise ValueError("need three numbers")
-        return TangentShear(*vals)
+        return tuple(vals)
     except ValueError as exc:
         raise CliError(f"bad {name} '{text}': {exc}", name)
 
@@ -256,8 +255,8 @@ def cmd_field(args) -> int:
 
 def cmd_zygmund(args) -> int:
     from .fields import zygmund_condition_sup
-    if args.window > MAX_ZYGMUND_WINDOW:
-        raise CliError(f"window must be at most {MAX_ZYGMUND_WINDOW}",
+    if not 1 <= args.window <= MAX_ZYGMUND_WINDOW:
+        raise CliError(f"window must be between 1 and {MAX_ZYGMUND_WINDOW}",
                        "window")
     sdot = parse_shear_file(args.shears)
     report = zygmund_condition_sup(sdot, sdot.support_tips(), args.window)
@@ -307,13 +306,13 @@ def cmd_fourier(args) -> int:
     from .farey import INFINITY, ONE, ZERO, ExtRational
     from .fields import halved_terms
     from .fourier import fourier_coefficients
-    sdot = parse_shear_file(args.shears)
     lo, hi = args.n_min, args.n_max
     if hi < lo:
         raise CliError("need --n-max >= --n-min", "n")
     if hi - lo >= MAX_FOURIER_COEFFICIENTS:
         raise CliError(f"--n-min..--n-max may span at most "
                        f"{MAX_FOURIER_COEFFICIENTS} coefficients", "n-max")
+    sdot = parse_shear_file(args.shears)
     coefficients = fourier_coefficients(
         halved_terms(sdot, args.max_order, args.window), range(lo, hi + 1))
     rows = [(n, c.real, c.imag) for n, c in enumerate(coefficients, lo)]
@@ -342,7 +341,7 @@ def cmd_wp(args) -> int:
                                f"(components must sum to 0)", name)
         values = wp_pairing(t1, t2, args.depth)
         prev = values[-2] if args.depth > 1 else None
-        data = {"t1": list(t1.values), "t2": list(t2.values),
+        data = {"t1": list(t1), "t2": list(t2),
                 "value": values[-1], "value_prev_depth": prev}
     else:
         grams = wp_gram(args.depth)

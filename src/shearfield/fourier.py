@@ -44,16 +44,9 @@ class CircleArc(Value):
         self.phi1 = phi1
 
 
-def _angles(arc) -> tuple[float, float]:
-    if isinstance(arc, CircleArc):
-        return arc.phi0, arc.phi1
-    phi0, phi1 = arc
-    return float(phi0), float(phi1)
-
-
-def circle_elementary_eval(arc, z: complex) -> complex:
+def circle_elementary_eval(arc: CircleArc, z: complex) -> complex:
     """Elementary circle field at a unit-modulus point (0 off the arc)."""
-    phi0, phi1 = _angles(arc)
+    phi0, phi1 = arc.phi0, arc.phi1
     arg = cmath.phase(z) % TWO_PI
     if not (phi0 < arg < phi1):
         return 0j
@@ -68,13 +61,11 @@ def _freq_factor(m: int, phi0: float, phi1: float) -> complex:
     return (cmath.exp(1j * m * phi1) - cmath.exp(1j * m * phi0)) / (1j * m)
 
 
-def _arc_fourier(arc, ns) -> list[complex]:
+def _arc_fourier(arc: CircleArc, ns) -> list[complex]:
     """Closed-form coefficients of the elementary field of an arc at each n
     of the list ns, from one table: w0, w1 and _freq_factor(m) for each
     m in {2 - n, 1 - n, -n} are computed once and serve every n."""
-    phi0, phi1 = _angles(arc)
-    if phi0 == phi1:
-        return [0j] * len(ns)
+    phi0, phi1 = arc.phi0, arc.phi1
     w0, w1 = cmath.exp(1j * phi0), cmath.exp(1j * phi1)
     s, p, d = w0 + w1, w0 * w1, TWO_PI * (w0 - w1)
     f = {m: _freq_factor(m, phi0, phi1)
@@ -82,13 +73,10 @@ def _arc_fourier(arc, ns) -> list[complex]:
     return [(f[2 - n] - s * f[1 - n] + p * f[-n]) / d for n in ns]
 
 
-def elementary_fourier(arc, n: int) -> complex:
-    """Closed-form n-th coefficient of the elementary field of an arc.
-
-    The three singular frequencies n = 2, 1, 0 take the exact limit of their
-    respective factor (the arc length).  A degenerate arc (given as a raw
-    pair with phi0 == phi1) has the zero field, hence coefficient 0.
-    """
+def elementary_fourier(arc: CircleArc, n: int) -> complex:
+    """Closed-form n-th coefficient of the elementary field of an arc; at
+    the singular frequencies n = 2, 1, 0 a factor takes its exact limit,
+    the arc length."""
     return _arc_fourier(arc, [n])[0]
 
 
@@ -106,8 +94,6 @@ def fourier_quadrature_oracle(V, n: int, breakpoints=()) -> complex:
 
     total = 0j
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi <= lo:
-            continue
         total += quad(integrand, lo, hi, 1e-13, 1e-13, limit=300)[0]
     return total / TWO_PI
 

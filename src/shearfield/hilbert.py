@@ -118,12 +118,14 @@ def closed_hilbert_field(F: FieldExpr):
 # ---------------------------------------------------------------------------
 
 # Excision schedule and quadrature budget of the oracle.  The excision
-# radius starts at PV_EPS0 and is halved PV_HALVINGS times with the same
-# radius applied symmetrically at every pole of the integrand; the excised
-# integrals are Richardson-extrapolated twice (error model c1*eps + c2*eps^2
-# + ...).  Beyond PV_TAIL_RADIUS the integrand is mapped through xi -> 1/u
-# and the two tails are integrated jointly, which both bounds and evaluates
-# the o(R^-alpha) remainder exactly up to quadrature tolerance.
+# radius starts at PV_EPS0, or at a quarter of the closest two poles' gap
+# if less (so no strips overlap), and is halved PV_HALVINGS times with the
+# same radius applied symmetrically at every pole of the integrand; the
+# excised integrals are Richardson-extrapolated twice (error model
+# c1*eps + c2*eps^2 + ...).  Beyond PV_TAIL_RADIUS the integrand is mapped
+# through xi -> 1/u and the two tails are integrated jointly, which both
+# bounds and evaluates the o(R^-alpha) remainder exactly up to quadrature
+# tolerance.
 PV_EPS0 = 1e-2
 PV_HALVINGS = 8
 PV_TAIL_RADIUS = 1e3
@@ -192,7 +194,9 @@ def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
             total += val
         return total
 
-    eps_list = [PV_EPS0 * 0.5 ** k for k in range(PV_HALVINGS + 1)]
+    eps0 = min([PV_EPS0] + [0.25 * (q - p)
+                            for p, q in zip(poles, poles[1:])])
+    eps_list = [eps0 * 0.5 ** k for k in range(PV_HALVINGS + 1)]
 
     # widest excision once, then add back strips as eps shrinks
     def excised(eps: float) -> list[tuple[float, float]]:
@@ -230,7 +234,7 @@ def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
     tail, _ = quad(tails, 1e-12, 1.0 / R, PV_QUAD_TOL, PV_QUAD_TOL,
                    limit=200)
 
-    return -(r2[-1] + tail) / math.pi
+    return 0.0 - (r2[-1] + tail) / math.pi      # +0.0, not -0.0, at zero
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +255,7 @@ class Quadrilateral(Value):
         pts = self.points()
         if len({p for p in pts}) != 4:
             raise ValueError("quadrilateral needs four distinct points")
-        inf_count = sum(1 for p in pts if math.isinf(p))
-        if inf_count > 1:
+        if len([p for p in pts if math.isinf(p)]) > 1:
             raise ValueError("at most one vertex may be infinite")
         a, b, c, d = pts
         if not (in_ccw_arc(a, b, c) and in_ccw_arc(c, d, a)):
@@ -301,26 +304,21 @@ def bracket_plan(Q: Quadrilateral) -> BracketPlan:
     When one vertex is infinite, the two terms containing it converge
     jointly; the limit is the quadratic coefficient (= lim V(x)/x^2) times
     the difference of the other diagonal's endpoints, zero for normalized
-    fields.
+    fields.  So the plan keeps the quotients (b, c), (a, d) as plus and
+    (a, b), (c, d) as minus, less any with an infinite end, and an infinite
+    vertex in slot i of (a, b, c, d) gives the span (d-b, c-a, b-d, a-c)[i].
     """
     a, b, c, d = pts = Q.points()
 
-    def quo(u, v):
-        return (u, v, v - u)
+    def quotients(*pairs):
+        return tuple((u, v, v - u) for u, v in pairs
+                     if not (math.isinf(u) or math.isinf(v)))
 
-    infs = [i for i, p in enumerate(pts) if math.isinf(p)]
-    if not infs:
-        return BracketPlan(pts, (quo(b, c), quo(a, d)),
-                           (quo(a, b), quo(c, d)), None)
-    i = infs[0]
-    finite = pts[:i] + pts[i + 1:]
-    if i == 0:
-        return BracketPlan(finite, (quo(b, c),), (quo(c, d),), d - b)
-    if i == 1:
-        return BracketPlan(finite, (quo(a, d),), (quo(c, d),), c - a)
-    if i == 2:
-        return BracketPlan(finite, (quo(a, d),), (quo(a, b),), b - d)
-    return BracketPlan(finite, (quo(b, c),), (quo(a, b),), a - c)
+    infinite = [i for i, p in enumerate(pts) if math.isinf(p)]
+    span = (d - b, c - a, b - d, a - c)[infinite[0]] if infinite else None
+    return BracketPlan(tuple(p for p in pts if not math.isinf(p)),
+                       quotients((b, c), (a, d)), quotients((a, b), (c, d)),
+                       span)
 
 
 def bracket_values(plan: BracketPlan, columns,

@@ -3,8 +3,8 @@
 The once-punctured torus is uniformized by the commutator subgroup of the
 modular group, a free group of rank two; the Farey tessellation descends to
 an ideal triangulation with two triangles, three edges and a single cusp
-where every edge ends twice.  Tangent vectors to its deformation space are
-triples of edge shears summing to zero (the cusp condition).
+where every edge ends twice.  A tangent vector to its deformation space is a
+float sequence of the three edge shears summing to zero (the cusp condition).
 
 The surface is three constants: the fundamental edges (the sides of the
 base triangle), the two triangles' slot order, and the two generators of
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 
 from .farey import (ExtRational, FareyEdge, IDENTITY, INFINITY, IntegerMoebius,
-                    ONE, ZERO, Value, oriented_edge)
+                    ONE, ZERO, oriented_edge)
 from .hilbert import bracket_plan, edge_quadrilateral, edge_weights
 
 # most words _weight_matrices holds before it evaluates them, so its batches
@@ -94,26 +94,13 @@ def edge_class(edge: FareyEdge) -> int:
 # tangent vectors and lifts
 # ---------------------------------------------------------------------------
 
-class TangentShear(Value):
-    """Shear triple on the quotient edges; tangent vectors satisfy the cusp
-    condition that all six edge ends at the puncture sum to zero."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, v0, v1, v2):
-        self.values = (float(v0), float(v1), float(v2))
-
-    def __getitem__(self, j):
-        return self.values[j]
-
-
 def cusp_condition_check(t) -> bool:
     """True iff the doubled shear sum at the cusp vanishes: to 1e-12, or to
     2^-50 times the shears' summed magnitude where that is larger, a few
     units of rounding of the sum and of the shears' decimal input.  So a
     triple that sums to zero as decimals passes at any scale."""
     total = mass = 0.0
-    for v in t.values if isinstance(t, TangentShear) else t:
+    for v in t:
         total += float(v)
         mass += abs(float(v))
     return abs(2.0 * total) < max(1e-12, 2.0 ** -50 * mass)
@@ -206,15 +193,15 @@ def _weight_matrices(depth: int) -> list:
     return shells + [W]
 
 
-def _transform(W: list, t: TangentShear) -> TangentShear:
-    """W t / pi, each row summed left to right."""
+def _transform(W: list, t) -> tuple:
+    """W t / pi for a shear sequence t, each row summed left to right."""
     out = []
     for row in W:
         total = 0.0
-        for w, v in zip(row, t.values):
+        for w, v in zip(row, t):
             total += w * v
         out.append(total / math.pi)
-    return TangentShear(*out)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +211,16 @@ def _transform(W: list, t: TangentShear) -> TangentShear:
 def thurston_form(t1, t2) -> float:
     """Antisymmetric corner form: half the sum over triangle corners of the
     cross products of consecutive edge weights in the cyclic slot order."""
-    v1 = t1.values if isinstance(t1, TangentShear) else tuple(t1)
-    v2 = t2.values if isinstance(t2, TangentShear) else tuple(t2)
     total = 0.0
     for slots in TRIANGLES:
         k = len(slots)
         for i in range(k):
             e, e2 = slots[i], slots[(i + 1) % k]
-            total += v1[e] * v2[e2] - v1[e2] * v2[e]
+            total += t1[e] * t2[e2] - t1[e2] * t2[e]
     return 0.5 * total
 
 
-def wp_pairing(t1: TangentShear, t2: TangentShear, depth: int) -> list:
+def wp_pairing(t1, t2, depth: int) -> list:
     """Weil-Petersson pairing at every depth 0..depth, from one walk: twice
     the corner form of the first vector against the transformed shears of
     the second."""
@@ -251,7 +236,7 @@ def wp_gram(depth: int) -> list:
     one walk.  The eigenvalues, ascending, are those of the symmetrized
     Gram [[p, m], [m, s]], m the mean of the two off-diagonal entries:
     (p + s)/2 -+ hypot((p - s)/2, m)."""
-    basis = [TangentShear(1.0, -1.0, 0.0), TangentShear(0.0, 1.0, -1.0)]
+    basis = [(1.0, -1.0, 0.0), (0.0, 1.0, -1.0)]
     out = []
     for d, W in enumerate(_weight_matrices(depth)):
         hs = [_transform(W, b) for b in basis]
@@ -259,7 +244,7 @@ def wp_gram(depth: int) -> list:
         (p, g01), (g10, s) = gram
         mean = 0.5 * (p + s)
         radius = math.hypot(0.5 * (p - s), 0.5 * (g01 + g10))
-        out.append({"basis": [list(b.values) for b in basis],
+        out.append({"basis": [list(b) for b in basis],
                     "gram": gram,
                     "eigenvalues": [mean - radius, mean + radius],
                     "depth": d})

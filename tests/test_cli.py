@@ -103,6 +103,7 @@ def test_integer_value_accepted(tmp_path):
     ('{"edges": [{"p": ["0", 1], "q": [1, 0], "value": 1}]}', "edges[0]"),
     ('{"edges": [{"p": [0, 1, 1], "q": [1, 0], "value": 1}]}', "edges[0]"),
     ('{"edges": [{"p": 0, "q": [1, 0], "value": 1}]}', "edges[0]"),
+    ('{"edges": [{"p": [0, 0], "q": [1, 0], "value": 1}]}', "edges[0]"),
 ])
 def test_malformed_entry_rejected(tmp_path, capsys, doc, field):
     path = tmp_path / "shears.json"
@@ -402,6 +403,7 @@ def test_grid_end_in_exponent_form_as_separate_argument(tmp_path, capsys):
     (["hilbert", "eval", "--shears", "s.json", "--edge", "1,2,3,4"], "edge"),
     (["wp", "gram", "--t1", "1,2,3"], "t1"),
     (["wp", "gram", "--t2=1,2,3"], "t2"),
+    (["wp", "pair", "--t1", "1,2"], "t1"),
 ])
 def test_usage_error_is_one_json_line(capsys, argv, field):
     assert run(argv) == 2
@@ -523,6 +525,21 @@ def test_shear_file_stdout_golden_bytes(tmp_path, capsys, command, argv,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["farey", "edges", "--max-order", "2", "--format", "json"],
+     '{"data":[[1,0,0,1],[0,1,1,1],[1,1,1,0],[1,0,-1,1],[-1,1,0,1]],'
+     '"meta":{"max_order":2,"version":"0.1.0"}}\n'),
+    # one sample is the one row at --from
+    (["field", "eval", "--from", "0.5", "--to", "2", "--samples", "1"],
+     "x,value\n0.5,0\n"),
+], ids=["farey-edges-json", "field-one-sample"])
+def test_stdout_exact_bytes(tmp_path, capsys, argv, want):
+    if argv[0] != "farey":
+        argv = argv + ["--shears", write_shears(tmp_path, [])]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_farey_commands(tmp_path):
     out = tmp_path / "v.csv"
     assert run(["farey", "vertices", "--max-order", "3",
@@ -620,10 +637,12 @@ def test_writers_refuse_non_finite_values(tmp_path, capsys, fmt):
      "samples"),
     (["zygmund", "check", "--window", "201"], "zygmund_condition_sup",
      "window"),
-    (["fourier", "--n-min", "-5000", "--n-max", "5000"], "field_fourier",
+    (["fourier", "--n-min", "-5000", "--n-max", "5000"], "parse_shear_file",
      "n-max"),
     (["hilbert", "shear", "--max-order", "10001"], "parse_shear_file",
      "max-order"),
+    (["zygmund", "check", "--window", "0"], "parse_shear_file", "window"),
+    (["fourier", "--n-min", "3", "--n-max", "2"], "parse_shear_file", "n"),
 ])
 def test_size_beyond_limit_rejected(tmp_path, monkeypatch, capsys, argv,
                                     patched, field):
@@ -631,7 +650,7 @@ def test_size_beyond_limit_rejected(tmp_path, monkeypatch, capsys, argv,
     # replaced in the module that defines it
     owner = {"enumerate_edges": "farey", "enumerate_vertices": "farey",
              "assemble_field": "fields", "hilbert_series_eval": "hilbert",
-             "zygmund_condition_sup": "fields", "field_fourier": "fourier",
+             "zygmund_condition_sup": "fields",
              "parse_shear_file": "cli"}[patched]
 
     def no_work(*args):

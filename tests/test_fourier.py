@@ -33,11 +33,6 @@ def test_circle_elementary_examples():
         pytest.approx(-1.0)
 
 
-def test_elementary_fourier_degenerate_arc():
-    for n in range(-5, 6):
-        assert elementary_fourier((1.0, 1.0), n) == 0
-
-
 def test_elementary_fourier_singular_branches():
     arc = CircleArc(0.4, 2.1)
     for n in (0, 1, 2):

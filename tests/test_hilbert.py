@@ -8,8 +8,8 @@ from shearfield.farey import (ExtRational, INFINITY, ONE, ZERO,
                               enumerate_edges, oriented_edge)
 from shearfield.fields import (FieldExpr, ShearFunction, assemble_field,
                                edge_ends, halved_terms)
-from shearfield.hilbert import (PVConvergenceError, Quadrilateral,
-                                bracket_plan, bracket_values,
+from shearfield.hilbert import (BracketPlan, PVConvergenceError,
+                                Quadrilateral, bracket_plan, bracket_values,
                                 closed_hilbert_field, delta_weight,
                                 delta_weight_hyperbolic, edge_quadrilateral,
                                 edge_weights, elementary_hilbert,
@@ -153,6 +153,25 @@ def test_oracle_raises_when_the_extrapolation_does_not_settle():
     assert exc.value.residual == pytest.approx(math.log(2.0), rel=1e-9)
 
 
+@pytest.mark.parametrize("x", [0.012, 0.008, 0.005, 0.001, 0.995, -0.005,
+                               1e-6])
+def test_oracle_separates_close_poles(x):
+    """V(0) = V(1) = 2/3, so 0 and 1 are poles beside x; within 0.02 of
+    either, strips of the common first radius 0.01 would overlap."""
+    V = FieldExpr([(1.0, (-1.0, 2.0))])
+    got = hilbert_pv_oracle(V, x)
+    # measured 2.1e-9
+    assert abs(got - elementary_hilbert((-1.0, 2.0), x)) < 1e-8
+
+
+@pytest.mark.parametrize("x", [0.0, 1.0])
+def test_oracle_zero_at_0_and_1_is_positive(x):
+    """The kernel vanishes at 0 and 1; the oracle's zero there prints as
+    0, as the closed form's does, not as -0."""
+    for V in (FieldExpr([(1.0, (-1.0, 2.0))]), FieldExpr([(1.0, (2.0, 3.0))])):
+        assert math.copysign(1.0, hilbert_pv_oracle(V, x)) == 1.0
+
+
 def test_oracle_config_validation():
     with pytest.raises(ValueError):
         hilbert_pv_oracle(FieldExpr([]), 0.5, tolerance=float("nan"))
@@ -231,6 +250,27 @@ def test_edge_quadrilateral_neighbors():
     e2 = oriented_edge(ZERO, ONE)
     Q2 = edge_quadrilateral(e2)
     assert Q2.points() == (INF, 0.0, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("points, plan", [
+    ((-2.0, 0.0, 1.0, 3.0),
+     ((-2.0, 0.0, 1.0, 3.0), ((0.0, 1.0, 1.0), (-2.0, 3.0, 5.0)),
+      ((-2.0, 0.0, 2.0), (1.0, 3.0, 2.0)), None)),
+    ((INF, -2.0, 0.0, 1.0),
+     ((-2.0, 0.0, 1.0), ((-2.0, 0.0, 2.0),), ((0.0, 1.0, 1.0),), 3.0)),
+    ((1.0, INF, -2.0, 0.0),
+     ((1.0, -2.0, 0.0), ((1.0, 0.0, -1.0),), ((-2.0, 0.0, 2.0),), -3.0)),
+    ((0.0, 1.0, INF, -2.0),
+     ((0.0, 1.0, -2.0), ((0.0, -2.0, -2.0),), ((0.0, 1.0, 1.0),), 3.0)),
+    ((-2.0, 0.0, 1.0, INF),
+     ((-2.0, 0.0, 1.0), ((0.0, 1.0, 1.0),), ((-2.0, 0.0, 2.0),), -3.0)),
+], ids=["finite", "a", "b", "c", "d"])
+def test_bracket_plan_per_infinite_slot(points, plan):
+    """The plan for no infinite vertex and for oo in each slot: the plus
+    quotients (b, c), (a, d) and the minus quotients (a, b), (c, d) less
+    those with an infinite end, and the span (d-b, c-a, b-d, a-c)[i] for
+    oo in slot i.  edge_quadrilateral never puts oo in slot c."""
+    assert bracket_plan(Quadrilateral(*points)) == BracketPlan(*plan)
 
 
 def _four_point_bracket(plan, values, quadratic_coefficient):

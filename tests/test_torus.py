@@ -7,11 +7,10 @@ import shearfield.torus
 from shearfield.farey import (INFINITY, ExtRational, IntegerMoebius, ONE,
                               ZERO, enumerate_edges, oriented_edge)
 from shearfield.hilbert import delta_weight, edge_quadrilateral
-from shearfield.torus import (EDGES, GENERATORS, TRIANGLES, TangentShear,
-                              _reduced_words, _transform, _vertex_images,
-                              _weight_matrices, cusp_condition_check,
-                              edge_class, lift_edges, thurston_form,
-                              wp_gram, wp_pairing)
+from shearfield.torus import (EDGES, GENERATORS, TRIANGLES, _reduced_words,
+                              _transform, _vertex_images, _weight_matrices,
+                              cusp_condition_check, edge_class, lift_edges,
+                              thurston_form, wp_gram, wp_pairing)
 
 RNG = np.random.default_rng(31)
 
@@ -159,7 +158,7 @@ def _per_lift_shear_vector(t, depth):
 def test_hilbert_shear_vector_matches_per_lift_sum(depth):
     """Every shell of the one walk gives the transformed shear vector
     W t / pi of its own per-lift loop."""
-    t = TangentShear(1.0, 0.5, -1.5)
+    t = (1.0, 0.5, -1.5)
     shells = _weight_matrices(depth)
     assert len(shells) == depth + 1
     for d, W in enumerate(shells):
@@ -226,45 +225,43 @@ def test_vertex_images_equal_exact_images_bitwise():
 
 
 def test_thurston_form_structure():
-    t1 = TangentShear(1.0, -1.0, 0.0)
-    t2 = TangentShear(0.0, 1.0, -1.0)
+    t1 = (1.0, -1.0, 0.0)
+    t2 = (0.0, 1.0, -1.0)
     assert thurston_form(t1, t1) == 0.0
     assert thurston_form(t1, t2) == -thurston_form(t2, t1)
     assert thurston_form(t1, t2) != 0.0
     # bilinear
-    t3 = TangentShear(0.4, 0.1, -0.5)
-    lhs = thurston_form(t1, TangentShear(*(2 * a + b for a, b in
-                                           zip(t2.values, t3.values))))
+    t3 = (0.4, 0.1, -0.5)
+    lhs = thurston_form(t1, tuple(2 * a + b for a, b in zip(t2, t3)))
     rhs = 2 * thurston_form(t1, t2) + thurston_form(t1, t3)
     assert lhs == pytest.approx(rhs, abs=1e-14)
 
 
 def test_thurston_nondegenerate_on_cusp_subspace():
-    u1 = TangentShear(1.0, -1.0, 0.0)
-    u2 = TangentShear(0.0, 1.0, -1.0)
+    u1 = (1.0, -1.0, 0.0)
+    u2 = (0.0, 1.0, -1.0)
     assert abs(thurston_form(u1, u2)) == pytest.approx(3.0)
 
 
 def test_wp_pairing_zero_and_bilinearity():
-    t1 = TangentShear(1.0, -1.0, 0.0)
-    zero = TangentShear(0.0, 0.0, 0.0)
+    t1 = (1.0, -1.0, 0.0)
+    zero = (0.0, 0.0, 0.0)
     assert wp_pairing(t1, zero, 4) == [0.0] * 5
-    t2 = TangentShear(0.0, 1.0, -1.0)
-    t3 = TangentShear(1.0, 1.0, -2.0)
-    lhs = wp_pairing(t1, TangentShear(*(x + 0.5 * y for x, y in
-                                        zip(t2.values, t3.values))), 4)[-1]
+    t2 = (0.0, 1.0, -1.0)
+    t3 = (1.0, 1.0, -2.0)
+    lhs = wp_pairing(t1, tuple(x + 0.5 * y for x, y in zip(t2, t3)), 4)[-1]
     rhs = wp_pairing(t1, t2, 4)[-1] + 0.5 * wp_pairing(t1, t3, 4)[-1]
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
 def test_wp_pairing_rejects_cusp_violation():
     with pytest.raises(ValueError):
-        wp_pairing(TangentShear(1.0, 0.0, 0.0), TangentShear(0, 1, -1), 3)
+        wp_pairing((1.0, 0.0, 0.0), (0, 1, -1), 3)
 
 
 def test_wp_symmetry_at_depth():
-    t1 = TangentShear(1.0, -1.0, 0.0)
-    t2 = TangentShear(0.0, 1.0, -1.0)
+    t1 = (1.0, -1.0, 0.0)
+    t2 = (0.0, 1.0, -1.0)
     v12 = wp_pairing(t1, t2, 6)[-1]
     v21 = wp_pairing(t2, t1, 6)[-1]
     assert abs(v12 - v21) <= 1e-3 * max(abs(v12), abs(v21))
@@ -313,8 +310,8 @@ def test_wp_gram_symmetric_point_structure():
 def test_one_walk_gives_every_depth():
     """Entry k of a depth-6 call equals the last entry of a depth-k call:
     the shells are snapshotted as they close, not one step early or late."""
-    t1 = TangentShear(-3.0, 2.0, 1.0)
-    t2 = TangentShear(1.0, -2.0, 1.0)
+    t1 = (-3.0, 2.0, 1.0)
+    t2 = (1.0, -2.0, 1.0)
     grams = wp_gram(6)
     pairs = wp_pairing(t1, t2, 6)
     assert len(grams) == len(pairs) == 7
