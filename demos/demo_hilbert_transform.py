@@ -3,9 +3,10 @@
 
 The transform of each elementary field has a closed form (normalized to
 vanish at 0 and 1, growing like x log|x|).  The oracle integrates the
-defining principal value with symmetric excision, Richardson extrapolation,
-and exact tail inversion; agreement is ~1e-10.  Applying the transform
-twice returns the negative of the field, up to a trivial affine part.
+defining principal value with the kernel's poles subtracted by partial
+fractions, and the tails exactly through inversion; agreement here is
+~1e-16.  Applying the transform twice returns the negative of the field,
+up to a trivial affine part.
 """
 
 import numpy as np

@@ -117,38 +117,36 @@ def closed_hilbert_field(F: FieldExpr):
 # principal-value oracle
 # ---------------------------------------------------------------------------
 
-# Excision schedule and quadrature budget of the oracle.  The excision
-# radius starts at PV_EPS0, or at a quarter of the closest two poles' gap
-# if less (so no strips overlap), and is halved PV_HALVINGS times with the
-# same radius applied symmetrically at every pole of the integrand; the
-# excised integrals are Richardson-extrapolated twice (error model
-# c1*eps + c2*eps^2 + ...).  Beyond PV_TAIL_RADIUS the integrand is mapped
-# through xi -> 1/u and the two tails are integrated jointly, which both
-# bounds and evaluates the o(R^-alpha) remainder exactly up to quadrature
-# tolerance.
-PV_EPS0 = 1e-2
-PV_HALVINGS = 8
+# Quadrature budget of the oracle.  Inside PV_TAIL_RADIUS the kernel's poles
+# are subtracted and the bounded remainder is integrated piece by piece;
+# beyond it the integrand is mapped through xi -> 1/u and the two tails are
+# integrated jointly, which both bounds and evaluates the o(R^-alpha)
+# remainder exactly up to quadrature tolerance.
 PV_TAIL_RADIUS = 1e3
 PV_QUAD_TOL = 1e-11
 
 
 class PVConvergenceError(RuntimeError):
     def __init__(self, residual):
-        super().__init__(f"principal-value extrapolation did not settle "
-                         f"(residual {residual:.3e})")
+        super().__init__(f"principal-value quadrature did not settle "
+                         f"(error estimate {residual:.3e})")
         self.residual = residual
 
 
 def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
     """Numerical principal-value Hilbert transform of an evaluable field.
 
-    V must grow strictly slower than quadratically; if it fails to vanish at
-    0 or 1 the kernel poles there are excised symmetrically as well (the
-    principal value still exists for the piecewise-quadratic fields used
-    here).  Raises PVConvergenceError when the excision extrapolation does
-    not settle below the tolerance.  Every piece is integrated by
-    quadrature.quad; a V with a values(xs) method (a FieldExpr) is
-    evaluated at each rule's 21 nodes in one call.
+    V must grow strictly slower than quadratically.  By partial fractions
+    the kernel is (x-1)/xi - x/(xi-1) + 1/(xi-x), the sum of w_a/(xi-a)
+    over the poles a = 0, 1, x.  On [-R, R] the principal value is then
+    the integral of the bounded sum of w_a (V(xi) - V(a))/(xi - a), taken
+    between consecutive breakpoints and poles, plus the closed form
+    sum of w_a V(a) log((R-a)/(R+a)); V need not vanish at 0 or 1.
+    Raises PVConvergenceError when the summed quadrature error estimate
+    does not meet the tolerance, as where V jumps at a pole and no
+    principal value exists.  Every piece is integrated by quadrature.quad;
+    a V with a values(xs) method (a FieldExpr) is evaluated at each rule's
+    21 nodes in one call.
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError("tolerance must be finite and positive")
@@ -168,73 +166,48 @@ def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
         raise ValueError("field grows at least quadratically; "
                          "not in the domain of the transform")
 
-    # the integrand kernel(x, xi) V(xi), kernel = x(x-1) / (xi(xi-1)(xi-x)),
-    # at a list of nodes
     evaluate = getattr(V, "values", None) or (lambda xis: map(V, xis))
+    # (w_a, a, V(a)) for each pole a of the kernel
+    poles = ((x - 1.0, 0.0, V(0.0)), (-x, 1.0, V(1.0)), (1.0, x, V(x)))
+
+    def subtracted(xis: list) -> list:
+        out = []
+        for xi, v in zip(xis, evaluate(xis)):
+            total = 0.0
+            for w, a, va in poles:
+                if xi != a:         # a node rounded onto a pole adds 0
+                    total += w * (v - va) / (xi - a)
+            out.append(total)
+        return out
+
+    value = err = 0.0
+    for w, a, va in poles:
+        value += w * va * math.log((R - a) / (R + a))
+    cuts = sorted({c for c in brk if -R < c < R} | {-R, 0.0, 1.0, x, R})
+    for a, b in zip(cuts, cuts[1:]):
+        piece, e = quad(subtracted, a, b, PV_QUAD_TOL, PV_QUAD_TOL, limit=200)
+        value += piece
+        err += e
+
+    # the integrand kernel(x, xi) V(xi), kernel = x(x-1) / (xi(xi-1)(xi-x)),
+    # beyond R, where it has no pole
     num = x * (x - 1.0)
 
     def f(xis: list) -> list:
         return [num / (xi * (xi - 1.0) * (xi - x)) * v
                 for xi, v in zip(xis, evaluate(xis))]
 
-    poles = [x]
-    for s in (0.0, 1.0):
-        if abs(s - x) > 1e-12 and abs(V(s)) > 1e-13:
-            poles.append(s)
-    poles.sort()
-    cuts = sorted({c for c in brk + [0.0, 1.0] if -R < c < R})
-
-    def integrate(a: float, b: float) -> float:
-        if b <= a:
-            return 0.0
-        inner = [a] + [c for c in cuts if a < c < b] + [b]
-        total = 0.0
-        for u, v in zip(inner[:-1], inner[1:]):
-            val, _ = quad(f, u, v, PV_QUAD_TOL, PV_QUAD_TOL, limit=200)
-            total += val
-        return total
-
-    eps0 = min([PV_EPS0] + [0.25 * (q - p)
-                            for p, q in zip(poles, poles[1:])])
-    eps_list = [eps0 * 0.5 ** k for k in range(PV_HALVINGS + 1)]
-
-    # widest excision once, then add back strips as eps shrinks
-    def excised(eps: float) -> list[tuple[float, float]]:
-        segs, cur = [], -R
-        for p in poles:
-            segs.append((cur, p - eps))
-            cur = p + eps
-        segs.append((cur, R))
-        return segs
-
-    base = 0.0
-    for a, b in excised(eps_list[0]):
-        base += integrate(a, b)
-    vals = [base]
-    for eps_prev, eps in zip(eps_list[:-1], eps_list[1:]):
-        add = 0.0
-        for p in poles:
-            add += integrate(p - eps_prev, p - eps)
-            add += integrate(p + eps, p + eps_prev)
-        base += add
-        vals.append(base)
-
-    r1 = [2.0 * vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
-    r2 = [(4.0 * r1[i + 1] - r1[i]) / 3.0 for i in range(len(r1) - 1)]
-    residual = abs(r2[-1] - r2[-2]) if len(r2) >= 2 else math.inf
-    scale = max(1.0, abs(r2[-1]))
-    if not residual < max(tolerance * 1e3, 1e-12) * scale:
-        raise PVConvergenceError(residual)
-
     def tails(us: list) -> list:
         xis = [1.0 / u for u in us]
         right, left = f(xis), f([-xi for xi in xis])
         return [(fr + fl) / u ** 2 for u, fr, fl in zip(us, right, left)]
 
-    tail, _ = quad(tails, 1e-12, 1.0 / R, PV_QUAD_TOL, PV_QUAD_TOL,
+    tail, e = quad(tails, 1e-12, 1.0 / R, PV_QUAD_TOL, PV_QUAD_TOL,
                    limit=200)
-
-    return 0.0 - (r2[-1] + tail) / math.pi      # +0.0, not -0.0, at zero
+    err += e
+    if not err < max(tolerance * 1e3, 1e-12) * max(1.0, abs(value)):
+        raise PVConvergenceError(err)
+    return 0.0 - (value + tail) / math.pi      # +0.0, not -0.0, at zero
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,22 @@ def test_hilbert_closed_vs_oracle_files(tmp_path):
         assert abs(vc - vo) < 1e-6
 
 
+def test_hilbert_oracle_next_to_the_pole_at_1(tmp_path):
+    """x = 1.005 puts quadrature nodes within an ulp of the kernel's pole
+    at 1, where V(1) = 0: the oracle answers, as the closed form does."""
+    path = write_shears(tmp_path, [{"p": [1, 0], "q": [0, 1], "value": 1.0}])
+    args = ["hilbert", "eval", "--shears", path, "--from", "1.005", "--to",
+            "2", "--samples", "1"]
+    values = {}
+    for mode in ("closed", "oracle"):
+        out = tmp_path / f"{mode}.csv"
+        assert run(args + ["--mode", mode, "--output", str(out)]) == 0
+        (row,) = out.read_text().strip().splitlines()[1:]
+        values[mode] = float(row.split(",")[1])
+    # measured 2.8e-15
+    assert abs(values["oracle"] - values["closed"]) < 1e-9
+
+
 def test_hilbert_shear_subcommand(tmp_path):
     path = write_shears(tmp_path,
                         [{"p": [2, 1], "q": [3, 1], "value": 1.0}])
