@@ -12,16 +12,16 @@ significant digits so reruns are byte-identical.
 
 Each subcommand imports the package modules it runs inside its function,
 so a process loads only those (`farey` loads only `shearfield.farey`).
+The command line is read straight from the option tables below by
+`_Parser`, so the CLI loads no argparse.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
-import re
 import sys
+import types
 
 from . import __version__ as VERSION
 
@@ -53,13 +53,25 @@ class CliError(Exception):
 
 
 def _check_knobs(args) -> None:
-    """Central validation of the numeric knobs shared by the subcommands."""
+    """Central validation of the numeric knobs shared by the subcommands,
+    the grid of `field eval` and `hilbert eval` included: all run before
+    any file is read."""
     if getattr(args, "max_order", 6) < 1:
         raise CliError("max-order must be >= 1", "max-order")
     if getattr(args, "window", 20) < 0:
         raise CliError("window must be >= 0", "window")
-    if getattr(args, "samples", 1) > MAX_SAMPLES:
-        raise CliError(f"samples must be at most {MAX_SAMPLES}", "samples")
+    if hasattr(args, "samples"):
+        lo, hi, n = args.grid_from, args.grid_to, args.samples
+        if not 1 <= n <= MAX_SAMPLES:
+            raise CliError(f"samples must be between 1 and {MAX_SAMPLES}",
+                           "samples")
+        for name, end in (("from", lo), ("to", hi)):
+            if not math.isfinite(end):
+                raise CliError(f"--{name} must be finite", name)
+        if not hi > lo:
+            raise CliError("need --to > --from", "grid")
+        if n > 1 and not math.isfinite((hi - lo) / (n - 1)):
+            raise CliError("grid step --to - --from overflows", "grid")
     tolerance = getattr(args, "tolerance", 1e-8)
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise CliError("tolerance must be finite and positive", "tolerance")
@@ -153,17 +165,11 @@ def _parse_triple(text: str, name: str) -> tuple:
 
 
 def _grid(args) -> list[float]:
+    """The --samples points from --from to --to (checked by _check_knobs)."""
     lo, hi, n = args.grid_from, args.grid_to, args.samples
-    for name, end in (("from", lo), ("to", hi)):
-        if not math.isfinite(end):
-            raise CliError(f"--{name} must be finite", name)
-    if not (hi > lo) or n < 1:
-        raise CliError("need --to > --from and --samples >= 1", "grid")
     if n == 1:
         return [lo]
     step = (hi - lo) / (n - 1)
-    if not math.isfinite(step):
-        raise CliError("grid step --to - --from overflows", "grid")
     return [lo + i * step for i in range(n)]
 
 
@@ -355,7 +361,12 @@ def cmd_wp(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-# every option, as add_argument's keyword arguments
+_DESCRIPTION = ("Shear functions on the Farey tessellation: field evaluation, "
+                "Hilbert transform, Fourier coefficients, Weil-Petersson "
+                "pairing.")
+# every option: its value's type (str when absent), allowed values,
+# default, whether it is required, the attribute it fills (its name without
+# the dashes, - as _, when no dest) and help text
 _OPTIONS = {
     "--shears": {"required": True,
                  "help": "shear JSON file (see module docstring)"},
@@ -404,74 +415,128 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as a CliError (exit 2, one JSON line) instead
-    of printing the usage text; subparsers reuse the class.  A parser made
-    with fill=f gets its arguments from f(parser) when it first parses, so
-    a run builds the options of the command it runs alone."""
-
-    def __init__(self, *args, fill=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._fill = fill
-
-    def parse_known_args(self, args=None, namespace=None):
-        fill, self._fill = self._fill, None
-        if fill is not None:
-            fill(self)
-        return super().parse_known_args(args, namespace)
-
-    def error(self, message):
-        # "argument --depth: ...", "... required: --shears", "unrecognized
-        # arguments: --tolerance 1e-6" or "--tolerance=1e-6": the first
-        # option argparse names
-        named = re.match(r"(?:argument |.*?: )-*([^\s:/,=]+)", message)
-        raise CliError(message, named.group(1) if named else "")
+def _usage_error(message: str, token: str) -> CliError:
+    """A usage error naming the option (or stray token) without dashes."""
+    return CliError(message, token.lstrip("-").partition("=")[0] or "-")
 
 
-def _fill_command(p, func, actions: dict) -> None:
-    """A command's parser: its options, or one subparser per action with
-    only the options that action reads."""
-    if None not in actions:
-        sub = p.add_subparsers(dest="action", required=True)
-    for action, options in actions.items():
-        q = p if action is None else sub.add_parser(action)
-        for name in options:
-            q.add_argument(name, **_OPTIONS[name])
-        q.set_defaults(func=func)
+class _Parser:
+    """Reads argv as COMMAND [ACTION] [--OPTION VALUE ...] against
+    _COMMANDS and _OPTIONS.  Every option takes exactly one value, as
+    `--name value` or `--name=value`, whatever its first character, and a
+    unique prefix of an option name is accepted.  A usage error raises
+    CliError naming `command`, `action`, the option or the stray token;
+    -h prints what may follow at that point and exits 0."""
+
+    def parse_args(self, argv):
+        rest = list(argv)
+        if not rest:
+            raise CliError("the following arguments are required: command",
+                           "command")
+        command = rest.pop(0)
+        if command in ("-h", "--help"):
+            _help(None, None)
+        if command not in _COMMANDS:
+            raise CliError(f"invalid command {command!r} (choose from "
+                           f"{', '.join(_COMMANDS)})", "command")
+        _, func, actions = _COMMANDS[command]
+        action = None
+        if None not in actions:
+            if not rest:
+                raise CliError("the following arguments are required: "
+                               "action", "action")
+            action = rest.pop(0)
+            if action in ("-h", "--help"):
+                _help(command, None)
+            if action not in actions:
+                raise CliError(f"invalid {command} action {action!r} (choose "
+                               f"from {', '.join(actions)})", "action")
+        names = actions[action]
+        values = {}
+        strays = []                     # tokens not understood
+        while rest:
+            token = rest.pop(0)
+            key, eq, value = token.partition("=")
+            if key in names:
+                match = [key]
+            elif key.startswith("--") and len(key) > 2:
+                match = [n for n in (*names, "--help") if n.startswith(key)]
+            else:
+                match = []
+            if key == "-h" or match == ["--help"]:
+                _help(command, action)
+            if len(match) > 1:
+                raise _usage_error(f"ambiguous option: {key} could match "
+                                   f"{', '.join(match)}", key)
+            if not match:
+                strays.append(token)
+                continue
+            name, spec = match[0], _OPTIONS[match[0]]
+            if not eq:
+                if not rest:
+                    raise _usage_error(f"{name} expects one value", name)
+                value = rest.pop(0)
+            try:
+                value = spec.get("type", str)(value)
+            except ValueError:
+                raise _usage_error(f"{name}: invalid value {value!r}",
+                                   name) from None
+            if "choices" in spec and value not in spec["choices"]:
+                raise _usage_error(f"{name}: invalid choice {value!r} (choose "
+                                   f"from {', '.join(spec['choices'])})", name)
+            values[name] = value
+        args = types.SimpleNamespace(command=command, action=action,
+                                     func=func)
+        for name in names:
+            spec = _OPTIONS[name]
+            if spec.get("required") and name not in values:
+                raise _usage_error("the following arguments are required: "
+                                   + name, name)
+            setattr(args, spec.get("dest", name[2:].replace("-", "_")),
+                    values.get(name, spec.get("default")))
+        if strays:
+            raise _usage_error("unrecognized arguments: " + " ".join(strays),
+                               strays[0])
+        return args
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(
-        prog="shearfield",
-        description="Shear functions on the Farey tessellation: field "
-                    "evaluation, Hilbert transform, Fourier coefficients, "
-                    "Weil-Petersson pairing.")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, (helptext, func, actions) in _COMMANDS.items():
-        sub.add_parser(name, help=helptext, fill=functools.partial(
-            _fill_command, func=func, actions=actions))
-    return ap
+def _help(command, action) -> None:
+    """Print what may follow at this point of the command line (the
+    commands, a command's actions or an action's options); exit 0."""
+    if command is None:
+        follow, title = "COMMAND [ACTION] [--OPTION VALUE ...]", _DESCRIPTION
+        rows = [(name, text) for name, (text, _, _) in _COMMANDS.items()]
+    elif action is None and None not in _COMMANDS[command][2]:
+        follow, title = "ACTION [--OPTION VALUE ...]", _COMMANDS[command][0]
+        rows = [(a, " ".join(names))
+                for a, names in _COMMANDS[command][2].items()]
+    else:
+        follow, title = "[--OPTION VALUE ...]", _COMMANDS[command][0]
+        rows = []
+        for name in _COMMANDS[command][2][action]:
+            spec = _OPTIONS[name]
+            notes = [spec["help"]] if "help" in spec else []
+            if "choices" in spec:
+                notes.append("one of " + ", ".join(spec["choices"]))
+            if spec.get("required"):
+                notes.append("required")
+            elif spec.get("default") is not None:
+                notes.append(f"default {spec['default']}")
+            rows.append((name, "; ".join(notes)))
+    words = " ".join(w for w in ("shearfield", command, action, follow) if w)
+    sys.stdout.write("\n".join([f"usage: {words}", "", title, ""]
+                               + [f"  {a:12} {b}" for a, b in rows]) + "\n")
+    sys.exit(0)
 
 
-def _attach_values(argv: list) -> list:
-    """Join "--t1 -3,2,1" into "--t1=-3,2,1" (likewise --t2, --edge, --from
-    and --to): argparse would otherwise read a value with a leading minus
-    sign, such as -1e3, as an option."""
-    out = []
-    for tok in argv:
-        if (out and out[-1] in ("--t1", "--t2", "--edge", "--from", "--to")
-                and tok.startswith("-")):
-            out[-1] += "=" + tok
-        else:
-            out.append(tok)
-    return out
+def build_parser() -> _Parser:
+    return _Parser()
 
 
 def run(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(_attach_values(
-            sys.argv[1:] if argv is None else list(argv)))
+        args = ap.parse_args(sys.argv[1:] if argv is None else argv)
         _check_knobs(args)
         return args.func(args)
     except CliError as exc:

@@ -167,6 +167,25 @@ def test_module_entry_point_runs_the_cli():
     assert set(json.loads(done.stderr)) == {"error", "field"}
 
 
+def test_bench_worker_traces_the_parse_seam():
+    """The benchmark's traced in-process worker, started as the benchmark
+    starts it, runs a job through `cli.run` and times the front end through
+    `build_parser().parse_args`, the seam its tracer wraps."""
+    import shearfield
+    src = os.path.dirname(os.path.dirname(shearfield.__file__))
+    worker = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "bench", "worker.py")
+    done = subprocess.run(
+        [sys.executable, worker, "--trace"], capture_output=True, text=True,
+        input=json.dumps({"jobs": [["wp", "gram", "--depth", "1"]]}) + "\n",
+        env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    ready, reply = map(json.loads, done.stdout.splitlines())
+    assert ready == {"ready": True}
+    assert reply["rc"] == [0]
+    assert reply["trace"]["calls"]["cli.parse"] >= 1
+
+
 @pytest.mark.parametrize("commands", [
     [["farey", "edges", "--max-order", "3"],
      ["field", "eval", "--shears", "{shears}", "--samples", "5"],
@@ -205,9 +224,10 @@ _SHEARS = ["--shears", "{shears}"]
 def test_command_loads_only_what_it_runs(tmp_path, commands, modules):
     """`import shearfield.cli` loads no other package module, and each
     subcommand loads only the modules it computes with; none loads
-    dataclasses, inspect or fractions."""
-    loaded = _run_fresh(tmp_path, commands, ["shearfield.", "dataclasses",
-                                             "inspect", "fractions"])
+    argparse, dataclasses, inspect or fractions."""
+    loaded = _run_fresh(tmp_path, commands, ["shearfield.", "argparse",
+                                             "dataclasses", "inspect",
+                                             "fractions"])
     assert loaded == [f"shearfield.{m}" for m in modules]
 
 
@@ -420,6 +440,13 @@ def test_grid_end_in_exponent_form_as_separate_argument(tmp_path, capsys):
     (["wp", "gram", "--t1", "1,2,3"], "t1"),
     (["wp", "gram", "--t2=1,2,3"], "t2"),
     (["wp", "pair", "--t1", "1,2"], "t1"),
+    ([], "command"),
+    (["wp"], "action"),
+    (["wp", "nosuch"], "action"),
+    (["wp", "gram", "--depth"], "depth"),
+    # "--" ends nothing: it is a stray token, named "-"
+    (["wp", "gram", "--", "--depth", "1"], "-"),
+    (["wp", "pair", "--t", "1,2,-3"], "t"),
 ])
 def test_usage_error_is_one_json_line(capsys, argv, field):
     assert run(argv) == 2
@@ -427,6 +454,22 @@ def test_usage_error_is_one_json_line(capsys, argv, field):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert json.loads(captured.err)["field"] == field
+
+
+def test_options_by_prefix_last_value_and_negative_values(tmp_path, capsys):
+    """A unique prefix names its option, the last of a repeated option
+    wins, and a value may start with a minus sign."""
+    assert run(["wp", "gram", "--depth", "3"]) == 0
+    want = capsys.readouterr().out
+    assert run(["wp", "gram", "--dep", "3"]) == 0
+    assert capsys.readouterr().out == want
+    assert run(["wp", "gram", "--depth", "5", "--depth", "3"]) == 0
+    assert capsys.readouterr().out == want
+    path = write_shears(tmp_path, [{"p": [0, 1], "q": [1, 0], "value": 0.5}])
+    assert run(["fourier", "--shears", path, "--n-min", "-5",
+                "--n-max", "-3"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [r.split(",")[0] for r in rows] == ["n", "-5", "-4", "-3"]
 
 
 def test_action_help_lists_only_its_options(capsys):
@@ -659,6 +702,15 @@ def test_writers_refuse_non_finite_values(tmp_path, capsys, fmt):
      "max-order"),
     (["zygmund", "check", "--window", "0"], "parse_shear_file", "window"),
     (["fourier", "--n-min", "3", "--n-max", "2"], "parse_shear_file", "n"),
+    # the grid is checked before the shear file is read
+    (["field", "eval", "--samples", "0"], "parse_shear_file", "samples"),
+    (["hilbert", "eval", "--samples", "-1"], "parse_shear_file", "samples"),
+    (["hilbert", "eval", "--from=-inf"], "parse_shear_file", "from"),
+    (["field", "eval", "--to", "nan"], "parse_shear_file", "to"),
+    (["field", "eval", "--from", "2", "--to", "1"], "parse_shear_file",
+     "grid"),
+    (["hilbert", "eval", "--from=-1e308", "--to", "1e308"],
+     "parse_shear_file", "grid"),
 ])
 def test_size_beyond_limit_rejected(tmp_path, monkeypatch, capsys, argv,
                                     patched, field):
