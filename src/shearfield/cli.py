@@ -13,7 +13,8 @@ significant digits so reruns are byte-identical.
 Each subcommand imports the package modules it runs inside its function,
 so a process loads only those (`farey` loads only `shearfield.farey`).
 The command line is read straight from the option tables below by
-`_Parser`, so the CLI loads no argparse.
+`_Parser`, so the CLI loads no argparse.  Each option's type holds the
+whole rule for its value, so a bad value is a usage error before any work.
 """
 
 from __future__ import annotations
@@ -50,35 +51,6 @@ class CliError(Exception):
         super().__init__(message)
         self.field_name = field_name
         self.code = code
-
-
-def _check_knobs(args) -> None:
-    """Central validation of the numeric knobs shared by the subcommands,
-    the grid of `field eval` and `hilbert eval` included: all run before
-    any file is read."""
-    if getattr(args, "max_order", 6) < 1:
-        raise CliError("max-order must be >= 1", "max-order")
-    if getattr(args, "window", 20) < 0:
-        raise CliError("window must be >= 0", "window")
-    if hasattr(args, "samples"):
-        lo, hi, n = args.grid_from, args.grid_to, args.samples
-        if not 1 <= n <= MAX_SAMPLES:
-            raise CliError(f"samples must be between 1 and {MAX_SAMPLES}",
-                           "samples")
-        for name, end in (("from", lo), ("to", hi)):
-            if not math.isfinite(end):
-                raise CliError(f"--{name} must be finite", name)
-        if not hi > lo:
-            raise CliError("need --to > --from", "grid")
-        if n > 1 and not math.isfinite((hi - lo) / (n - 1)):
-            raise CliError("grid step --to - --from overflows", "grid")
-    tolerance = getattr(args, "tolerance", 1e-8)
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise CliError("tolerance must be finite and positive", "tolerance")
-
-
-def fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def parse_shear_file(path: str) -> ShearFunction:
@@ -142,34 +114,16 @@ def _parse_endpoint(raw, where: str) -> ExtRational:
         raise CliError(f"{where}: bad endpoint ({exc})", where)
 
 
-def _parse_edge_arg(text: str) -> FareyEdge:
-    from .farey import ExtRational, oriented_edge
-    try:
-        nums = [int(v) for v in text.split(",")]
-        if len(nums) != 4:
-            raise ValueError("need four integers")
-        return oriented_edge(ExtRational(nums[0], nums[1]),
-                             ExtRational(nums[2], nums[3]))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"bad edge '{text}': {exc}", "edge")
-
-
-def _parse_triple(text: str, name: str) -> tuple:
-    try:
-        vals = [float(v) for v in text.split(",")]
-        if len(vals) != 3:
-            raise ValueError("need three numbers")
-        return tuple(vals)
-    except ValueError as exc:
-        raise CliError(f"bad {name} '{text}': {exc}", name)
-
-
 def _grid(args) -> list[float]:
-    """The --samples points from --from to --to (checked by _check_knobs)."""
+    """The --samples points from --from to --to, before any file is read."""
     lo, hi, n = args.grid_from, args.grid_to, args.samples
+    if not hi > lo:
+        raise CliError("need --to > --from", "grid")
     if n == 1:
         return [lo]
     step = (hi - lo) / (n - 1)
+    if not math.isfinite(step):
+        raise CliError("grid step --to - --from overflows", "grid")
     return [lo + i * step for i in range(n)]
 
 
@@ -204,17 +158,15 @@ def _emit(cfg_format: str, output, header, rows, meta):
         for row in rows:
             if not all(math.isfinite(v) for v in row if isinstance(v, float)):
                 raise _not_finite()
-            lines.append(",".join(fmt(v) if isinstance(v, float) else str(v)
-                                  for v in row))
+            lines.append(",".join(f"{v:.17g}" if isinstance(v, float)
+                                  else str(v) for v in row))
         _write(output, "\n".join(lines) + "\n")
     else:
         _emit_json(output, meta, [dict(zip(header, row)) for row in rows])
 
 
 def _meta(**kw):
-    base = {"version": VERSION}
-    base.update(kw)
-    return base
+    return {"version": VERSION, **kw}
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +201,11 @@ def cmd_farey(args) -> int:
 
 def cmd_field(args) -> int:
     from .fields import assemble_field, halved_terms, tail_bound
+    grid = _grid(args)
     sdot = parse_shear_file(args.shears)
     bound = tail_bound(args.max_order + 1, 1.0)
     V = assemble_field(halved_terms(sdot, args.max_order, args.window))
-    rows = [(float(x), float(V(x))) for x in _grid(args)]
+    rows = [(float(x), float(V(x))) for x in grid]
     _emit(args.format, args.output, ["x", "value"], rows,
           _meta(max_order=args.max_order, window=args.window,
                 unit_tail_bound=bound))
@@ -280,13 +233,14 @@ def cmd_hilbert(args) -> int:
     from .fields import assemble_field, halved_terms, tail_bound
     from .hilbert import (hilbert_pv_oracle, hilbert_series_eval,
                           hilbert_shear_series)
-    if args.action == "shear" and args.max_order > MAX_SHEAR_ORDER:
+    if args.action == "eval":
+        grid = _grid(args)
+    elif args.max_order > MAX_SHEAR_ORDER:
         raise CliError(f"max-order must be at most {MAX_SHEAR_ORDER} for "
                        "hilbert shear", "max-order")
     sdot = parse_shear_file(args.shears)
     terms = halved_terms(sdot, args.max_order, args.window)
     if args.action == "eval":
-        grid = _grid(args)
         if args.mode == "oracle":
             V = assemble_field(terms)
             values = [hilbert_pv_oracle(V, x, args.tolerance) for x in grid]
@@ -298,12 +252,11 @@ def cmd_hilbert(args) -> int:
                     window=args.window))
         return 0
     # shear: recovered transform shear on one edge, with partials per order
-    edge = _parse_edge_arg(args.edge)
-    partials = hilbert_shear_series(terms, edge, args.max_order)
+    partials = hilbert_shear_series(terms, args.edge, args.max_order)
     _emit_json(args.output,
                _meta(max_order=args.max_order, window=args.window,
                      unit_tail_bound=tail_bound(args.max_order + 1, 1.0)),
-               {"edge": edge.to_json(), "value": partials[-1],
+               {"edge": args.edge.to_json(), "value": partials[-1],
                 "partials_by_order": partials})
     return 0
 
@@ -335,19 +288,11 @@ def cmd_fourier(args) -> int:
 
 
 def cmd_wp(args) -> int:
-    from .torus import cusp_condition_check, wp_gram, wp_pairing
-    if not 1 <= args.depth <= MAX_WP_DEPTH:
-        raise CliError(f"depth must be between 1 and {MAX_WP_DEPTH}", "depth")
+    from .torus import wp_gram, wp_pairing
     if args.action == "pair":
-        t1 = _parse_triple(args.t1, "t1")
-        t2 = _parse_triple(args.t2, "t2")
-        for name, t in (("t1", t1), ("t2", t2)):
-            if not cusp_condition_check(t):
-                raise CliError(f"{name} violates the cusp condition "
-                               f"(components must sum to 0)", name)
-        values = wp_pairing(t1, t2, args.depth)
+        values = wp_pairing(args.t1, args.t2, args.depth)
         prev = values[-2] if args.depth > 1 else None
-        data = {"t1": list(t1), "t2": list(t2),
+        data = {"t1": list(args.t1), "t2": list(args.t2),
                 "value": values[-1], "value_prev_depth": prev}
     else:
         grams = wp_gram(args.depth)
@@ -364,31 +309,71 @@ def cmd_wp(args) -> int:
 _DESCRIPTION = ("Shear functions on the Farey tessellation: field evaluation, "
                 "Hilbert transform, Fourier coefficients, Weil-Petersson "
                 "pairing.")
-# every option: its value's type (str when absent), allowed values,
-# default, whether it is required, the attribute it fills (its name without
-# the dashes, - as _, when no dest) and help text
+
+
+def _integer(lo: int, hi: float = math.inf):
+    """The type of an integer option that must lie in lo..hi."""
+    def convert(text: str) -> int:
+        n = int(text)
+        if not lo <= n <= hi:
+            raise ValueError(f"must be >= {lo}" if hi == math.inf
+                             else f"must be between {lo} and {hi}")
+        return n
+    return convert
+
+
+def _real(above: float = -math.inf):
+    """The type of a float option that must be finite and above `above`."""
+    def convert(text: str) -> float:
+        x = float(text)
+        if not above < x < math.inf:
+            raise ValueError("must be finite" if above == -math.inf
+                             else f"must be finite and > {above}")
+        return x
+    return convert
+
+
+def _edge(text: str) -> FareyEdge:
+    """p_num,p_den,q_num,q_den: a Farey edge, canonically oriented."""
+    from .farey import ExtRational, oriented_edge
+    a, b, c, d = map(int, text.split(","))
+    return oriented_edge(ExtRational(a, b), ExtRational(c, d))
+
+
+def _tangent(text: str) -> tuple:
+    """Three shears on the torus's edges that meet the cusp condition."""
+    from .torus import cusp_condition_check
+    a, b, c = map(float, text.split(","))
+    if not cusp_condition_check((a, b, c)):
+        raise ValueError("violates the cusp condition (sum must be 0)")
+    return a, b, c
+
+
+# every option: the type that reads and checks its value text (str when
+# absent), allowed values, default text, whether it is required, the attribute
+# it fills (its name without dashes, - as _, when no dest) and help text
 _OPTIONS = {
     "--shears": {"required": True,
                  "help": "shear JSON file (see module docstring)"},
-    "--window": {"type": int, "default": 20,
+    "--window": {"type": _integer(0), "default": "20",
                  "help": "fan index window |n| <= window"},
-    "--max-order": {"type": int, "default": 6, "help": "largest Farey order "
-                    "of fan tips in truncated sums"},
+    "--max-order": {"type": _integer(1), "default": "6", "help": "largest "
+                    "Farey order of fan tips in truncated sums"},
     "--format": {"choices": ["csv", "json"], "default": "csv"},
     "--output": {"help": "output path (default stdout)"},
-    "--from": {"type": float, "default": -3.0, "dest": "grid_from"},
-    "--to": {"type": float, "default": 3.0, "dest": "grid_to"},
-    "--samples": {"type": int, "default": 61},
+    "--from": {"type": _real(), "default": "-3.0", "dest": "grid_from"},
+    "--to": {"type": _real(), "default": "3.0", "dest": "grid_to"},
+    "--samples": {"type": _integer(1, MAX_SAMPLES), "default": "61"},
     "--mode": {"choices": ["closed", "oracle"], "default": "closed"},
-    "--tolerance": {"type": float, "default": 1e-8,
+    "--tolerance": {"type": _real(0.0), "default": "1e-8",
                     "help": "principal-value oracle tolerance"},
-    "--edge": {"default": "0,1,1,0",
+    "--edge": {"type": _edge, "default": "0,1,1,0",
                "help": "target edge as p_num,p_den,q_num,q_den"},
-    "--n-min": {"type": int, "default": 0},
-    "--n-max": {"type": int, "default": 10},
-    "--t1": {"default": "1,-1,0"},
-    "--t2": {"default": "0,1,-1"},
-    "--depth": {"type": int, "default": 6},
+    "--n-min": {"type": int, "default": "0"},
+    "--n-max": {"type": int, "default": "10"},
+    "--t1": {"type": _tangent, "default": "1,-1,0"},
+    "--t2": {"type": _tangent, "default": "0,1,-1"},
+    "--depth": {"type": _integer(1, MAX_WP_DEPTH), "default": "6"},
 }
 _FILE = ("--shears", "--window", "--max-order")
 _GRID = _FILE + ("--format", "--output", "--from", "--to", "--samples")
@@ -420,13 +405,27 @@ def _usage_error(message: str, token: str) -> CliError:
     return CliError(message, token.lstrip("-").partition("=")[0] or "-")
 
 
+def _value(name: str, text: str):
+    """Option `name`'s value, read from `text` by its type and choices."""
+    spec = _OPTIONS[name]
+    try:
+        value = spec.get("type", str)(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _usage_error(f"{name} {text!r}: {exc}", name) from None
+    if "choices" in spec and value not in spec["choices"]:
+        raise _usage_error(f"{name}: invalid choice {value!r} (choose from "
+                           f"{', '.join(spec['choices'])})", name)
+    return value
+
+
 class _Parser:
     """Reads argv as COMMAND [ACTION] [--OPTION VALUE ...] against
     _COMMANDS and _OPTIONS.  Every option takes exactly one value, as
     `--name value` or `--name=value`, whatever its first character, and a
-    unique prefix of an option name is accepted.  A usage error raises
-    CliError naming `command`, `action`, the option or the stray token;
-    -h prints what may follow at that point and exits 0."""
+    unique prefix of an option name is accepted; a default is read by the
+    option's type too.  A usage error raises CliError naming `command`,
+    `action`, or the first bad option or stray token in argv order; -h
+    prints what may follow at that point and exits 0."""
 
     def parse_args(self, argv):
         rest = list(argv)
@@ -453,7 +452,6 @@ class _Parser:
                                f"from {', '.join(actions)})", "action")
         names = actions[action]
         values = {}
-        strays = []                     # tokens not understood
         while rest:
             token = rest.pop(0)
             key, eq, value = token.partition("=")
@@ -469,34 +467,25 @@ class _Parser:
                 raise _usage_error(f"ambiguous option: {key} could match "
                                    f"{', '.join(match)}", key)
             if not match:
-                strays.append(token)
-                continue
-            name, spec = match[0], _OPTIONS[match[0]]
+                raise _usage_error(f"unrecognized argument: {token}", token)
+            name = match[0]
             if not eq:
                 if not rest:
                     raise _usage_error(f"{name} expects one value", name)
                 value = rest.pop(0)
-            try:
-                value = spec.get("type", str)(value)
-            except ValueError:
-                raise _usage_error(f"{name}: invalid value {value!r}",
-                                   name) from None
-            if "choices" in spec and value not in spec["choices"]:
-                raise _usage_error(f"{name}: invalid choice {value!r} (choose "
-                                   f"from {', '.join(spec['choices'])})", name)
-            values[name] = value
+            values[name] = _value(name, value)
         args = types.SimpleNamespace(command=command, action=action,
                                      func=func)
         for name in names:
             spec = _OPTIONS[name]
-            if spec.get("required") and name not in values:
-                raise _usage_error("the following arguments are required: "
-                                   + name, name)
+            if name not in values:
+                if spec.get("required"):
+                    raise _usage_error("the following arguments are "
+                                       "required: " + name, name)
+                if "default" in spec:
+                    values[name] = _value(name, spec["default"])
             setattr(args, spec.get("dest", name[2:].replace("-", "_")),
-                    values.get(name, spec.get("default")))
-        if strays:
-            raise _usage_error("unrecognized arguments: " + " ".join(strays),
-                               strays[0])
+                    values.get(name))
         return args
 
 
@@ -537,7 +526,6 @@ def run(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(sys.argv[1:] if argv is None else argv)
-        _check_knobs(args)
         return args.func(args)
     except CliError as exc:
         diag = {"error": str(exc), "field": exc.field_name}

@@ -121,7 +121,9 @@ def closed_hilbert_field(F: FieldExpr):
 # are subtracted and the bounded remainder is integrated piece by piece;
 # beyond it the integrand is mapped through xi -> 1/u and the two tails are
 # integrated jointly, which both bounds and evaluates the o(R^-alpha)
-# remainder exactly up to quadrature tolerance.
+# remainder exactly up to quadrature tolerance.  Each piece and the tail
+# asks quad for PV_QUAD_TOL, or for its even share of the error gate where
+# a small `tolerance` makes that share smaller.
 PV_TAIL_RADIUS = 1e3
 PV_QUAD_TOL = 1e-11
 
@@ -184,8 +186,11 @@ def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
     for w, a, va in poles:
         value += w * va * math.log((R - a) / (R + a))
     cuts = sorted({c for c in brk if -R < c < R} | {-R, 0.0, 1.0, x, R})
+    # the gate below, shared by the len(cuts) - 1 pieces and the tail
+    gate = max(tolerance * 1e3, 1e-12)
+    tol = min(PV_QUAD_TOL, gate / len(cuts))
     for a, b in zip(cuts, cuts[1:]):
-        piece, e = quad(subtracted, a, b, PV_QUAD_TOL, PV_QUAD_TOL, limit=200)
+        piece, e = quad(subtracted, a, b, tol, tol, limit=200)
         value += piece
         err += e
 
@@ -202,10 +207,9 @@ def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
         right, left = f(xis), f([-xi for xi in xis])
         return [(fr + fl) / u ** 2 for u, fr, fl in zip(us, right, left)]
 
-    tail, e = quad(tails, 1e-12, 1.0 / R, PV_QUAD_TOL, PV_QUAD_TOL,
-                   limit=200)
+    tail, e = quad(tails, 1e-12, 1.0 / R, tol, tol, limit=200)
     err += e
-    if not err < max(tolerance * 1e3, 1e-12) * max(1.0, abs(value)):
+    if not err < gate * max(1.0, abs(value)):
         raise PVConvergenceError(err)
     return 0.0 - (value + tail) / math.pi      # +0.0, not -0.0, at zero
 

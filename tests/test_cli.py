@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from shearfield import cli
 from shearfield.cli import CliError, parse_shear_file, run
 from shearfield.farey import enumerate_edges
 
@@ -277,6 +280,31 @@ def test_hilbert_oracle_next_to_the_pole_at_1(tmp_path):
     assert abs(values["oracle"] - values["closed"]) < 1e-9
 
 
+def test_hilbert_oracle_meets_a_tight_tolerance(tmp_path, capsys):
+    """Each quadrature piece of the oracle is asked for its share of the
+    error gate, so a tolerance far below the default is met rather than
+    refused: on 60 edges with seeded values, --tolerance 2e-14 exits 0 and
+    agrees with the closed form."""
+    rng = random.Random(2)
+    path = write_shears(tmp_path, [
+        {"p": e.to_json()[:2], "q": e.to_json()[2:], "value": rng.gauss(0, 1)}
+        for e in enumerate_edges(6)[:60]])
+    args = ["hilbert", "eval", "--shears", path, "--from", "-2.9", "--to",
+            "3.1", "--samples", "7"]
+    assert run(args + ["--mode", "closed"]) == 0
+    closed = capsys.readouterr().out.splitlines()[1:]
+    assert run(args + ["--mode", "oracle", "--tolerance", "2e-14"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    oracle = captured.out.splitlines()[1:]
+    assert len(oracle) == len(closed) == 7
+    for rc, ro in zip(closed, oracle):
+        xc, vc = map(float, rc.split(","))
+        xo, vo = map(float, ro.split(","))
+        assert xc == xo
+        assert abs(vc - vo) < 1e-10
+
+
 def test_hilbert_shear_subcommand(tmp_path):
     path = write_shears(tmp_path,
                         [{"p": [2, 1], "q": [3, 1], "value": 1.0}])
@@ -447,6 +475,11 @@ def test_grid_end_in_exponent_form_as_separate_argument(tmp_path, capsys):
     # "--" ends nothing: it is a stray token, named "-"
     (["wp", "gram", "--", "--depth", "1"], "-"),
     (["wp", "pair", "--t", "1,2,-3"], "t"),
+    # of two bad tokens, the first in argv order is named
+    (["wp", "pair", "--t2", "1,1,1", "--depth", "0"], "t2"),
+    (["wp", "gram", "--depth", "0", "--bogus"], "depth"),
+    (["field", "eval", "--bogus", "--from", "nan"], "bogus"),
+    (["hilbert", "eval", "--from", "nan", "--tolerance", "0"], "from"),
 ])
 def test_usage_error_is_one_json_line(capsys, argv, field):
     assert run(argv) == 2
@@ -479,6 +512,67 @@ def test_action_help_lists_only_its_options(capsys):
     out = capsys.readouterr().out
     assert "--edge" in out and "--max-order" in out
     assert "--tolerance" not in out and "--samples" not in out
+
+
+def _args_read(func, action):
+    """The attributes of `args` that `func` can read when run for `action`,
+    in its body and in the cli functions it passes `args` to.  A branch on
+    `args.action == "..."` (or `!=`) is followed only where the test holds,
+    and a followed branch that returns ends the scan of its block."""
+    read = set()
+
+    def scan(block):
+        for stmt in block:
+            test = stmt.test if isinstance(stmt, ast.If) else None
+            if (isinstance(test, ast.Compare)
+                    and ast.unparse(test.left) == "args.action"):
+                holds = ((test.comparators[0].value == action)
+                         == isinstance(test.ops[0], ast.Eq))
+                if scan(stmt.body if holds else stmt.orelse):
+                    return True
+                continue
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Attribute)
+                        and ast.unparse(node.value) == "args"):
+                    read.add(node.attr)
+                elif (isinstance(node, ast.Call)
+                      and "args" in map(ast.unparse, node.args)):
+                    read.update(_args_read(
+                        getattr(cli, ast.unparse(node.func)), action))
+            if isinstance(stmt, ast.Return):
+                return True
+        return False
+
+    scan(ast.parse(inspect.getsource(func)).body[0].body)
+    return read
+
+
+@pytest.mark.parametrize("command, action", [
+    (command, action) for command, (_, _, actions) in cli._COMMANDS.items()
+    for action in actions], ids=str)
+def test_option_table_holds(capsys, command, action):
+    """Each action's entry in _COMMANDS is its whole contract: -h lists
+    exactly its options, every default passes its option's own type, and
+    the command's function reads no `args` attribute beyond those the
+    parser fills for the action."""
+    _, func, actions = cli._COMMANDS[command]
+    names = actions[action]
+    words = [command] + ([action] if action else [])
+    with pytest.raises(SystemExit) as exc:
+        run(words + ["-h"])
+    assert exc.value.code == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("  --")]
+    assert listed == list(names)
+    for name in names:
+        spec = cli._OPTIONS[name]
+        if "default" in spec:
+            spec.get("type", str)(spec["default"])      # raises if it fails
+    required = ["--shears", "s.json"] if "--shears" in names else []
+    filled = vars(cli.build_parser().parse_args(words + required))
+    read = _args_read(func, action)
+    assert "output" in read
+    assert read <= set(filled), read - set(filled)
 
 
 @pytest.mark.parametrize("argv", [
@@ -711,6 +805,11 @@ def test_writers_refuse_non_finite_values(tmp_path, capsys, fmt):
      "grid"),
     (["hilbert", "eval", "--from=-1e308", "--to", "1e308"],
      "parse_shear_file", "grid"),
+    # so are the target edge and, before the word ball is walked, the
+    # tangent vectors
+    (["hilbert", "shear", "--edge", "1,2,3,4"], "parse_shear_file", "edge"),
+    (["wp", "pair", "--t1", "1,2"], "_reduced_words", "t1"),
+    (["wp", "pair", "--t2", "1,0,0"], "_reduced_words", "t2"),
 ])
 def test_size_beyond_limit_rejected(tmp_path, monkeypatch, capsys, argv,
                                     patched, field):
@@ -719,13 +818,13 @@ def test_size_beyond_limit_rejected(tmp_path, monkeypatch, capsys, argv,
     owner = {"enumerate_edges": "farey", "enumerate_vertices": "farey",
              "assemble_field": "fields", "hilbert_series_eval": "hilbert",
              "zygmund_condition_sup": "fields",
-             "parse_shear_file": "cli"}[patched]
+             "parse_shear_file": "cli", "_reduced_words": "torus"}[patched]
 
     def no_work(*args):
         raise AssertionError(f"{patched} was called")
 
     monkeypatch.setattr(f"shearfield.{owner}.{patched}", no_work)
-    if argv[0] != "farey":
+    if argv[0] not in ("farey", "wp"):
         argv = argv + ["--shears", write_shears(tmp_path, [
             {"p": [0, 1], "q": [1, 0], "value": 0.5}])]
     assert run(argv) == 2
