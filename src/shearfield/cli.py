@@ -262,7 +262,7 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_fourier(args) -> int:
-    from .farey import INFINITY, ONE, ZERO, ExtRational
+    from .farey import INFINITY, ONE, ZERO, ExtRational, left_sum
     from .fields import halved_terms
     from .fourier import fourier_coefficients
     lo, hi = args.n_min, args.n_max
@@ -275,12 +275,11 @@ def cmd_fourier(args) -> int:
     coefficients = fourier_coefficients(
         halved_terms(sdot, args.max_order, args.window), range(lo, hi + 1))
     rows = [(n, c.real, c.imag) for n, c in enumerate(coefficients, lo)]
-    low_mass = total_mass = 0.0
     low = {ZERO, INFINITY, ONE, ExtRational(-1)}     # Farey order <= 2
-    for e, v in sdot:
-        if e.initial in low or e.terminal in low:
-            low_mass += abs(v)
-        total_mass += abs(v)
+    shears = list(sdot)
+    low_mass = left_sum(abs(v) for e, v in shears
+                        if e.initial in low or e.terminal in low)
+    total_mass = left_sum(abs(v) for _, v in shears)
     _emit(args.format, args.output, ["n", "re", "im"], rows,
           _meta(max_order=args.max_order, window=args.window,
                 low_order_shear_fraction=low_mass / (total_mass or 1.0)))

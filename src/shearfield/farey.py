@@ -21,6 +21,9 @@ Stern-Brocot walk gives a tip its Farey order and its fan map (fan_frame).
 All arithmetic is exact over Python integers; denominators of deep vertices
 grow like Fibonacci numbers, so fixed-width integers would overflow around
 combinatorial depth 90.
+
+As the base module every other one imports, farey also holds the package's
+shared Value protocol and left_sum, the one way it adds floats.
 """
 
 from __future__ import annotations
@@ -50,6 +53,17 @@ class Value:
         slots = ", ".join(f"{name}={getattr(self, name)!r}"
                           for name in self.__slots__)
         return f"{self.__class__.__name__}({slots})"
+
+
+def left_sum(values, start=0.0):
+    """start + v1 + v2 + ... over values, added left to right and rounded
+    at every step.  Every float sum in the package goes through here,
+    because its printed bits depend on that order: sum() compensates from
+    Python 3.12 on, and math.fsum always does, so either gives other bits."""
+    total = start
+    for v in values:
+        total += v
+    return total
 
 
 class ExtRational:

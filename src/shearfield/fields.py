@@ -23,7 +23,8 @@ import math
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .farey import ExtRational, FareyEdge, Value, fan_frame, oriented_edge
+from .farey import (ExtRational, FareyEdge, Value, fan_frame, left_sum,
+                    oriented_edge)
 
 DELTA_GAP = 2.0 * math.log(1.0 + math.sqrt(2.0))  # distance between nested fan walls
 
@@ -121,11 +122,15 @@ def tip_sort_key(p: ExtRational, order: int):
 def edge_ends(edge) -> tuple[float, float]:
     """Name of an edge's elementary field: the float pair (initial,
     terminal) of a canonically oriented FareyEdge, with infinity as
-    math.inf; a pair of numbers passes through as floats."""
+    math.inf; a pair of numbers passes through as floats.  Raises
+    ValueError (see check_ends) when the floats name no field, as when
+    both ends of a tiny edge round to one float."""
     if isinstance(edge, FareyEdge):
-        return float(edge.initial), float(edge.terminal)
+        edge = edge.initial, edge.terminal
     u, v = edge
-    return float(u), float(v)
+    ends = float(u), float(v)
+    check_ends(ends)
+    return ends
 
 
 def check_ends(ends) -> None:
@@ -383,10 +388,8 @@ def averaged_coefficient_sum(shears, m: int, k: int) -> float:
     if k < 1:
         raise ValueError("window k must be >= 1")
     get = lambda i: shears.get(i, 0.0)
-    total = k * get(m)
-    for j in range(1, k):
-        total += (k - j) * (get(m + j) + get(m - j))
-    return total / k
+    return left_sum(((k - j) * (get(m + j) + get(m - j))
+                     for j in range(1, k)), k * get(m)) / k
 
 
 def zygmund_condition_sup(sdot: ShearFunction, tips, K: int) -> ZygmundReport:

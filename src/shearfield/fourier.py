@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .farey import Value
+from .farey import Value, left_sum
 from .fields import edge_ends
 
 TWO_PI = 2.0 * math.pi
@@ -92,10 +92,8 @@ def fourier_quadrature_oracle(V, n: int, breakpoints=()) -> complex:
         return [V(cmath.exp(1j * phi)) * cmath.exp(-1j * n * phi)
                 for phi in phis]
 
-    total = 0j
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        total += quad(integrand, lo, hi, 1e-13, 1e-13, limit=300)[0]
-    return total / TWO_PI
+    return left_sum((quad(integrand, lo, hi, 1e-13, 1e-13, limit=300)[0]
+                     for lo, hi in zip(cuts[:-1], cuts[1:])), 0j) / TWO_PI
 
 
 def cayley_angle(x) -> float:
@@ -145,10 +143,8 @@ def assemble_circle_field(terms):
     pieces = [(t.coef, edge_to_arc(t.ends)) for t in terms]
 
     def V(z: complex) -> complex:
-        total = 0j
-        for c, arc in pieces:
-            total += c * circle_elementary_eval(arc, z)
-        return total
+        return left_sum((c * circle_elementary_eval(arc, z)
+                         for c, arc in pieces), 0j)
 
     V.breakpoints = sorted({phi for _, arc in pieces
                             for phi in (arc.phi0, arc.phi1)})

@@ -22,10 +22,11 @@ against it.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import takewhile
 from typing import NamedTuple
 
-from .farey import FareyEdge, Value, edge_neighbors, in_ccw_arc
+from .farey import FareyEdge, Value, edge_neighbors, in_ccw_arc, left_sum
 
 
 def _xlogx(t: float) -> float:
@@ -77,10 +78,7 @@ def _hilbert_series(terms):
         lifts.append(ends)
 
     def S(x: float) -> float:
-        total = 0.0
-        for c, m in zip(coefs, hilbert_main_terms(lifts, x)):
-            total += c * m
-        return total
+        return left_sum(map(operator.mul, coefs, hilbert_main_terms(lifts, x)))
 
     s0, s1 = S(0.0), S(1.0)
     return lambda xs: [(S(x) - x * s1 + (x - 1.0) * s0) / math.pi
@@ -182,9 +180,9 @@ def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
             out.append(total)
         return out
 
-    value = err = 0.0
-    for w, a, va in poles:
-        value += w * va * math.log((R - a) / (R + a))
+    value = left_sum(w * va * math.log((R - a) / (R + a))
+                     for w, a, va in poles)
+    err = 0.0
     cuts = sorted({c for c in brk if -R < c < R} | {-R, 0.0, 1.0, x, R})
     # the gate below, shared by the len(cuts) - 1 pieces and the tail
     gate = max(tolerance * 1e3, 1e-12)
@@ -207,7 +205,7 @@ def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
         right, left = f(xis), f([-xi for xi in xis])
         return [(fr + fl) / u ** 2 for u, fr, fl in zip(us, right, left)]
 
-    tail, e = quad(tails, 1e-12, 1.0 / R, tol, tol, limit=200)
+    tail, e = quad(tails, 0.0, 1.0 / R, tol, tol, limit=200)
     err += e
     if not err < gate * max(1.0, abs(value)):
         raise PVConvergenceError(err)

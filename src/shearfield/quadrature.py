@@ -15,6 +15,8 @@ from __future__ import annotations
 import heapq
 import sys
 
+from .farey import left_sum
+
 # xgk(1..10) of qk21, descending; xgk(2), xgk(4), ..., xgk(10) are the
 # 10-point Gauss nodes.  _WGK are their Kronrod weights, _WG the Gauss
 # weights of the even entries, _WGK_CENTRE the Kronrod weight at 0.
@@ -101,7 +103,4 @@ def quad(f, a: float, b: float, epsabs: float, epsrel: float,
         heapq.heappush(heap, (-e2, right, mid, hi))
         if errsum <= max(epsabs, epsrel * abs(area)):
             break
-    value = 0.0
-    for v in parts:         # in order, uncompensated, like qagse
-        value += v
-    return value, errsum
+    return left_sum(parts), errsum

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 
 from .farey import (ExtRational, FareyEdge, IDENTITY, INFINITY, IntegerMoebius,
-                    ONE, ZERO, oriented_edge)
+                    ONE, ZERO, left_sum, oriented_edge)
 from .hilbert import bracket_plan, edge_quadrilateral, edge_weights
 
 # most words _weight_matrices holds before it evaluates them, so its batches
@@ -99,11 +99,9 @@ def cusp_condition_check(t) -> bool:
     2^-50 times the shears' summed magnitude where that is larger, a few
     units of rounding of the sum and of the shears' decimal input.  So a
     triple that sums to zero as decimals passes at any scale."""
-    total = mass = 0.0
-    for v in t:
-        total += float(v)
-        mass += abs(float(v))
-    return abs(2.0 * total) < max(1e-12, 2.0 ** -50 * mass)
+    t = [float(v) for v in t]
+    mass = left_sum(map(abs, t))
+    return abs(2.0 * left_sum(t)) < max(1e-12, 2.0 ** -50 * mass)
 
 
 def _reduced_words(depth: int):
@@ -160,8 +158,7 @@ def _weight_matrices(depth: int) -> list:
     collected and evaluated at each shell's end, and whenever _WORD_CHUNK
     of them are waiting, column by column: the float images of each
     fundamental vertex, then per class the edge_weights of its lifts over
-    the three plans, added to W one by one (an explicit loop: sum()
-    compensates from Python 3.12 on)."""
+    the three plans, added to W one by one."""
     plans = [bracket_plan(edge_quadrilateral(e)) for e in EDGES]
     vertices = list(dict.fromkeys(p for e in EDGES
                                   for p in (e.initial, e.terminal)))
@@ -174,10 +171,7 @@ def _weight_matrices(depth: int) -> list:
         for k, (s, t) in enumerate(slots):
             lifts = list(zip(images[s], images[t]))
             for i, weights in enumerate(edge_weights(plans, lifts)):
-                total = W[i][k]
-                for w in weights:
-                    total += w
-                W[i][k] = total
+                W[i][k] = left_sum(weights, W[i][k])
         words.clear()
 
     shells = []
@@ -195,13 +189,8 @@ def _weight_matrices(depth: int) -> list:
 
 def _transform(W: list, t) -> tuple:
     """W t / pi for a shear sequence t, each row summed left to right."""
-    out = []
-    for row in W:
-        total = 0.0
-        for w, v in zip(row, t):
-            total += w * v
-        out.append(total / math.pi)
-    return tuple(out)
+    return tuple(left_sum(w * v for w, v in zip(row, t)) / math.pi
+                 for row in W)
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +200,9 @@ def _transform(W: list, t) -> tuple:
 def thurston_form(t1, t2) -> float:
     """Antisymmetric corner form: half the sum over triangle corners of the
     cross products of consecutive edge weights in the cyclic slot order."""
-    total = 0.0
-    for slots in TRIANGLES:
-        k = len(slots)
-        for i in range(k):
-            e, e2 = slots[i], slots[(i + 1) % k]
-            total += t1[e] * t2[e2] - t1[e2] * t2[e]
-    return 0.5 * total
+    return 0.5 * left_sum(t1[e] * t2[e2] - t1[e2] * t2[e]
+                          for slots in TRIANGLES
+                          for e, e2 in zip(slots, slots[1:] + slots[:1]))
 
 
 def wp_pairing(t1, t2, depth: int) -> list:

@@ -305,6 +305,21 @@ def test_hilbert_oracle_meets_a_tight_tolerance(tmp_path, capsys):
         assert abs(vc - vo) < 1e-10
 
 
+def test_hilbert_oracle_beyond_its_reach_exits_with_diagnostic(tmp_path,
+                                                               capsys):
+    """From |x| ~ 1e12 on the oracle's quadrature cannot settle: it exits
+    1 with the PVConvergenceError diagnostic, nothing on stdout."""
+    path = write_shears(tmp_path, [{"p": [1, 0], "q": [0, 1], "value": 1.0},
+                                   {"p": [1, 1], "q": [1, 0], "value": -2.0}])
+    assert run(["hilbert", "eval", "--shears", path, "--mode", "oracle",
+                "--from", "1e13", "--to", "2e13", "--samples", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"].startswith(
+        "principal-value quadrature did not settle")
+
+
 def test_hilbert_shear_subcommand(tmp_path):
     path = write_shears(tmp_path,
                         [{"p": [2, 1], "q": [3, 1], "value": 1.0}])
@@ -406,6 +421,25 @@ def test_end_beyond_float_range_exits_with_diagnostic(tmp_path, capsys,
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert json.loads(captured.err)["field"] == ""
+
+
+@pytest.mark.parametrize("command", [["field", "eval"], ["hilbert", "eval"],
+                                     ["fourier"]],
+                         ids=["field", "hilbert", "fourier"])
+def test_ends_that_round_together_exit_with_one_diagnostic(tmp_path, capsys,
+                                                          command):
+    """The edge {N/(N+1), (N+1)/(N+2)}, N = 10^17, is a Farey edge whose
+    two ends both round to the float 1.0, so its field has no float name:
+    each float command exits 1 with check_ends' diagnostic."""
+    n = 10 ** 17
+    path = write_shears(tmp_path, [{"p": [n, n + 1], "q": [n + 1, n + 2],
+                                    "value": 1.0}])
+    assert run([*command, "--shears", path,
+                "--max-order", str(2 * n)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"].startswith(
+        "ends (1.0, 1.0) name no elementary field")
 
 
 def test_wp_pair_negative_triple_as_separate_argument(capsys):

@@ -134,6 +134,18 @@ def test_oracle_matches_ray_closed_form():
                                 abs=1e-6)
 
 
+@pytest.mark.parametrize("x", [1e6, 1e9])
+def test_oracle_tail_reaches_infinity(x):
+    """The mapped tail is integrated from u = 0, so no |xi| is left out:
+    far beyond the breakpoints, where the part beyond |xi| = 1e12 would
+    grow like x(x - 1)/1e12, the oracle meets the closed form (measured
+    1.1e-11 relative at 1e6 and 5.0e-9 at 1e9)."""
+    V = FieldExpr([(1.0, (0.5, INF)), (-0.7, (INF, -2.0)),
+                   (0.3, (0.0, 1.0))])
+    want = closed_hilbert_field(V)(x)
+    assert abs(hilbert_pv_oracle(V, x) - want) <= 1e-7 * abs(want)
+
+
 def test_oracle_rejects_quadratic_growth():
     V = FieldExpr([], quad=(0.2, 0.0, 0.0))
     with pytest.raises(ValueError):

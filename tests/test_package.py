@@ -10,7 +10,7 @@ import pytest
 
 import shearfield
 from shearfield.farey import (ExtRational, FareyEdge, IntegerMoebius, ONE,
-                              ZERO, oriented_edge)
+                              ZERO, left_sum, oriented_edge)
 from shearfield.fields import ZygmundReport
 from shearfield.fourier import CircleArc
 from shearfield.hilbert import Quadrilateral, edge_quadrilateral
@@ -87,16 +87,31 @@ def test_every_export_is_used_outside_its_module():
         assert f"def {func}(" in text and re.search(rf"\b{name}\b", text)
 
 
+def test_left_sum_adds_left_to_right_uncompensated():
+    """left_sum rounds after every addition, start first: 1e16 + 1.0
+    rounds back to 1e16, where a compensated sum keeps the 1.0."""
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+    # (1.0 + 1e16) - 1e16; added last, the start would give 1.0
+    assert left_sum([1e16, -1e16], 1.0) == 0.0
+    empty = left_sum([], 0j)
+    assert empty == 0j and isinstance(empty, complex)
+
+
 def test_no_builtin_sum_in_the_package():
-    """Every float sum in the package is an explicit left-to-right loop:
-    from Python 3.12 on, sum() compensates its float additions, which
-    would change printed bits.  So no module calls sum at all."""
+    """Every float sum in the package goes through farey.left_sum: from
+    Python 3.12 on, sum() compensates its float additions, and math.fsum
+    always does, which would change printed bits.  So no module calls
+    sum or fsum at all."""
     package = Path(__file__).resolve().parent.parent / "src" / "shearfield"
     calls = [f"{path.name}:{node.lineno}"
              for path in sorted(package.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Call)
-             and isinstance(node.func, ast.Name) and node.func.id == "sum"]
+             and (isinstance(node.func, ast.Name)
+                  and node.func.id in ("sum", "fsum")
+                  or isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "fsum")]
     assert calls == []
 
 
