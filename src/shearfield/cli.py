@@ -277,9 +277,12 @@ def cmd_fourier(args) -> int:
     rows = [(n, c.real, c.imag) for n, c in enumerate(coefficients, lo)]
     low = {ZERO, INFINITY, ONE, ExtRational(-1)}     # Farey order <= 2
     shears = list(sdot)
-    low_mass = left_sum(abs(v) for e, v in shears
+    # each |v| scaled by a power of two so the masses cannot overflow; the
+    # scaling is exact, so the fraction keeps its bits
+    scale = -math.frexp(max((abs(v) for _, v in shears), default=0.0))[1]
+    low_mass = left_sum(math.ldexp(abs(v), scale) for e, v in shears
                         if e.initial in low or e.terminal in low)
-    total_mass = left_sum(abs(v) for _, v in shears)
+    total_mass = left_sum(math.ldexp(abs(v), scale) for _, v in shears)
     _emit(args.format, args.output, ["n", "re", "im"], rows,
           _meta(max_order=args.max_order, window=args.window,
                 low_order_shear_fraction=low_mass / (total_mass or 1.0)))

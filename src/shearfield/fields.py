@@ -243,7 +243,11 @@ def _panel_table(terms, quad, points):
             rays.append((-inf, b, -c, b))
         else:                          # k (x - a)(x - b) between a and b
             lo, hi = (a, b) if a < b else (b, a)
-            intervals.append((lo, hi, c / (a - b), a, b))
+            k = c / (a - b)
+            if not math.isfinite(k):
+                raise ValueError(f"term {c!r} on ({a!r}, {b!r}): its quadratic"
+                                 " coefficient c/(a - b) overflows")
+            intervals.append((lo, hi, k, a, b))
     floats = [*quad, *points, *(k for *_, k, _, _ in intervals),
               *(g for *_, g, _ in rays)]
     s = max(f.as_integer_ratio()[1].bit_length() - 1 for f in floats)

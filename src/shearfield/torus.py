@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import math
 
-from .farey import (ExtRational, FareyEdge, IDENTITY, INFINITY, IntegerMoebius,
-                    ONE, ZERO, left_sum, oriented_edge)
+from .farey import (ExtRational, FareyEdge, INFINITY, IntegerMoebius, ONE,
+                    ZERO, left_sum, oriented_edge)
 from .hilbert import bracket_plan, edge_quadrilateral, edge_weights
 
-# most words _weight_matrices holds before it evaluates them, so its batches
-# add O(_WORD_CHUNK) memory to the walk's at any depth
+# most words of a shell _weight_matrices evaluates at once, so the float
+# images and weights of a slice add O(_WORD_CHUNK) memory to the shells'
 _WORD_CHUNK = 2048
 
 
@@ -105,21 +105,21 @@ def cusp_condition_check(t) -> bool:
 
 
 def _reduced_words(depth: int):
-    """Freely reduced words in GENERATORS of length <= depth, breadth-first,
-    in the generator order; deterministic.  Yields (word length, element);
-    the frontier keeps only each word's last letter."""
-    frontier = [(None, IDENTITY)]
-    yield 0, IDENTITY
-    for length in range(1, depth + 1):
-        nxt = []
-        for last, g in frontier:
-            for k, gen in enumerate(GENERATORS):
-                if last is not None and k == last ^ 2:
-                    continue
-                g2 = g.compose(gen)
-                nxt.append((k, g2))
-                yield length, g2
-        frontier = nxt
+    """Freely reduced words in GENERATORS of length 0..depth, breadth-first
+    in the generator order; deterministic.  Yields one shell per length, a
+    list of (last letter, a, b, c, d) with a..d the word's matrix entries;
+    each shell is built from the one before, appending every letter k but
+    the inverse k ^ 2 of the last.  The identity's last letter is -1, and
+    -1 ^ 2 is no letter."""
+    gens = [(k, g.a, g.b, g.c, g.d) for k, g in enumerate(GENERATORS)]
+    shell = [(-1, 1, 0, 0, 1)]
+    for length in range(depth + 1):
+        yield shell
+        if length < depth:
+            shell = [(k, a * p + b * r, a * q + b * s,
+                      c * p + d * r, c * q + d * s)
+                     for last, a, b, c, d in shell
+                     for k, p, q, r, s in gens if k != last ^ 2]
 
 
 def lift_edges(depth: int):
@@ -129,18 +129,19 @@ def lift_edges(depth: int):
     identity fixes an edge (an edge flip has order 2), and the fundamental
     edges lie in distinct orbits; distinct reduced words thus give distinct
     lifts."""
-    return [(g.map_edge(e), j) for _, g in _reduced_words(depth)
+    return [(IntegerMoebius(*entries).map_edge(e), j)
+            for shell in _reduced_words(depth) for _, *entries in shell
             for j, e in enumerate(EDGES)]
 
 
 def _vertex_images(words, p: ExtRational) -> list:
-    """float(g(p)) for each word's matrix entries (a, b, c, d), straight
-    from the entries: the correctly rounded quotient of the unreduced
-    image, which is the reduced one's; + 0.0 gives zero the positive sign
-    that ExtRational's positive denominator gives."""
+    """float(g(p)) for each word (last letter, a, b, c, d) of a shell,
+    straight from the matrix entries: the correctly rounded quotient of the
+    unreduced image, which is the reduced one's; + 0.0 gives zero the
+    positive sign that ExtRational's positive denominator gives."""
     pn, pd = p.num, p.den
     out = []
-    for a, b, c, d in words:
+    for _, a, b, c, d in words:
         den = c * pn + d * pd
         out.append((a * pn + b * pd) / den + 0.0 if den else math.inf)
     return out
@@ -154,37 +155,24 @@ def _weight_matrices(depth: int) -> list:
 
     Each entry is the sum of delta_weight(g.map_edge(e_k), Q_i) in walk
     order, bit for bit, from work done in batches: the three
-    quadrilaterals' bracket plans once per walk; the words' matrix entries
-    collected and evaluated at each shell's end, and whenever _WORD_CHUNK
-    of them are waiting, column by column: the float images of each
-    fundamental vertex, then per class the edge_weights of its lifts over
-    the three plans, added to W one by one."""
+    quadrilaterals' bracket plans once per walk; each shell in slices of
+    _WORD_CHUNK words, and per slice the float images of the fundamental
+    vertices, then per class the edge_weights of its lifts over the three
+    plans, added to W one by one.  W is copied as each shell ends."""
     plans = [bracket_plan(edge_quadrilateral(e)) for e in EDGES]
-    vertices = list(dict.fromkeys(p for e in EDGES
-                                  for p in (e.initial, e.terminal)))
-    slots = [(vertices.index(e.initial), vertices.index(e.terminal))
-             for e in EDGES]
+    vertices = {p for e in EDGES for p in (e.initial, e.terminal)}
     W = [[0.0] * len(EDGES) for _ in plans]
-
-    def flush(words):
-        images = [_vertex_images(words, p) for p in vertices]
-        for k, (s, t) in enumerate(slots):
-            lifts = list(zip(images[s], images[t]))
-            for i, weights in enumerate(edge_weights(plans, lifts)):
-                W[i][k] = left_sum(weights, W[i][k])
-        words.clear()
-
     shells = []
-    words = []
-    for length, g in _reduced_words(depth):
-        if length > len(shells):       # the shell length - 1 is closed
-            flush(words)
-            shells.append([row[:] for row in W])
-        words.append((g.a, g.b, g.c, g.d))
-        if len(words) == _WORD_CHUNK:
-            flush(words)
-    flush(words)
-    return shells + [W]
+    for shell in _reduced_words(depth):
+        for start in range(0, len(shell), _WORD_CHUNK):
+            words = shell[start:start + _WORD_CHUNK]
+            images = {p: _vertex_images(words, p) for p in vertices}
+            for k, e in enumerate(EDGES):
+                lifts = list(zip(images[e.initial], images[e.terminal]))
+                for i, weights in enumerate(edge_weights(plans, lifts)):
+                    W[i][k] = left_sum(weights, W[i][k])
+        shells.append([row[:] for row in W])
+    return shells
 
 
 def _transform(W: list, t) -> tuple:

@@ -368,6 +368,24 @@ def test_fourier_command(tmp_path):
     assert doc["meta"]["low_order_shear_fraction"] == 1.0
 
 
+@pytest.mark.parametrize("far_edge, fraction", [
+    ({"p": [1, 1], "q": [1, 0]}, 1.0),
+    ({"p": [1, 3], "q": [1, 2]}, 0.5),
+], ids=["both-low", "one-low"])
+def test_fourier_low_order_fraction_of_huge_shears(tmp_path, far_edge,
+                                                   fraction):
+    """Two shears of 1e308 sum past the float range, yet the fraction of
+    their mass at Farey order <= 2 is read off exactly, as CSV's
+    coefficients are."""
+    path = write_shears(tmp_path, [{"p": [1, 0], "q": [0, 1], "value": 1e308},
+                                   {**far_edge, "value": 1e308}])
+    out = tmp_path / "f.json"
+    assert run(["fourier", "--shears", path, "--n-max", "2",
+                "--format", "json", "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["meta"]["low_order_shear_fraction"] == fraction
+
+
 def test_wp_gram_symmetric(tmp_path):
     out = tmp_path / "gram.json"
     assert run(["wp", "gram", "--depth", "4", "--output", str(out)]) == 0
@@ -440,6 +458,26 @@ def test_ends_that_round_together_exit_with_one_diagnostic(tmp_path, capsys,
     assert captured.out == ""
     assert json.loads(captured.err)["error"].startswith(
         "ends (1.0, 1.0) name no elementary field")
+
+
+def test_overflowing_quadratic_coefficient_names_its_term(tmp_path, capsys):
+    """The shear 1e300 on {1/(10^6 + 1), 1/10^6} gives an interval term
+    whose coefficient c/(a - b) overflows, though its field stays below
+    3e287: the field and the oracle exit 1 naming the term, and the closed
+    form, which never builds the coefficient, answers."""
+    n = 10 ** 6
+    path = write_shears(tmp_path, [{"p": [1, n + 1], "q": [1, n],
+                                    "value": 1e300}])
+    common = ["--shears", path, "--max-order", str(2 * n), "--samples", "3"]
+    for command in (["field", "eval"], ["hilbert", "eval", "--mode", "oracle"]):
+        assert run([*command, *common]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == (
+            "term 5e+299 on (9.99999000001e-07, 1e-06): its quadratic "
+            "coefficient c/(a - b) overflows")
+    assert run(["hilbert", "eval", "--mode", "closed", *common]) == 0
+    assert capsys.readouterr().out.startswith("x,value\n")
 
 
 def test_wp_pair_negative_triple_as_separate_argument(capsys):

@@ -15,6 +15,12 @@ from shearfield.torus import (EDGES, GENERATORS, TRIANGLES, _reduced_words,
 RNG = np.random.default_rng(31)
 
 
+def _words(depth):
+    """The word ball to ``depth`` as IntegerMoebius maps, in walk order."""
+    return [IntegerMoebius(*entries) for shell in _reduced_words(depth)
+            for _, *entries in shell]
+
+
 def test_cusp_condition_examples():
     assert cusp_condition_check((0.0, 0.0, 0.0))
     assert cusp_condition_check((1.0, 1.0, -2.0))
@@ -100,6 +106,26 @@ def test_triangulation_validation():
     assert 1 - len(EDGES) + len(TRIANGLES) == 0
 
 
+def test_reduced_words_are_the_breadth_first_walk():
+    """Each shell lists, in order, what a breadth-first frontier of maps
+    builds: every word of the shell before composed with each generator
+    in turn, the inverse of its last letter skipped; the identity's last
+    letter is -1, the inverse of none."""
+    shells = list(_reduced_words(5))
+    assert shells[0] == [(-1, 1, 0, 0, 1)]
+    frontier = [(None, IntegerMoebius(1, 0, 0, 1))]
+    for shell in shells[1:]:
+        nxt = []
+        for last, g in frontier:
+            for k, gen in enumerate(GENERATORS):
+                if last is not None and k == last ^ 2:
+                    continue
+                nxt.append((k, g.compose(gen)))
+        frontier = nxt
+        assert shell == [(k, g.a, g.b, g.c, g.d) for k, g in frontier]
+    assert [len(shell) for shell in shells] == [1, 4, 12, 36, 108, 324]
+
+
 def test_lift_edges_depth_zero_and_growth():
     lifted = lift_edges(0)
     assert len(lifted) == 3
@@ -116,7 +142,7 @@ def test_lift_edges_depth_zero_and_growth():
 def test_lift_edges_triangle_closure():
     """Every word's three fundamental-edge images appear together."""
     lifted = {e.unordered() for e, _ in lift_edges(3)}
-    for _, g in _reduced_words(3):
+    for g in _words(3):
         for e in EDGES:
             assert g.map_edge(e).unordered() in lifted
 
@@ -127,7 +153,7 @@ def test_delta_weight_covering_invariance():
     from cancelling brackets, so the error is measured relative to the
     largest weight on the quadrilateral, the scale of the sum they enter."""
     lifted = lift_edges(3)
-    for _, g in _reduced_words(2):
+    for g in _words(2):
         for f in EDGES:
             Q = edge_quadrilateral(f)
             gQ = edge_quadrilateral(g.map_edge(f))
@@ -143,7 +169,7 @@ def _per_lift_shear_vector(t, depth):
     quads = [edge_quadrilateral(e) for e in EDGES]
     want = [0.0, 0.0, 0.0]
     seen = set()
-    for _, g in _reduced_words(depth):
+    for g in _words(depth):
         for j, e in enumerate(EDGES):
             img = g.map_edge(e)
             if img.unordered() in seen:
@@ -168,56 +194,51 @@ def test_hilbert_shear_vector_matches_per_lift_sum(depth):
             assert got[i] == pytest.approx(want[i], rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("depth", range(5))
-def test_weight_matrices_are_delta_weight_sums_bitwise(depth):
-    """Every shell is, bit for bit, the W that delta_weight builds: lift
-    by lift in walk order, each lifted edge over each fundamental
-    quadrilateral, with no vertex image, main term or bracket plan
-    shared."""
+def _delta_weight_shells(depth):
+    """W after each shell, as hex, summed by delta_weight lift by lift in
+    walk order: each lifted edge over each fundamental quadrilateral, with
+    no vertex image, main term or bracket plan shared."""
     quads = [edge_quadrilateral(f) for f in EDGES]
     W = [[0.0] * 3 for _ in quads]
-    want = []
-    for length, g in _reduced_words(depth):
-        if length > len(want):
-            want.append([[w.hex() for w in row] for row in W])
-        for k, e in enumerate(EDGES):
-            for i, Q in enumerate(quads):
-                W[i][k] += delta_weight(g.map_edge(e), Q)
-    want.append([[w.hex() for w in row] for row in W])
+    out = []
+    for shell in _reduced_words(depth):
+        for _, *entries in shell:
+            g = IntegerMoebius(*entries)
+            for k, e in enumerate(EDGES):
+                for i, Q in enumerate(quads):
+                    W[i][k] += delta_weight(g.map_edge(e), Q)
+        out.append([[w.hex() for w in row] for row in W])
+    return out
+
+
+@pytest.mark.parametrize("depth", range(5))
+def test_weight_matrices_are_delta_weight_sums_bitwise(depth):
+    """Every shell is, bit for bit, the W that delta_weight builds."""
     got = [[[w.hex() for w in row] for row in shell]
            for shell in _weight_matrices(depth)]
-    assert got == want
+    assert got == _delta_weight_shells(depth)
 
 
 def test_weight_matrices_flushed_in_chunks_bitwise(monkeypatch):
     """With a chunk of 7 words, every shell of word length 2 or more is
-    evaluated in several flushes, and each still gives the delta_weight
+    evaluated in several slices, and each still gives the delta_weight
     sum."""
-    quads = [edge_quadrilateral(f) for f in EDGES]
-    W = [[0.0] * 3 for _ in quads]
-    want = []
-    for length, g in _reduced_words(4):
-        if length > len(want):
-            want.append([[w.hex() for w in row] for row in W])
-        for k, e in enumerate(EDGES):
-            for i, Q in enumerate(quads):
-                W[i][k] += delta_weight(g.map_edge(e), Q)
-    want.append([[w.hex() for w in row] for row in W])
     monkeypatch.setattr(shearfield.torus, "_WORD_CHUNK", 7)
     got = [[[w.hex() for w in row] for row in shell]
            for shell in _weight_matrices(4)]
-    assert got == want
+    assert got == _delta_weight_shells(4)
 
 
 def test_vertex_images_equal_exact_images_bitwise():
     """The float image read off the matrix entries is float(g(x)), the sign
     of zero and infinity included, across the depth-4 ball; the last two
     maps send oo to 0 through a denominator of either sign."""
-    words = [g for _, g in _reduced_words(4)]
+    words = _words(4)
     words += [IntegerMoebius(0, 1, -1, 0), IntegerMoebius(0, -1, 1, 0)]
     points = [ZERO, ONE, INFINITY, ExtRational(-1), ExtRational(1, 2),
               ExtRational(2)]
-    entries = [(g.a, g.b, g.c, g.d) for g in words]
+    # shell entries: the last letter is not read
+    entries = [(None, g.a, g.b, g.c, g.d) for g in words]
     for x in points:
         assert ([w.hex() for w in _vertex_images(entries, x)]
                 == [float(g(x)).hex() for g in words]), x
