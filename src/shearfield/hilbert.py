@@ -171,14 +171,12 @@ def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
     poles = ((x - 1.0, 0.0, V(0.0)), (-x, 1.0, V(1.0)), (1.0, x, V(x)))
 
     def subtracted(xis: list) -> list:
-        out = []
-        for xi, v in zip(xis, evaluate(xis)):
-            total = 0.0
-            for w, a, va in poles:
-                if xi != a:         # a node rounded onto a pole adds 0
-                    total += w * (v - va) / (xi - a)
-            out.append(total)
-        return out
+        vs = list(evaluate(xis))
+        # one column per pole; a node rounded onto a pole adds 0.0, which
+        # changes no bit of a sum that starts at +0.0
+        t0, t1, t2 = ([w * (v - va) / (xi - a) if xi != a else 0.0
+                       for xi, v in zip(xis, vs)] for w, a, va in poles)
+        return [((0.0 + p0) + p1) + p2 for p0, p1, p2 in zip(t0, t1, t2)]
 
     value = left_sum(w * va * math.log((R - a) / (R + a))
                      for w, a, va in poles)
