@@ -115,21 +115,33 @@ def closed_hilbert_field(F: FieldExpr):
 # principal-value oracle
 # ---------------------------------------------------------------------------
 
-# Quadrature budget of the oracle.  Inside PV_TAIL_RADIUS the kernel's poles
-# are subtracted and the bounded remainder is integrated piece by piece;
-# beyond it the integrand is mapped through xi -> 1/u and the two tails are
-# integrated jointly, which both bounds and evaluates the o(R^-alpha)
-# remainder exactly up to quadrature tolerance.  Each piece and the tail
-# asks quad for PV_QUAD_TOL, or for its even share of the error gate where
-# a small `tolerance` makes that share smaller.
+# Reach and quadrature budget of the oracle.  It answers only where |x| and
+# every breakpoint are at most PV_REACH: beyond it a 21-point rule on a piece
+# such as [1, 2|x|] no longer samples the 1/xi structure near its left end,
+# and its error estimate passes values that are wrong.  Inside R = 2 max(1,
+# |x|, |breakpoints|) the kernel's poles are subtracted and the bounded
+# remainder is integrated piece by piece; beyond R the integrand is mapped
+# through xi -> 1/u and the two tails are integrated jointly from u = 0, so
+# no |xi| is left out.  The growth gate probes V at radii derived from
+# PV_TAIL_RADIUS, |x| + 5 and the breakpoints + 5, wider than R near the
+# origin.  Each piece and the tail asks quad for PV_QUAD_TOL, or for its
+# even share of the error gate where a small `tolerance` makes that share
+# smaller.
+PV_REACH = 1e10
 PV_TAIL_RADIUS = 1e3
 PV_QUAD_TOL = 1e-11
 
 
 class PVConvergenceError(RuntimeError):
-    def __init__(self, residual):
-        super().__init__(f"principal-value quadrature did not settle "
-                         f"(error estimate {residual:.3e})")
+    """The oracle's quadrature cannot be trusted: `residual` is its summed
+    error estimate, or None where x or a breakpoint lies beyond PV_REACH
+    and nothing was integrated."""
+
+    def __init__(self, residual=None):
+        why = (f"(error estimate {residual:.3e})" if residual is not None
+               else f"beyond the oracle's reach: |x| and every breakpoint "
+                    f"must be at most {PV_REACH:.0e}")
+        super().__init__(f"principal-value quadrature did not settle {why}")
         self.residual = residual
 
 
@@ -138,28 +150,32 @@ def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
 
     V must grow strictly slower than quadratically.  By partial fractions
     the kernel is (x-1)/xi - x/(xi-1) + 1/(xi-x), the sum of w_a/(xi-a)
-    over the poles a = 0, 1, x.  On [-R, R] the principal value is then
-    the integral of the bounded sum of w_a (V(xi) - V(a))/(xi - a), taken
-    between consecutive breakpoints and poles, plus the closed form
-    sum of w_a V(a) log((R-a)/(R+a)); V need not vanish at 0 or 1.
-    Raises PVConvergenceError when the summed quadrature error estimate
-    does not meet the tolerance, as where V jumps at a pole and no
-    principal value exists.  Every piece is integrated by quadrature.quad;
-    a V with a values(xs) method (a FieldExpr) is evaluated at each rule's
-    21 nodes in one call.
+    over the poles a = 0, 1, x.  On [-R, R], with R twice the largest of
+    1, |x| and |breakpoints|, the principal value is then the integral of
+    the bounded sum of w_a (V(xi) - V(a))/(xi - a), taken between
+    consecutive breakpoints and poles, plus the closed form sum of
+    w_a V(a) log((R-a)/(R+a)); V need not vanish at 0 or 1.  Raises
+    PVConvergenceError, before any quadrature, when |x| or a breakpoint
+    exceeds PV_REACH, and when the summed quadrature error estimate does
+    not meet the tolerance, as where V jumps at a pole and no principal
+    value exists.  Every piece is integrated by quadrature.quad; a V with
+    a values(xs) method (a FieldExpr) is evaluated at each rule's 21 nodes
+    in one call.
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError("tolerance must be finite and positive")
     from .quadrature import quad    # on first use: other commands never load it
 
     x = float(x)
-    brk = sorted(set(getattr(V, "breakpoints", list)() or []))
-    R = max(PV_TAIL_RADIUS, abs(x) + 5.0,
-            max((abs(b) for b in brk), default=0.0) + 5.0)
+    brk = set(getattr(V, "breakpoints", list)() or [])
+    far = max(map(abs, brk), default=0.0)
+    if not (abs(x) <= PV_REACH and far <= PV_REACH):
+        raise PVConvergenceError()
 
     # growth gate: V(x)/x^2 must decay between two probe radii, else the
     # field carries a genuine quadratic part and is outside the domain
-    big = 0.5 * (R + max(abs(x), 2.0))
+    probe = max(PV_TAIL_RADIUS, abs(x) + 5.0, far + 5.0)
+    big = 0.5 * (probe + max(abs(x), 2.0))
     r1 = max(abs(V(big)), abs(V(-big))) / big ** 2
     r2_probe = max(abs(V(2 * big)), abs(V(-2 * big))) / (2 * big) ** 2
     if r1 > 1e-6 and r2_probe > 0.8 * r1:
@@ -178,10 +194,11 @@ def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
                        for xi, v in zip(xis, vs)] for w, a, va in poles)
         return [((0.0 + p0) + p1) + p2 for p0, p1, p2 in zip(t0, t1, t2)]
 
+    R = 2.0 * max(1.0, abs(x), far)
     value = left_sum(w * va * math.log((R - a) / (R + a))
                      for w, a, va in poles)
     err = 0.0
-    cuts = sorted({c for c in brk if -R < c < R} | {-R, 0.0, 1.0, x, R})
+    cuts = sorted({*brk, -R, 0.0, 1.0, x, R})
     # the gate below, shared by the len(cuts) - 1 pieces and the tail
     gate = max(tolerance * 1e3, 1e-12)
     tol = min(PV_QUAD_TOL, gate / len(cuts))

@@ -307,17 +307,23 @@ def test_hilbert_oracle_meets_a_tight_tolerance(tmp_path, capsys):
 
 def test_hilbert_oracle_beyond_its_reach_exits_with_diagnostic(tmp_path,
                                                                capsys):
-    """From |x| ~ 1e12 on the oracle's quadrature cannot settle: it exits
-    1 with the PVConvergenceError diagnostic, nothing on stdout."""
+    """Beyond the oracle's reach (|x| and the breakpoints at most 1e10)
+    every x exits 1 before any quadrature, with the same one-line
+    PVConvergenceError diagnostic and nothing on stdout; none reaches
+    the growth gate, whose squares overflow from 1.2e154 on."""
     path = write_shears(tmp_path, [{"p": [1, 0], "q": [0, 1], "value": 1.0},
                                    {"p": [1, 1], "q": [1, 0], "value": -2.0}])
-    assert run(["hilbert", "eval", "--shears", path, "--mode", "oracle",
-                "--from", "1e13", "--to", "2e13", "--samples", "2"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert json.loads(captured.err)["error"].startswith(
-        "principal-value quadrature did not settle")
+    errors = set()
+    for x in ("1e12", "8e16", "1e153", "1.2e154", "-1e300"):
+        assert run(["hilbert", "eval", "--shears", path, "--mode", "oracle",
+                    "--samples", "1", f"--from={x}", "--to=1e301"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        errors.add(json.loads(line)["error"])
+    (error,) = errors
+    assert error.startswith("principal-value quadrature did not settle")
+    assert "reach" in error
 
 
 def test_hilbert_shear_subcommand(tmp_path):
@@ -748,6 +754,26 @@ def test_shear_file_stdout_golden_bytes(tmp_path, capsys, command, argv,
                 *argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_oracle_grid_integrand_nodes(tmp_path, monkeypatch):
+    """The oracle's pieces end at twice the farthest of x and the
+    breakpoints, not at 1e3: on the benchmark's grid file its seven points
+    hand quad's rule 5,334 nodes (9,618 with pieces out to 1e3)."""
+    from shearfield import quadrature
+    nodes = []
+    quad = quadrature.quad
+
+    def counted(f, *args, **kwargs):
+        def g(xs):
+            nodes.append(len(xs))
+            return f(xs)
+        return quad(g, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "quad", counted)
+    assert run(["hilbert", "eval", "--shears", _bench_grid_shears(tmp_path),
+                "--mode", "oracle", *_GRID_X]) == 0
+    assert 0 < sum(nodes) <= 6000
 
 
 @pytest.mark.parametrize("argv, want", [

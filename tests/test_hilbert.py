@@ -8,7 +8,7 @@ from shearfield.farey import (ExtRational, INFINITY, ONE, ZERO,
                               enumerate_edges, oriented_edge)
 from shearfield.fields import (FieldExpr, ShearFunction, assemble_field,
                                edge_ends, halved_terms)
-from shearfield.hilbert import (BracketPlan, PVConvergenceError,
+from shearfield.hilbert import (PV_REACH, BracketPlan, PVConvergenceError,
                                 Quadrilateral, bracket_plan, bracket_values,
                                 closed_hilbert_field, delta_weight,
                                 delta_weight_hyperbolic, edge_quadrilateral,
@@ -136,14 +136,46 @@ def test_oracle_matches_ray_closed_form():
 
 @pytest.mark.parametrize("x", [1e6, 1e9])
 def test_oracle_tail_reaches_infinity(x):
-    """The mapped tail is integrated from u = 0, so no |xi| is left out:
-    far beyond the breakpoints, where the part beyond |xi| = 1e12 would
-    grow like x(x - 1)/1e12, the oracle meets the closed form (measured
-    1.1e-11 relative at 1e6 and 5.0e-9 at 1e9)."""
+    """The pieces end at R = 2|x| and the mapped tail is integrated from
+    u = 0, so no |xi| is left out: far beyond the breakpoints the oracle
+    meets the closed form (measured 1.8e-13 relative at 1e6 and 3.9e-9 at
+    1e9)."""
     V = FieldExpr([(1.0, (0.5, INF)), (-0.7, (INF, -2.0)),
                    (0.3, (0.0, 1.0))])
     want = closed_hilbert_field(V)(x)
     assert abs(hilbert_pv_oracle(V, x) - want) <= 1e-7 * abs(want)
+
+
+_RAYS = [(1.0, (INF, 0.0)), (-2.0, (1.0, INF))]
+
+
+@pytest.mark.parametrize("terms", [_RAYS, _RAYS + [(0.7, (0.25, 3.0))]],
+                         ids=["rays", "rays+interval"])
+def test_oracle_is_right_or_beyond_its_reach(terms):
+    """On x = +-10^(k/2), k = 0..615, every value the oracle returns is
+    within 1e-6 max(1, |closed|) of the closed form (measured 2.5e-7 at
+    x = 1e10), and every other x raises the one reach diagnostic before
+    any quadrature: no domain or overflow error, and no silently wrong
+    value (with no reach, the rays give +2.1e19 at x = 1e19, where the
+    closed form is -1.4e20)."""
+    V = FieldExpr(terms)
+    for k in range(616):
+        for x in (10.0 ** (k / 2), -10.0 ** (k / 2)):
+            if abs(x) > PV_REACH:
+                with pytest.raises(PVConvergenceError, match="reach") as exc:
+                    hilbert_pv_oracle(V, x)
+                assert exc.value.residual is None
+                continue
+            want, = hilbert_series_eval(terms, [x])
+            assert abs(hilbert_pv_oracle(V, x) - want) <= (
+                1e-6 * max(1.0, abs(want)))
+
+
+def test_oracle_reach_covers_the_breakpoints():
+    """A breakpoint beyond PV_REACH is refused like such an x."""
+    V = FieldExpr([(1.0, (2.0 * PV_REACH, INF))])
+    with pytest.raises(PVConvergenceError, match="reach"):
+        hilbert_pv_oracle(V, 0.5)
 
 
 def test_oracle_rejects_quadratic_growth():
