@@ -29,35 +29,65 @@ from typing import NamedTuple
 from .farey import FareyEdge, Value, edge_neighbors, in_ccw_arc, left_sum
 
 
-def _xlogx(t: float) -> float:
-    return 0.0 if t == 0.0 else t * math.log(abs(t))
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
 
-def hilbert_main_terms(lifts, x: float) -> list:
+# most (x, distinct ends) entries _hilbert_series hands hilbert_main_terms
+# at once
+_X_BLOCK = 4096
+
+
+def hilbert_main_terms(ends: list, pairs, xs) -> list:
     """Unnormalized main terms (no 1/pi, no affine part) of the transforms
-    of the elementary fields of the ends (a, b) in lifts, all at x, in
-    order.  A ray with finite end a gives (x-a) log|x-a| for either side;
-    the interval (a, b) gives -(x-a)(x-b)/(a-b) log|(x-b)/(x-a)|, with the
-    removable singularities at x = a, b set to their limit 0.  The main
-    term is orientation-free."""
+    of elementary fields: per (i, j) of pairs, one list per x of xs, whose
+    n-th entry is the term at x of the ends (a, b) = (ends[i][n],
+    ends[j][n]), ends being equally long float columns.  The interval
+    (a, b) gives -(x-a)(x-b)/(a-b) log|(x-b)/(x-a)|, 0 at x = a, b (the
+    limit); a ray with finite end a gives (x-a) log|x-a|.  The term is
+    orientation-free.  x - a and log|x - a| are taken once per end and x,
+    a - b once per pair, each as one list over all x; entries with an
+    infinite end or an end at x are then patched."""
     inf, log = math.inf, math.log
+    n, xs = (len(ends[0]) if ends else 0), list(xs)
+    xa, logs, zeros, rays = [], [], [], []
+    for col in ends:
+        xa.append([x - a for x in xs for a in col])
+        # log(1.0) stands in at x = a, whose entries are patched below
+        logs.append([log(abs(d) or 1.0) for d in xa[-1]])
+        zeros.append(_where(xa[-1], 0.0))
+        rays.append(_where(col * len(xs), inf))
     out = []
-    append = out.append
-    for a, b in lifts:
-        if b == inf:
-            append(_xlogx(x - a))
-        elif a == inf:
-            append(_xlogx(x - b))
-        elif x == a or x == b:
-            append(0.0)
-        else:
-            xa, xb = x - a, x - b
-            append(-(xa * xb / (a - b)) * (log(abs(xb)) - log(abs(xa))))
+    for i, j in pairs:
+        ba = [b - a for a, b in zip(ends[i], ends[j])] * len(xs)
+        # -(x-a)(x-b)/(a-b) is (x-a)(x-b)/(b-a), bit for bit
+        t = [u * v / w * (lv - lu) for u, v, w, lu, lv
+             in zip(xa[i], xa[j], ba, logs[i], logs[j])]
+        for m in zeros[i] + zeros[j]:
+            t[m] = 0.0
+        # a ray's term is (x-a) log|x-a| at its finite end a
+        for c, far in ((j, i), (i, j)):
+            for m in rays[far]:
+                t[m] = xa[c][m] * logs[c][m] if xa[c][m] else 0.0
+        out.append([t[q * n:q * n + n] for q in range(len(xs))])
     return out
+
+
+def _where(values: list, v) -> list:
+    """Indices of the entries of values equal to v, by list scans."""
+    found = [-1]
+    for _ in range(values.count(v)):
+        found.append(values.index(v, found[-1] + 1))
+    return found[1:]
+
+
+def _end_columns(lifts) -> tuple:
+    """The end columns of the distinct (a, b) in lifts, pair (0, 1) of
+    hilbert_main_terms, and each lift's index among them: an edge's two
+    halved terms share their ends, and equal ends have equal terms."""
+    index = {}
+    at = [index.setdefault(tuple(ends), len(index)) for ends in lifts]
+    return [[a for a, _ in index], [b for _, b in index]], at
 
 
 def hilbert_series_eval(terms, xs) -> list:
@@ -71,18 +101,25 @@ def hilbert_series_eval(terms, xs) -> list:
 
 
 def _hilbert_series(terms):
-    """values(xs) = hilbert_series_eval(terms, xs); S(0), S(1) summed once."""
-    coefs, lifts = [], []
-    for *_, c, ends in terms:       # (order, coef, ends) or (coef, ends)
-        coefs.append(c)
-        lifts.append(ends)
+    """values(xs) = hilbert_series_eval(terms, xs); S(0), S(1) summed once,
+    each S from the main terms of the distinct ends, _X_BLOCK at a time."""
+    terms = list(terms)             # (order, coef, ends) or (coef, ends)
+    coefs = [t[-2] for t in terms]
+    ends, at = _end_columns(t[-1] for t in terms)
+    step = max(1, _X_BLOCK // max(len(ends[0]), 1))
 
-    def S(x: float) -> float:
-        return left_sum(map(operator.mul, coefs, hilbert_main_terms(lifts, x)))
+    def S(xs: list) -> list:
+        return [left_sum(map(operator.mul, coefs, map(col.__getitem__, at)))
+                for k in range(0, len(xs), step) for col in
+                hilbert_main_terms(ends, [(0, 1)], xs[k:k + step])[0]]
 
-    s0, s1 = S(0.0), S(1.0)
-    return lambda xs: [(S(x) - x * s1 + (x - 1.0) * s0) / math.pi
-                       for x in map(float, xs)]
+    s0, s1 = S([0.0, 1.0])
+
+    def values(xs) -> list:
+        xs = list(map(float, xs))
+        return [(s - x * s1 + (x - 1.0) * s0) / math.pi
+                for x, s in zip(xs, S(xs))]
+    return values
 
 
 def elementary_hilbert(ends, x: float) -> float:
@@ -317,20 +354,19 @@ def bracket_values(plan: BracketPlan, columns,
     each field's value at p, p the plan's finite vertices: per field, the
     plus quotients summed in order, less the minus quotients in order, plus
     the quadratic coefficient times the span (added even when it is 0.0,
-    which turns a -0.0 total into +0.0)."""
-    def quotients(u, v, h):
-        return [(fv - fu) / h for fu, fv in zip(columns[u], columns[v])]
-
-    first, *plus = plan.plus
-    total = quotients(*first)
-    for q in plus:
-        total = [t + w for t, w in zip(total, quotients(*q))]
-    for q in plan.minus:
-        total = [t - w for t, w in zip(total, quotients(*q))]
-    if plan.span is not None:
-        shift = quadratic_coefficient * plan.span
-        total = [t + shift for t in total]
-    return total
+    which turns a -0.0 total into +0.0).  A plan has two plus and two minus
+    quotients, or one of each and a span."""
+    quotients = [(columns[u], columns[v], h)
+                 for u, v, h in plan.plus + plan.minus]
+    if plan.span is None:
+        (U, V, h), (U1, V1, h1), (U2, V2, h2), (U3, V3, h3) = quotients
+        return [(fv - fu) / h + (fv1 - fu1) / h1 - (fv2 - fu2) / h2
+                - (fv3 - fu3) / h3 for fu, fv, fu1, fv1, fu2, fv2, fu3, fv3
+                in zip(U, V, U1, V1, U2, V2, U3, V3)]
+    (U, V, h), (U2, V2, h2) = quotients
+    shift = quadratic_coefficient * plan.span
+    return [(fv - fu) / h - (fv2 - fu2) / h2 + shift
+            for fu, fv, fu2, fv2 in zip(U, V, U2, V2)]
 
 
 def shear_recover(V, Q: Quadrilateral, quadratic_coefficient=None) -> float:
@@ -377,17 +413,15 @@ def _cosh_factors(e: tuple, u: float, v: float):
     return s2 * L, c2 * L, L
 
 
-def edge_weights(plans, lifts: list) -> list:
-    """delta_weight of every edge of ends (a, b) in lifts over the
-    quadrilateral of every plan, bit for bit: one list per plan, in lifts
-    order.  The main terms are evaluated once per distinct plan vertex, as
-    columns the plans' brackets share."""
-    columns = {}
-    for P in plans:
-        for x in P.points:
-            if x not in columns:
-                columns[x] = hilbert_main_terms(lifts, x)
-    return [bracket_values(P, columns) for P in plans]
+def edge_weights(plans, ends: list, pairs) -> list:
+    """delta_weight, bit for bit, of every edge (a, b) = (ends[i][n],
+    ends[j][n]) over the quadrilateral of every plan: per (i, j) of pairs,
+    one list per plan, in end order.  One hilbert_main_terms call takes the
+    main terms at every distinct plan vertex, as columns that the plans'
+    brackets share."""
+    xs = list(dict.fromkeys(x for P in plans for x in P.points))
+    return [[bracket_values(P, dict(zip(xs, columns))) for P in plans]
+            for columns in hilbert_main_terms(ends, pairs, xs)]
 
 
 def delta_weight(edge, Q: Quadrilateral) -> float:
@@ -397,7 +431,9 @@ def delta_weight(edge, Q: Quadrilateral) -> float:
     Covers every admissible position, the edge crossing the diagonal
     included.  The scalar form of edge_weights."""
     from .fields import edge_ends   # on use: `wp` never loads fields
-    return edge_weights([bracket_plan(Q)], [edge_ends(edge)])[0][0]
+    a, b = edge_ends(edge)
+    ((w,),), = edge_weights([bracket_plan(Q)], [[a], [b]], [(0, 1)])
+    return w
 
 
 def delta_weight_hyperbolic(edge, Q: Quadrilateral) -> float:
@@ -472,10 +508,11 @@ def hilbert_shear_series(terms, edge: FareyEdge, max_order: int) -> list[float]:
     transform."""
     kept = list(takewhile(lambda t: t.order <= max_order, terms))
     plan = bracket_plan(edge_quadrilateral(edge))
-    weights, = edge_weights([plan], [t.ends for t in kept])
+    ends, at = _end_columns(t.ends for t in kept)
+    (weights,), = edge_weights([plan], ends, [(0, 1)])
     partials = []
     total = 0.0
-    for t, w in zip(kept, weights):
+    for t, w in zip(kept, map(weights.__getitem__, at)):
         partials += [total / math.pi] * (t.order - 1 - len(partials))
         total += t.coef * w
     return partials + [total / math.pi] * (max_order - len(partials))

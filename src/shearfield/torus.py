@@ -18,6 +18,10 @@ Everything the pairing needs at every truncation depth up to d comes from
 one walk of the word ball to depth d: the 3x3 edge-weight matrix W, copied
 as each shell of words closes, with W[i][k] the sum of edge weights of the
 distinct class-k lifts over the quadrilateral of fundamental edge i.  The
+walk is evaluated as columns: the images of the three fundamental vertices
+under a slice of words are three end columns, each class the pair of
+columns its edge joins, so hilbert.edge_weights takes each image's
+log|x - image| once per plan vertex x for the two classes it ends.  The
 transformed shear vector of a tangent triple t is W t / pi (unhalved
 shears: the invariant field is a plain sum of elementary fields, one per
 edge).  The pairing is twice the antisymmetric corner form of the
@@ -140,11 +144,8 @@ def _vertex_images(words, p: ExtRational) -> list:
     unreduced image, which is the reduced one's; + 0.0 gives zero the
     positive sign that ExtRational's positive denominator gives."""
     pn, pd = p.num, p.den
-    out = []
-    for _, a, b, c, d in words:
-        den = c * pn + d * pd
-        out.append((a * pn + b * pd) / den + 0.0 if den else math.inf)
-    return out
+    return [(a * pn + b * pd) / den + 0.0 if (den := c * pn + d * pd)
+            else math.inf for _, a, b, c, d in words]
 
 
 def _weight_matrices(depth: int) -> list:
@@ -156,20 +157,22 @@ def _weight_matrices(depth: int) -> list:
     Each entry is the sum of delta_weight(g.map_edge(e_k), Q_i) in walk
     order, bit for bit, from work done in batches: the three
     quadrilaterals' bracket plans once per walk; each shell in slices of
-    _WORD_CHUNK words, and per slice the float images of the fundamental
-    vertices, then per class the edge_weights of its lifts over the three
-    plans, added to W one by one.  W is copied as each shell ends."""
+    _WORD_CHUNK words, and per slice one edge_weights call on the image
+    columns of 0, 1 and oo, with class k the pair of columns of EDGES[k],
+    whose weights are added to W one by one.  W is copied as each shell
+    ends."""
     plans = [bracket_plan(edge_quadrilateral(e)) for e in EDGES]
-    vertices = {p for e in EDGES for p in (e.initial, e.terminal)}
+    vertices = (ZERO, ONE, INFINITY)
+    pairs = [(vertices.index(e.initial), vertices.index(e.terminal))
+             for e in EDGES]
     W = [[0.0] * len(EDGES) for _ in plans]
     shells = []
     for shell in _reduced_words(depth):
         for start in range(0, len(shell), _WORD_CHUNK):
             words = shell[start:start + _WORD_CHUNK]
-            images = {p: _vertex_images(words, p) for p in vertices}
-            for k, e in enumerate(EDGES):
-                lifts = list(zip(images[e.initial], images[e.terminal]))
-                for i, weights in enumerate(edge_weights(plans, lifts)):
+            images = [_vertex_images(words, p) for p in vertices]
+            for k, per_plan in enumerate(edge_weights(plans, images, pairs)):
+                for i, weights in enumerate(per_plan):
                     W[i][k] = left_sum(weights, W[i][k])
         shells.append([row[:] for row in W])
     return shells

@@ -71,8 +71,15 @@ def test_interval_transform_removable_points():
     assert math.isfinite(elementary_hilbert((1.0, 2.0), 1.5))
 
 
+def _main_terms(lifts, x):
+    """The main terms of lifts (a, b) at x: one pair of end columns."""
+    ends = [[a for a, _ in lifts], [b for _, b in lifts]]
+    (terms,), = hilbert_main_terms(ends, [(0, 1)], [x])
+    return terms
+
+
 def _main_term(ends, x):
-    return hilbert_main_terms((ends,), x)[0]
+    return _main_terms((ends,), x)[0]
 
 
 def test_main_term_orientation_free():
@@ -87,6 +94,19 @@ def _hex(values):
     return [v.hex() for v in values]
 
 
+def test_main_term_at_an_end_is_positive_zero():
+    """At x on an end the term is +0.0, though (x-a)(x-b)/(b-a) carries
+    a sign there: the limit is patched in, not left to the formula.  The
+    ends sit in one pair of columns, among lifts that x does not touch,
+    and at several x in one call."""
+    lifts = [(0.0, 1.0), (1.0, 0.0), (-1.0, 0.5), (0.5, -1.0), (2.0, 3.0)]
+    ends = [[a for a, _ in lifts], [b for _, b in lifts]]
+    (at0, at_half), = hilbert_main_terms(ends, [(0, 1)], [0.0, 0.5])
+    assert _hex(at0[:2]) == [(0.0).hex()] * 2
+    assert _hex(at_half[2:4]) == [(0.0).hex()] * 2
+    assert all(v != 0.0 for v in at0[2:] + at_half[4:])
+
+
 def test_batched_main_terms_are_the_scalar_main_term_bitwise():
     """A column of main terms is, entry by entry, the main term of each
     lift alone: rays with inf at either end, x at an end, and results of
@@ -94,9 +114,9 @@ def test_batched_main_terms_are_the_scalar_main_term_bitwise():
     lifts = [(0.0, INF), (INF, 0.0), (1.0, INF), (INF, 1.0), (0.0, 1.0),
              (1.0, 0.0), (0.5, 2.0), (-1.0, 0.5), (0.25, 0.5)]
     for x in (-1.0, 0.0, 0.5, 0.7, 1.0, 2.0):
-        assert _hex(hilbert_main_terms(lifts, x)) == [
+        assert _hex(_main_terms(lifts, x)) == [
             _main_term(ends, x).hex() for ends in lifts]
-    assert hilbert_main_terms([], 0.5) == []
+    assert _main_terms([], 0.5) == []
     # the written-out formulas, with their signed zeros
     r = (0.7 - 0.5) * (0.7 - 2.0) / (0.5 - 2.0)
     want = -r * (math.log(abs(0.7 - 2.0)) - math.log(abs(0.7 - 0.5)))
@@ -375,7 +395,9 @@ def test_edge_weights_are_delta_weights_bitwise():
     quads = [edge_quadrilateral(e) for e in targets]
     lifts = [(0.0, INF), (INF, -1.0), (2.0, INF), (0.5, 1.0), (-3.0, -2.0),
              (1.0, 2.0), (1 / 3, 0.5), (0.0, 1.0), (-1.0, 0.0)]
-    got = edge_weights([bracket_plan(Q) for Q in quads], lifts)
+    got, = edge_weights([bracket_plan(Q) for Q in quads],
+                        [[a for a, _ in lifts], [b for _, b in lifts]],
+                        [(0, 1)])
     assert [_hex(ws) for ws in got] == \
         [[delta_weight(e, Q).hex() for e in lifts] for Q in quads]
 

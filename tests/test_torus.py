@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 import shearfield.torus
 from shearfield.farey import (INFINITY, ExtRational, IntegerMoebius, ONE,
                               ZERO, enumerate_edges, oriented_edge)
-from shearfield.hilbert import delta_weight, edge_quadrilateral
+from shearfield.hilbert import (bracket_plan, delta_weight,
+                               edge_quadrilateral)
 from shearfield.torus import (EDGES, GENERATORS, TRIANGLES, _reduced_words,
                               _transform, _vertex_images, _weight_matrices,
                               cusp_condition_check, edge_class, lift_edges,
@@ -219,14 +221,56 @@ def test_weight_matrices_are_delta_weight_sums_bitwise(depth):
     assert got == _delta_weight_shells(depth)
 
 
-def test_weight_matrices_flushed_in_chunks_bitwise(monkeypatch):
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_weight_matrices_flushed_in_chunks_bitwise(monkeypatch, chunk):
     """With a chunk of 7 words, every shell of word length 2 or more is
-    evaluated in several slices, and each still gives the delta_weight
-    sum."""
-    monkeypatch.setattr(shearfield.torus, "_WORD_CHUNK", 7)
+    evaluated in several slices; with a chunk of 1, some slices hold only
+    a ray lift (a vertex image at oo) or only a lift with an end on a plan
+    vertex, so that every entry of their main terms is patched.  Each
+    still gives the delta_weight sum."""
+    plan_points = {x for e in EDGES
+                   for x in bracket_plan(edge_quadrilateral(e)).points}
+    images = [[_vertex_images([w], p)[0] for p in (ZERO, ONE, INFINITY)]
+              for shell in _reduced_words(4) for w in shell]
+    assert any(math.inf in im for im in images)
+    assert any(plan_points & set(im) for im in images)
+    monkeypatch.setattr(shearfield.torus, "_WORD_CHUNK", chunk)
     got = [[[w.hex() for w in row] for row in shell]
            for shell in _weight_matrices(4)]
     assert got == _delta_weight_shells(4)
+
+
+def test_weight_matrices_bits_to_depth_8():
+    """The sha256 of every shell of the depth-8 walk, each entry written
+    as float.hex, row by row and one shell per line.  The digest was
+    recorded at commit 92b10ce, where each lift's main terms were summed
+    one lift at a time, before the columnar main-term kernel."""
+    text = "\n".join(" ".join(w.hex() for row in W for w in row)
+                     for W in _weight_matrices(8))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d1aacfb7f4117658f91f594053f858d74d336a17447eaa861f9cd4c00c09b37c")
+
+
+def test_weight_matrices_take_one_log_per_vertex_image_and_plan_vertex(
+        monkeypatch):
+    """Each vertex image g(0), g(1), g(oo) ends two classes' lifts, yet
+    log|x - image| is taken once per plan vertex x: at most 5 * 3 = 15
+    math.log calls per word of the depth-5 ball (a ray's term reuses the
+    log of its finite end)."""
+    calls = []
+    log = math.log
+
+    def counting(*args):
+        calls.append(args)
+        return log(*args)
+
+    words = sum(len(shell) for shell in _reduced_words(5))
+    points = {x for e in EDGES
+              for x in bracket_plan(edge_quadrilateral(e)).points}
+    assert len(points) == 5
+    monkeypatch.setattr(math, "log", counting)
+    _weight_matrices(5)
+    assert 0 < len(calls) <= 15 * words
 
 
 def test_vertex_images_equal_exact_images_bitwise():
