@@ -140,7 +140,7 @@ def closed_hilbert_field(F: FieldExpr):
     if any(q != 0.0 for q in F.quad):
         raise ValueError("closed-form transform is defined for fields with "
                          "zero quadratic part; normalize first")
-    values = _hilbert_series(list(F.terms))
+    values = _hilbert_series(F.terms)
     H = lambda x: values([x])[0]
     H.values = values
     H.breakpoints = F.breakpoints
