@@ -205,7 +205,7 @@ def cmd_field(args) -> int:
     sdot = parse_shear_file(args.shears)
     bound = tail_bound(args.max_order + 1, 1.0)
     V = assemble_field(halved_terms(sdot, args.max_order, args.window))
-    rows = [(float(x), float(V(x))) for x in grid]
+    rows = list(zip(grid, V.values(grid)))
     _emit(args.format, args.output, ["x", "value"], rows,
           _meta(max_order=args.max_order, window=args.window,
                 unit_tail_bound=bound))

@@ -33,8 +33,8 @@ from .farey import FareyEdge, Value, edge_neighbors, in_ccw_arc, left_sum
 # closed forms
 # ---------------------------------------------------------------------------
 
-# most (x, distinct ends) entries _hilbert_series hands hilbert_main_terms
-# at once
+# most (x, distinct ends) entries hilbert_series_eval hands
+# hilbert_main_terms at once
 _X_BLOCK = 4096
 
 
@@ -101,30 +101,20 @@ def hilbert_series_eval(terms, xs) -> list:
     (coefficient, ends) pairs.  With S(x) the coefficients times the main
     terms (see hilbert_main_terms) summed in list order, the transform is
     (S(x) - x S(1) + (x - 1) S(0)) / pi: S less its chord through 0 and 1,
-    so it vanishes at 0 and 1 exactly and grows like x log|x|."""
-    return _hilbert_series(terms)(xs)
-
-
-def _hilbert_series(terms):
-    """values(xs) = hilbert_series_eval(terms, xs); S(0), S(1) summed once,
-    each S from the main terms of the distinct ends, _X_BLOCK at a time."""
+    so it vanishes at 0 and 1 exactly and grows like x log|x|.  S is taken
+    from the main terms of the distinct ends at 0, 1 and then xs, one
+    hilbert_main_terms call per block of _X_BLOCK (x, ends) entries."""
     terms = list(terms)             # (order, coef, ends) or (coef, ends)
     coefs = [t[-2] for t in terms]
     ends, at = _end_columns(t[-1] for t in terms)
     step = max(1, _X_BLOCK // max(len(ends[0]), 1))
-
-    def S(xs: list) -> list:
-        return [left_sum(map(operator.mul, coefs, map(col.__getitem__, at)))
-                for k in range(0, len(xs), step) for col in
-                hilbert_main_terms(ends, [(0, 1)], xs[k:k + step])[0]]
-
-    s0, s1 = S([0.0, 1.0])
-
-    def values(xs) -> list:
-        xs = list(map(float, xs))
-        return [(s - x * s1 + (x - 1.0) * s0) / math.pi
-                for x, s in zip(xs, S(xs))]
-    return values
+    xs = list(map(float, xs))
+    grid = [0.0, 1.0, *xs]
+    s0, s1, *S = [
+        left_sum(map(operator.mul, coefs, map(col.__getitem__, at)))
+        for k in range(0, len(grid), step)
+        for col in hilbert_main_terms(ends, [(0, 1)], grid[k:k + step])[0]]
+    return [(s - x * s1 + (x - 1.0) * s0) / math.pi for x, s in zip(xs, S)]
 
 
 def elementary_hilbert(ends, x: float) -> float:
@@ -139,15 +129,14 @@ def closed_hilbert_field(F: FieldExpr):
 
     Returns a callable with the same coefficients' transform (see
     hilbert_series_eval) at one x, and at a list of points through its
-    values(xs), summing S(0) and S(1) once per field; it vanishes at 0 and 1
+    values(xs), one hilbert_series_eval call each; it vanishes at 0 and 1
     and grows like x log|x|.
     """
     if any(q != 0.0 for q in F.quad):
         raise ValueError("closed-form transform is defined for fields with "
                          "zero quadratic part; normalize first")
-    values = _hilbert_series(F.terms)
-    H = lambda x: values([x])[0]
-    H.values = values
+    H = lambda x: hilbert_series_eval(F.terms, [x])[0]
+    H.values = lambda xs: hilbert_series_eval(F.terms, xs)
     H.breakpoints = F.breakpoints
     H.quad = (0.0, 0.0, 0.0)
     return H
@@ -201,8 +190,9 @@ def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
     exceeds PV_REACH, and when the summed quadrature error estimate does
     not meet the tolerance, as where V jumps at a pole and no principal
     value exists.  Every piece is integrated by quadrature.quad; a V with
-    a values(xs) method (a FieldExpr) is evaluated at each rule's 21 nodes
-    in one call.
+    a values(xs) method (a FieldExpr or a closed transform) is evaluated at
+    each rule's 21 nodes in one call, and at the growth probes and the
+    poles in one call, so the oracle never calls it at a single point.
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError("tolerance must be finite and positive")
@@ -218,15 +208,17 @@ def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
     # field carries a genuine quadratic part and is outside the domain
     probe = max(PV_TAIL_RADIUS, abs(x) + 5.0, far + 5.0)
     big = 0.5 * (probe + max(abs(x), 2.0))
-    r1 = max(abs(V(big)), abs(V(-big))) / big ** 2
-    r2_probe = max(abs(V(2 * big)), abs(V(-2 * big))) / (2 * big) ** 2
+    evaluate = getattr(V, "values", None) or (lambda xis: map(V, xis))
+    vb, vmb, v2b, vm2b, v0, v1, vx = evaluate(
+        [big, -big, 2 * big, -2 * big, 0.0, 1.0, x])
+    r1 = max(abs(vb), abs(vmb)) / big ** 2
+    r2_probe = max(abs(v2b), abs(vm2b)) / (2 * big) ** 2
     if r1 > 1e-6 and r2_probe > 0.8 * r1:
         raise ValueError("field grows at least quadratically; "
                          "not in the domain of the transform")
 
-    evaluate = getattr(V, "values", None) or (lambda xis: map(V, xis))
     # (w_a, a, V(a)) for each pole a of the kernel
-    poles = ((x - 1.0, 0.0, V(0.0)), (-x, 1.0, V(1.0)), (1.0, x, V(x)))
+    poles = ((x - 1.0, 0.0, v0), (-x, 1.0, v1), (1.0, x, vx))
 
     def subtracted(xis: list) -> list:
         vs = list(evaluate(xis))

@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import math
 
-from .farey import (ExtRational, FareyEdge, INFINITY, IntegerMoebius, ONE,
-                    ZERO, left_sum, oriented_edge)
+from .farey import (FareyEdge, INFINITY, IntegerMoebius, ONE, ZERO, left_sum,
+                    oriented_edge)
 from .hilbert import bracket_plan, edge_quadrilateral, edge_weights
 
 # most words of a shell _weight_matrices evaluates at once, so the float
@@ -138,14 +138,16 @@ def lift_edges(depth: int):
             for j, e in enumerate(EDGES)]
 
 
-def _vertex_images(words, p: ExtRational) -> list:
-    """float(g(p)) for each word (last letter, a, b, c, d) of a shell,
-    straight from the matrix entries: the correctly rounded quotient of the
-    unreduced image, which is the reduced one's; + 0.0 gives zero the
-    positive sign that ExtRational's positive denominator gives."""
-    pn, pd = p.num, p.den
-    return [(a * pn + b * pd) / den + 0.0 if (den := c * pn + d * pd)
-            else math.inf for _, a, b, c, d in words]
+def _vertex_images(words) -> list:
+    """The float columns of g(0), g(1) and g(oo), that is b/d, (a + b)/(c +
+    d) and a/c, over the words (last letter, a, b, c, d) of a shell: the
+    correctly rounded quotient of the unreduced image, which is the reduced
+    one's; + 0.0 gives zero the positive sign that ExtRational's positive
+    denominator gives."""
+    return [[b / d + 0.0 if d else math.inf for _, a, b, c, d in words],
+            [(a + b) / s + 0.0 if (s := c + d) else math.inf
+             for _, a, b, c, d in words],
+            [a / c + 0.0 if c else math.inf for _, a, b, c, d in words]]
 
 
 def _weight_matrices(depth: int) -> list:
@@ -170,7 +172,7 @@ def _weight_matrices(depth: int) -> list:
     for shell in _reduced_words(depth):
         for start in range(0, len(shell), _WORD_CHUNK):
             words = shell[start:start + _WORD_CHUNK]
-            images = [_vertex_images(words, p) for p in vertices]
+            images = _vertex_images(words)
             for k, per_plan in enumerate(edge_weights(plans, images, pairs)):
                 for i, weights in enumerate(per_plan):
                     W[i][k] = left_sum(weights, W[i][k])

@@ -264,6 +264,27 @@ def test_hilbert_closed_vs_oracle_files(tmp_path):
         assert abs(vc - vo) < 1e-6
 
 
+def test_hilbert_closed_eval_makes_one_kernel_call_per_block(
+        tmp_path, monkeypatch):
+    """A closed `hilbert eval` whose grid fits in one _X_BLOCK block takes
+    S(0), S(1) and S at every grid point from one hilbert_main_terms
+    call."""
+    import shearfield.hilbert as hilbert
+    calls = []
+    kernel = hilbert.hilbert_main_terms
+
+    def counting(ends, pairs, xs):
+        calls.append(len(xs))
+        return kernel(ends, pairs, xs)
+
+    monkeypatch.setattr(hilbert, "hilbert_main_terms", counting)
+    path = write_shears(tmp_path, [{"p": [0, 1], "q": [1, 0], "value": 1.0},
+                                   {"p": [2, 1], "q": [3, 1], "value": 0.5}])
+    assert run(["hilbert", "eval", "--shears", path, "--samples", "13",
+                "--output", str(tmp_path / "out.csv")]) == 0
+    assert calls == [2 + 13]
+
+
 def test_hilbert_oracle_next_to_the_pole_at_1(tmp_path):
     """x = 1.005 puts quadrature nodes within an ulp of the kernel's pole
     at 1, where V(1) = 0: the oracle answers, as the closed form does."""

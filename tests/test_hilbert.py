@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import shearfield.hilbert
 from shearfield.farey import (ExtRational, INFINITY, ONE, ZERO,
                               enumerate_edges, oriented_edge)
 from shearfield.fields import (FieldExpr, ShearFunction, assemble_field,
@@ -533,6 +534,37 @@ def test_series_vanishes_exactly_at_0_and_1():
     terms = _bench_grid_terms()
     assert len(terms) > 60
     assert _hex(hilbert_series_eval(terms, [0.0, 1.0])) == zeros
+
+
+@pytest.mark.parametrize("terms", [
+    [(1.5, (0.25, INF))],
+    [(1.0, (0.0, INF)), (-2.0, (INF, 1.0)), (0.7, (0.25, 3.0)),
+     (-0.4, (0.25, 3.0))]], ids=["one-ray", "rays-and-interval"])
+def test_series_bits_do_not_depend_on_the_x_block(monkeypatch, terms):
+    """0 and 1 share the first block with the grid, and each S(x) is
+    summed for its x alone: with _X_BLOCK at 1, 2 and 3 (one x per block,
+    and blocks that split 0, 1 and the grid in several ways) the transform
+    has the default's bits, x on an end included."""
+    xs = [-1.5, 0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 7.5]
+    want = _hex(hilbert_series_eval(terms, xs))
+    for block in (1, 2, 3):
+        monkeypatch.setattr(shearfield.hilbert, "_X_BLOCK", block)
+        assert _hex(hilbert_series_eval(terms, xs)) == want, block
+
+
+def test_oracle_reads_a_field_expr_through_values_only(monkeypatch):
+    """The growth probes, the poles and every quadrature rule read V
+    through values(xs): the oracle never calls a FieldExpr at a point,
+    and its answer keeps its bits."""
+    V = FieldExpr([(1.0, (0.0, INF)), (-2.0, (INF, 1.0)),
+                   (0.7, (0.25, 3.0))])
+    want = hilbert_pv_oracle(V, 0.63).hex()
+
+    def scalar_call(self, x):
+        raise AssertionError("FieldExpr.__call__ was called")
+
+    monkeypatch.setattr(FieldExpr, "__call__", scalar_call)
+    assert hilbert_pv_oracle(V, 0.63).hex() == want
 
 
 def test_series_single_fan_matches_direct_sum():
