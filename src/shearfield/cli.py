@@ -55,8 +55,8 @@ class CliError(Exception):
 
 def parse_shear_file(path: str) -> ShearFunction:
     """Load and validate a shear JSON file."""
-    from .farey import FareyEdge
-    from .fields import ShearFunction
+    from .farey import ExtRational, FareyEdge
+    from .fields import ShearFunction, _edge_key
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -76,15 +76,25 @@ def parse_shear_file(path: str) -> ShearFunction:
         for key in ("p", "q", "value"):
             if key not in entry:
                 raise CliError(f"{where} is missing '{key}'", f"{where}.{key}")
-        p = _parse_endpoint(entry["p"], where)
-        q = _parse_endpoint(entry["q"], where)
+        ends = []
+        for raw in entry["p"], entry["q"]:
+            # two JSON integers, not floats or booleans
+            if not (isinstance(raw, list) and len(raw) == 2 and
+                    type(raw[0]) is type(raw[1]) is int):
+                raise CliError(f"{where}: endpoint {json.dumps(raw)} is not "
+                               "a pair of integers", where)
+            try:
+                ends.append(ExtRational(*raw))
+            except ZeroDivisionError as exc:
+                raise CliError(f"{where}: bad endpoint ({exc})", where)
         try:
-            edge = FareyEdge(p, q)      # ShearFunction orients it
+            edge = FareyEdge(*ends)     # ShearFunction orients it
         except ValueError as exc:
             raise CliError(f"{where}: {exc}", where)
-        key = edge.unordered()
+        key = _edge_key(*ends)
         if key in seen:
-            raise CliError(f"{where}: duplicate edge {p}, {q}", where)
+            raise CliError(f"{where}: duplicate edge {ends[0]}, {ends[1]}",
+                           where)
         seen.add(key)
         value = entry["value"]
         # a JSON number only: bool is an int subclass, strings convert
@@ -97,21 +107,8 @@ def parse_shear_file(path: str) -> ShearFunction:
             value = math.inf
         if not math.isfinite(value):
             raise CliError(f"{where}: value is not finite", f"{where}.value")
-        sdot.set(edge, value)
+        sdot._put(key, edge, value)
     return sdot
-
-
-def _parse_endpoint(raw, where: str) -> ExtRational:
-    """An endpoint [num, den] of two JSON integers (not floats or booleans)."""
-    from .farey import ExtRational
-    if not (isinstance(raw, list) and len(raw) == 2 and
-            all(type(v) is int for v in raw)):
-        raise CliError(f"{where}: endpoint {json.dumps(raw)} is not a pair "
-                       "of integers", where)
-    try:
-        return ExtRational(*raw)
-    except ZeroDivisionError as exc:
-        raise CliError(f"{where}: bad endpoint ({exc})", where)
 
 
 def _grid(args) -> list[float]:

@@ -9,12 +9,14 @@ standard fan at infinity around by integer Moebius maps yields the field of
 the whole shear function as an absolutely convergent sum over fan tips in
 increasing Farey order.
 
-One Stern-Brocot walk per tip gives its Farey order and the fan map that
-indexes its edges.  The Zygmund-type checks live here as well: the fan-wise
-averaged-coefficient condition that characterizes admissible shear
-functions (read from 4K - 3 shears per support edge), the sampled
-second-difference quotient, and the geometric tail estimate for truncation
-by Farey order.
+One Stern-Brocot walk per tip gives its Farey order and the fan map whose
+integer entries index its edges.  The Zygmund-type checks live here as
+well: the fan-wise averaged-coefficient condition that characterizes
+admissible shear functions (read from 4K - 3 shears per support edge; a
+fan whose mass M = sum |s| bounds its sums below the sup found so far,
+with the rounding factor 1 + (len(fan) + 4K) 2^-50, is skipped unless
+2K M overflows), the sampled second-difference quotient, and the
+geometric tail estimate for truncation by Farey order.
 """
 
 from __future__ import annotations
@@ -33,9 +35,11 @@ DELTA_GAP = 2.0 * math.log(1.0 + math.sqrt(2.0))  # distance between nested fan 
 # shear functions
 # ---------------------------------------------------------------------------
 
-def _edge_key(e: FareyEdge):
-    u, v = e.unordered()
-    return ((u.num, u.den), (v.num, v.den))
+def _edge_key(u: ExtRational, v: ExtRational):
+    """The key of the unordered edge {u, v}: its ends as (num, den) pairs,
+    the smaller pair first."""
+    u, v = (u.num, u.den), (v.num, v.den)
+    return (u, v) if u < v else (v, u)
 
 
 class ShearFunction:
@@ -46,49 +50,66 @@ class ShearFunction:
     """
 
     def __init__(self, assignments=None):
-        self._data = {}
+        self._data = {}             # edge key -> (value, edge as set)
         self._cache = None
         if assignments:
             for edge, value in assignments:
                 self.set(edge, value)
 
     def set(self, edge: FareyEdge, value: float):
-        key = _edge_key(edge)
+        self._put(_edge_key(edge.initial, edge.terminal), edge, value)
+
+    def _put(self, key, edge: FareyEdge, value: float):
+        """set() with the edge's key already taken, as parse_shear_file
+        takes it to find duplicates."""
         if value == 0.0:
             self._data.pop(key, None)
         else:
-            self._data[key] = float(value)
+            self._data[key] = (float(value), edge)
         self._cache = None
 
     def value(self, edge: FareyEdge) -> float:
-        return self._data.get(_edge_key(edge), 0.0)
+        entry = self._data.get(_edge_key(edge.initial, edge.terminal))
+        return entry[0] if entry else 0.0
 
     def _index(self):
-        """The pair (edges, fans): the support edges, canonically oriented,
-        in key order; and tip -> (Farey order, [(fan index, value, edge),
-        ...]), tips in (order, circular position), each fan's edges in
-        support order."""
+        """The pair (support, fans): the support as (edge, value) pairs, each
+        edge canonically oriented, in key order; and tip -> (Farey order,
+        [(fan index, value, edge), ...]), tips in (order, circular
+        position), each fan's edges in support order.
+
+        Fans are keyed by (num, den) while they are gathered.  The fan map
+        B = (a b; c d) of tip p carries {n, oo} onto its n-th fan edge
+        {p, q}, so n = B^-1(q) = (d q.num - b q.den) / (a q.den - c q.num),
+        whose denominator is p.num q.den - p.den q.num = +-1 by adjacency:
+        n is the product of the two."""
         if self._cache is None:
-            keys = sorted(self._data)
-            edges = [oriented_edge(ExtRational(*u), ExtRational(*v))
-                     for u, v in keys]
-            fans, tips = {}, {}
-            for key, edge in zip(keys, edges):
+            support, fans = [], {}
+            for key in sorted(self._data):
+                value, edge = self._data[key]
+                edge = oriented_edge(edge.initial, edge.terminal)
+                support.append((edge, value))
                 for p, q in ((edge.initial, edge.terminal),
                              (edge.terminal, edge.initial)):
-                    fans.setdefault(p, []).append((q, self._data[key], edge))
-            for p, fan in fans.items():
+                    fan = fans.get((p.num, p.den))
+                    if fan is None:
+                        fan = fans[p.num, p.den] = (p, [])
+                    fan[1].append((q.num, q.den, value, edge))
+            tips = []
+            for p, fan in fans.values():
                 order, B = fan_frame(p)     # one walk per tip
-                to_index = B.inverse()      # neighbour q -> its fan index
-                fan[:] = [(to_index(q).num, v, e) for q, v, e in fan]
-                tips[p] = tip_sort_key(p, order)
-            self._cache = (edges, {p: (tips[p][0], fans[p])
-                                   for p in sorted(fans, key=tips.get)})
+                a, b, c, d = B.a, B.b, B.c, B.d
+                fan[:] = [((d * qn - b * qd) * (a * qd - c * qn), v, e)
+                          for qn, qd, v, e in fan]
+                tips.append((tip_sort_key(p, order), fan))
+            tips.sort(key=lambda tip: tip[0])
+            self._cache = (support, {p: (order, fan)
+                                     for (order, *_, p), fan in tips})
         return self._cache
 
     def edges(self) -> list[FareyEdge]:
         """Support edges, canonically oriented, in deterministic order."""
-        return list(self._index()[0])
+        return [e for e, _ in self._index()[0]]
 
     def fan(self, tip) -> list[tuple[int, float, FareyEdge]]:
         """(fan index, value, edge) of each support edge at tip."""
@@ -102,17 +123,17 @@ class ShearFunction:
         return len(self._data)
 
     def __iter__(self):
-        for e in self.edges():
-            yield e, self.value(e)
+        return iter(self._index()[0])
 
 
 def tip_sort_key(p: ExtRational, order: int):
-    """(order, arc, p): tips by their Farey order, then by circular position
-    from 0 counterclockwise, the arc being 0 for [0, oo), 1 for oo and 2 for
-    the negative reals.  Tips on one arc compare by ExtRational's exact
-    order; oo is alone on its arc, so it is never compared."""
+    """(order, arc, float(p), p): tips by their Farey order, then by
+    circular position from 0 counterclockwise, the arc being 0 for [0, oo),
+    1 for oo and 2 for the negative reals.  Tips on one arc compare by
+    their floats, which round monotonically, and by ExtRational's exact
+    order where the floats are equal; oo is alone on its arc."""
     arc = 1 if p.is_infinity else 0 if p.num >= 0 else 2
-    return (order, arc, p)
+    return (order, arc, float(p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +357,19 @@ def halved_terms(sdot: ShearFunction, max_order: int, N: int) -> list[HalfTerm]:
     """The truncated field sum as one ordered term list: tips of Farey order
     <= max_order in increasing (order, circular position), each with its
     fan edges of index |n| <= N at half their shear.  Field, Hilbert,
-    shear-series and Fourier evaluation all sum this list in this order."""
-    terms = []
+    shear-series and Fourier evaluation all sum this list in this order.
+    An edge's two terms share one ends tuple, taken when the first is kept."""
+    terms, ends = [], {}            # id(edge) -> edge_ends(edge)
     if N <= 0:
         return terms
     for order, fan in sdot._index()[1].values():
         if order > max_order:
             break
-        terms += [HalfTerm(order, 0.5 * value, edge_ends(edge))
-                  for n, value, edge in fan if abs(n) <= N]
+        for n, value, edge in fan:
+            if abs(n) <= N:
+                if id(edge) not in ends:
+                    ends[id(edge)] = edge_ends(edge)
+                terms.append(HalfTerm(order, 0.5 * value, ends[id(edge)]))
     return terms
 
 
@@ -396,6 +421,22 @@ def averaged_coefficient_sum(shears, m: int, k: int) -> float:
                      for j in range(1, k)), k * get(m)) / k
 
 
+def _cannot_beat(shears, K: int, best: float) -> bool:
+    """True when no |A(m, k)|, k <= K, of the fan `shears` (index -> shear)
+    can exceed best as zygmund_condition_sup computes it.
+
+    |A(m, k)| <= sum_{|j|<k} |s(m+j)| <= M, the fan's mass sum |s|.  The
+    test is M (1 + (len(shears) + 4K) 2^-50) < best: the factor covers the
+    rounding of M and of the running sums, at most (len(shears) + 3K)
+    2^-53 to first order, and the final division rounds monotonically.
+    That holds only while no running sum, at most about k M, overflows, so
+    the answer is False unless 2K M is finite: an overflowing fan is still
+    scanned and its infinite sum still reaches the sup."""
+    mass = left_sum(map(abs, shears.values()))
+    return (math.isfinite(2 * K * mass) and
+            mass * (1.0 + (len(shears) + 4 * K) * 2.0 ** -50) < best)
+
+
 def zygmund_condition_sup(sdot: ShearFunction, tips, K: int) -> ZygmundReport:
     """Sup over the given tips, all relevant m, and 1 <= k <= K of the
     absolute averaged-coefficient sum, with a reproducing witness.
@@ -406,11 +447,19 @@ def zygmund_condition_sup(sdot: ShearFunction, tips, K: int) -> ZygmundReport:
     Only m within K - 1 of a support index i can give a nonzero sum, so the
     scan walks the union of those windows in increasing m, each m once,
     reading the shears at i - 2K + 2 .. i + 2K - 2 from one dense list per
-    i: O(support * K^2) per fan, whatever the span of its indices."""
+    i: O(support * K^2) per fan, whatever the span of its indices.
+
+    A fan is skipped when its mass M = sum |s|, which bounds every
+    |A(m, k)|, times the rounding factor 1 + (len(fan) + 4K) 2^-50 is
+    below the running sup, and only while 2K M is finite, so a fan whose
+    running sums overflow is still scanned (see _cannot_beat).  Tips are
+    scanned in the given order and a skipped fan holds no value above the
+    running sup, so the sup and the first-found witness are those of the
+    full scan."""
     best, best_w = 0.0, None
     for tip in tips:
         shears = fan_shears_at_tip(sdot, tip)
-        if not shears:
+        if not shears or _cannot_beat(shears, K, best):
             continue
         done = min(shears) - K + 1          # first m not yet visited
         for i in sorted(shears):

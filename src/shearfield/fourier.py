@@ -10,8 +10,9 @@ function of z.  Its n-th coefficient in the plain exponential basis
 (1/2pi) Integral V(e^{i phi}) e^{-i n phi} d phi has a closed form whose
 three frequency factors degenerate at n = 2, 1, 0 into arc lengths; the
 quadrature oracle below integrates the defining formula directly.  A range
-of n costs one exponential table per arc: the factors at m = 2 - n, 1 - n
-and -n are shared by neighbouring n (fourier_coefficients).
+of n costs one exponential table per distinct arc: the factors at
+m = 2 - n, 1 - n and -n are shared by neighbouring n, and an edge's two
+halved terms share one arc (fourier_coefficients).
 
 Tessellation edges are carried to arcs by the boundary Cayley map sending
 0, 1, oo to 1, i, -1; an edge's support arc is the image of its half-plane
@@ -123,11 +124,15 @@ def edge_to_arc(edge) -> CircleArc:
 def fourier_coefficients(terms, ns) -> list[complex]:
     """Coefficients at each n of ns (a list or range) of the truncated field
     sum of a halved term list (see fields.halved_terms), in one pass over
-    the terms: each term's arc coefficients come from one exponential
-    table (see _arc_fourier) and are summed in list order."""
-    totals = [0j] * len(ns)
+    the terms.  Each distinct arc is read once: its coefficients come from
+    one exponential table (see _arc_fourier) and serve every term with its
+    ends, as an edge's two halved terms share them; the terms' products
+    are summed in list order."""
+    totals, arcs = [0j] * len(ns), {}
     for t in terms:
-        cs = _arc_fourier(edge_to_arc(t.ends), ns)
+        cs = arcs.get(t.ends)
+        if cs is None:
+            cs = arcs[t.ends] = _arc_fourier(edge_to_arc(t.ends), ns)
         totals = [total + t.coef * c for total, c in zip(totals, cs)]
     return totals
 

@@ -361,6 +361,141 @@ def test_hilbert_shear_subcommand(tmp_path):
     assert "unit_tail_bound" in doc["meta"]
 
 
+_P, _Q = {"p": [0, 1]}, {"q": [1, 0]}
+_EDGE = {**_P, **_Q, "value": 1.0}
+
+
+@pytest.mark.parametrize("doc, message, field", [
+    ([], "shear file must be an object with an 'edges' list", "edges"),
+    ({"edges": "x"}, "shear file must be an object with an 'edges' list",
+     "edges"),
+    ({"edges": [_EDGE, 3]}, "edges[1] is not an object", "edges[1]"),
+    ({"edges": [{**_Q, "value": 1}]}, "edges[0] is missing 'p'",
+     "edges[0].p"),
+    ({"edges": [{**_P, "value": 1}]}, "edges[0] is missing 'q'",
+     "edges[0].q"),
+    ({"edges": [{**_P, **_Q}]}, "edges[0] is missing 'value'",
+     "edges[0].value"),
+    ({"edges": [{"p": [True, 1], **_Q, "value": 1}]},
+     "edges[0]: endpoint [true, 1] is not a pair of integers", "edges[0]"),
+    ({"edges": [{**_P, "q": [1, 0.0], "value": 1}]},
+     "edges[0]: endpoint [1, 0.0] is not a pair of integers", "edges[0]"),
+    ({"edges": [{"p": [0, 1, 1], **_Q, "value": 1}]},
+     "edges[0]: endpoint [0, 1, 1] is not a pair of integers", "edges[0]"),
+    ({"edges": [{**_P, "q": [0, 0], "value": 1}]},
+     "edges[0]: bad endpoint (0/0 is not a point of the circle)",
+     "edges[0]"),
+    ({"edges": [{"p": [2, 1], "q": [0, 1], "value": 1}]},
+     "edges[0]: 2 and 0 are not Farey-adjacent", "edges[0]"),
+    ({"edges": [{"p": [-1, 0], "q": [2, 4], "value": 1}]},
+     "edges[0]: oo and 1/2 are not Farey-adjacent", "edges[0]"),
+    ({"edges": [_EDGE, {"p": [1, 0], "q": [0, 2], "value": 0.0}]},
+     "edges[1]: duplicate edge oo, 0", "edges[1]"),
+    ({"edges": [{**_P, **_Q, "value": 0.0}, {"p": [1, 0], "q": [0, 1],
+                                             "value": 2}]},
+     "edges[1]: duplicate edge oo, 0", "edges[1]"),
+    ({"edges": [{**_P, **_Q, "value": True}]},
+     "edges[0]: value is not a number", "edges[0].value"),
+    ({"edges": [{**_P, **_Q, "value": "1.0"}]},
+     "edges[0]: value is not a number", "edges[0].value"),
+    ({"edges": [{**_P, **_Q, "value": 10 ** 400}]},
+     "edges[0]: value is not finite", "edges[0].value"),
+])
+def test_parse_shear_file_diagnostics(tmp_path, capsys, doc, message, field):
+    """Every diagnostic of parse_shear_file, word for word: its message,
+    the field it names and exit code 2, with nothing on stdout."""
+    path = tmp_path / "shears.json"
+    path.write_text(json.dumps(doc))
+    assert run(["zygmund", "check", "--shears", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": message, "field": field}
+
+
+def test_zygmund_overflow_is_never_skipped(tmp_path, capsys):
+    """A fan whose running sums overflow is scanned even when its mass lies
+    below the sup found so far.  The 4-cycle 0, 1, oo, -1 with shears
+    alternating +-2e306 reaches the sup 2e306 with no sum overflowing; the
+    edge {1/2, 2/3} then holds 1e306 alone in the fans at 1/2 and 2/3,
+    whose running sums reach k 1e306 and overflow before k = 200.  So the
+    sup is infinite, and the command refuses it."""
+    big = 2e306
+    path = write_shears(tmp_path, [
+        {"p": [0, 1], "q": [1, 1], "value": big},
+        {"p": [1, 1], "q": [1, 0], "value": -big},
+        {"p": [1, 0], "q": [-1, 1], "value": big},
+        {"p": [-1, 1], "q": [0, 1], "value": -big},
+        {"p": [1, 2], "q": [2, 3], "value": 1e306}])
+    assert run(["zygmund", "check", "--shears", path,
+                "--window", "200"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "the result holds a non-finite value", "field": "value"}
+    # below 200 the fan at 1/2 cannot overflow, and the cycle keeps the sup
+    assert run(["zygmund", "check", "--shears", path,
+                "--window", "100"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["data"][0] == {"sup": big,
+                              "witness": {"tip": [0, 1], "m": 0, "k": 1}}
+
+
+_FAN_TIPS = [(1, 0), (0, 1), (1, 1), (-1, 1), (-2, 3), (-5, 2), (3, 7)]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.sampled_from(_FAN_TIPS),
+                          st.integers(min_value=-40, max_value=40)),
+                min_size=1, max_size=12))
+def test_fan_index_is_the_fan_map_inverse(tmp_path, picks):
+    """For every support edge of a shear file, ShearFunction.fan gives at
+    each of its two tips the index farey.fan_index gives, tips oo, 0 and
+    negative ones included."""
+    from shearfield.farey import ExtRational, fan_edge, fan_index
+    edges = {}
+    for (num, den), n in picks:
+        e = fan_edge(ExtRational(num, den), n)
+        edges.setdefault(e.unordered(), e)
+    sdot = parse_shear_file(write_shears(
+        tmp_path, _edge_entries(edges.values(), range(1, len(edges) + 1))))
+    seen = 0
+    for tip in sdot.support_tips():
+        for n, value, e in sdot.fan(tip):
+            other = e.terminal if e.initial == tip else e.initial
+            assert n == fan_index(tip, other)
+            seen += 1
+    assert seen == 2 * len(edges)
+
+
+def test_fourier_reads_each_arc_once(tmp_path, monkeypatch):
+    """On the benchmark's grid file the 120 halved terms name 60 distinct
+    arcs, and _arc_fourier runs once for each; the coefficients equal, bit
+    for bit, the loop that takes every term's table apart."""
+    from shearfield import fourier
+    from shearfield.fields import halved_terms
+    terms = halved_terms(parse_shear_file(_bench_grid_shears(tmp_path)),
+                         6, 20)
+    ns = range(0, 17)
+    want = [0j] * len(ns)
+    for t in terms:
+        cs = fourier._arc_fourier(fourier.edge_to_arc(t.ends), ns)
+        want = [total + t.coef * c for total, c in zip(want, cs)]
+    calls = []
+    arc_fourier = fourier._arc_fourier
+
+    def counted(arc, ns):
+        calls.append(arc)
+        return arc_fourier(arc, ns)
+
+    monkeypatch.setattr(fourier, "_arc_fourier", counted)
+    got = fourier.fourier_coefficients(terms, ns)
+    assert len(terms) == 120
+    assert len(calls) == len(set(calls)) == 60
+    assert [(c.real.hex(), c.imag.hex()) for c in got] == [
+        (c.real.hex(), c.imag.hex()) for c in want]
+
+
 def test_zygmund_check(tmp_path):
     path = write_shears(tmp_path,
                         [{"p": [0, 1], "q": [1, 0], "value": 1.5}])

@@ -10,7 +10,7 @@ from shearfield.farey import (ExtRational, INFINITY, ONE, ZERO,
                               enumerate_vertices, fan_edge, farey_order,
                               oriented_edge)
 from shearfield.fields import (DELTA_GAP, FieldExpr, ShearFunction,
-                               assemble_field, averaged_coefficient_sum,
+                               _cannot_beat, assemble_field, averaged_coefficient_sum,
                                elementary_eval, fan_field_eval,
                                fan_shears_at_tip, halved_terms, normalize_at,
                                tail_bound, tip_field, tip_sort_key,
@@ -226,10 +226,10 @@ def test_zygmund_condition_sup_matches_brute_force(tip, fan, K):
         report.sup_value, rel=1e-12, abs=0.0)
 
 
-def _full_span_scan(shears, tip, K):
+def _full_span_scan(shears, tip, K, best=0.0, best_w=None):
     """The scan over every m from min - K to max + K of a fan's indices,
-    kept as the reference for the windowed scan."""
-    best, best_w = 0.0, None
+    kept as the reference for the windowed scan; it starts from the
+    running (best, best_w) of the fans scanned before."""
     get = lambda i: shears.get(i, 0.0)
     for m in range(min(shears) - K, max(shears) + K + 1):
         box = total = get(m)
@@ -258,6 +258,92 @@ def test_zygmund_scan_skips_only_zero_windows(tip, fan, K):
     report = zygmund_condition_sup(sdot, [tip], K)
     want = _full_span_scan(shears, tip, K) if shears else (0.0, None)
     assert (report.sup_value, report.witness) == want
+
+
+_BIG = 1e308
+_TINY = 5e-324
+
+
+def _multi_tip_sup(sdot, tips, K):
+    """_full_span_scan chained over the tips in order, one running best."""
+    best, best_w = 0.0, None
+    for tip in tips:
+        shears = fan_shears_at_tip(sdot, tip)
+        if shears:
+            best, best_w = _full_span_scan(shears, tip, K, best, best_w)
+    return best, best_w
+
+
+_TIPS = [INFINITY, ZERO, ONE, ExtRational(-1), ExtRational(1, 2),
+         ExtRational(-2, 3), ExtRational(3, 5)]
+
+
+@settings(max_examples=20, deadline=None)
+# the skip firing: the fan at 1/2 holds only the edge {1/2, 1/3}, far
+# below the sup 4 that the fan at oo reached first
+@example([(INFINITY, 0, 4.0), (ExtRational(1, 2), 2, 0.25)], 3)
+# a tie: the fans at 0 and at 1/2 both reach 2.0; 0 is scanned first
+@example([(ZERO, 5, 2.0), (ExtRational(1, 2), -3, -2.0)], 2)
+# all-zero fans: their edges leave the support, their tips stay listed
+@example([(ZERO, 1, 0.0), (ONE, 4, 0.0), (INFINITY, 3, -0.5)], 20)
+@example([(ZERO, 1, 0.0), (ONE, 4, 0.0)], 1)
+# subnormal shears, where every sum and quotient is exact or rounds once
+@example([(INFINITY, 0, _TINY), (INFINITY, 1, _TINY), (ZERO, 2, -_TINY),
+          (ExtRational(-2, 3), 1, _TINY)], 3)
+# magnitudes at the top of the float range: running sums overflow
+@example([(INFINITY, 0, _BIG), (INFINITY, 1, -_BIG), (ONE, 3, 0.5)], 2)
+@example([(ExtRational(3, 5), 0, -_BIG), (ZERO, 2, 1.0)], 200)
+@example([(ZERO, 0, 1.0), (ExtRational(-2, 3), 7, _BIG)], 1)
+@given(st.lists(st.tuples(st.sampled_from(_TIPS),
+                          st.integers(min_value=-6, max_value=6),
+                          st.one_of(st.floats(min_value=-5.0, max_value=5.0),
+                                    st.sampled_from([0.0, _TINY, -_TINY,
+                                                     _BIG, -_BIG]))),
+                min_size=1, max_size=6),
+       st.sampled_from([1, 2, 3, 20, 200]))
+def test_zygmund_skip_matches_multi_tip_reference(entries, K):
+    """Over many tips, skipping the fans whose mass cannot beat the running
+    sup leaves the sup and the first-found witness bit for bit those of
+    the full scan chained over the same tips in the same order.  The tips
+    listed first may have empty fans; every support tip follows."""
+    sdot = ShearFunction()
+    for tip, n, v in entries:
+        sdot.set(fan_edge(tip, n), v)
+    tips = list(dict.fromkeys([t for t, _, _ in entries]
+                              + sdot.support_tips()))
+    report = zygmund_condition_sup(sdot, tips, K)
+    best, best_w = _multi_tip_sup(sdot, tips, K)
+    assert (report.sup_value.hex(), report.witness) == (best.hex(), best_w)
+
+
+def test_zygmund_skip_fires_and_keeps_ties():
+    """The fan at 1/2 (mass 0.25) cannot beat the sup 4.0 that the fan at
+    oo reached, and is skipped; a later fan that only ties the sup keeps
+    the earlier witness."""
+    half = ExtRational(1, 2)
+    sdot = ShearFunction([(fan_edge(INFINITY, 0), 4.0),
+                          (fan_edge(half, 2), 0.25)])
+    assert _cannot_beat(fan_shears_at_tip(sdot, half), 3, 4.0)
+    assert not _cannot_beat(fan_shears_at_tip(sdot, half), 3, 0.25)
+    sdot.set(fan_edge(half, 2), -4.0)
+    report = zygmund_condition_sup(sdot, sdot.support_tips(), 3)
+    assert report.sup_value == 4.0
+    assert report.witness[0] == ZERO        # scanned before oo and 1/2
+
+
+@pytest.mark.parametrize("mass, K, best, skip", [
+    (1.0, 1, 2.0, True),
+    (1.0, 1, 1.0, False),                   # no value can exceed best
+    (1e306, 1, 2e306, True),                # 2K M = 2e306, finite
+    (1e306, 200, 2e306, False),             # 2K M = 4e308 overflows
+    (1e308, 1, math.inf, False),            # 2K M = 2e308 overflows
+    (_TINY, 200, 2 * _TINY, True),
+    (math.inf, 1, math.inf, False),
+])
+def test_zygmund_skip_needs_finite_running_sums(mass, K, best, skip):
+    """The mass test never fires when 2K M is not finite, however far M
+    lies below the running sup."""
+    assert _cannot_beat({0: mass}, K, best) is skip
 
 
 def test_zygmund_scan_cost_is_independent_of_index_span():
