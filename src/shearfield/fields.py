@@ -104,7 +104,7 @@ class ShearFunction:
                 tips.append((tip_sort_key(p, order), fan))
             tips.sort(key=lambda tip: tip[0])
             self._cache = (support, {p: (order, fan)
-                                     for (order, *_, p), fan in tips})
+                                     for (order, _, p), fan in tips})
         return self._cache
 
     def edges(self) -> list[FareyEdge]:
@@ -127,13 +127,12 @@ class ShearFunction:
 
 
 def tip_sort_key(p: ExtRational, order: int):
-    """(order, arc, float(p), p): tips by their Farey order, then by
-    circular position from 0 counterclockwise, the arc being 0 for [0, oo),
-    1 for oo and 2 for the negative reals.  Tips on one arc compare by
-    their floats, which round monotonically, and by ExtRational's exact
-    order where the floats are equal; oo is alone on its arc."""
+    """(order, arc, p): tips by their Farey order, then by circular position
+    from 0 counterclockwise, the arc being 0 for [0, oo), 1 for oo and 2 for
+    the negative reals.  Tips on one arc compare by ExtRational's exact
+    order; oo is alone on its arc, so it is never compared."""
     arc = 1 if p.is_infinity else 0 if p.num >= 0 else 2
-    return (order, arc, float(p), p)
+    return (order, arc, p)
 
 
 # ---------------------------------------------------------------------------

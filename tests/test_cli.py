@@ -440,6 +440,18 @@ def test_zygmund_overflow_is_never_skipped(tmp_path, capsys):
                               "witness": {"tip": [0, 1], "m": 0, "k": 1}}
 
 
+def test_zygmund_reads_tips_beyond_float_range(tmp_path, capsys):
+    """The fan scan needs no float of a tip: a tip at 10^400 is indexed and
+    sorted exactly, and its fan's sup and witness come out."""
+    path = write_shears(tmp_path, [
+        {"p": [_BEYOND_FLOAT, 1], "q": [1, 0], "value": 1.5},
+        {"p": [0, 1], "q": [1, 0], "value": -1.0}])
+    assert run(["zygmund", "check", "--shears", path, "--window", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["data"][0] == {
+        "sup": 1.5, "witness": {"tip": [1, 0], "m": _BEYOND_FLOAT, "k": 1}}
+
+
 _FAN_TIPS = [(1, 0), (0, 1), (1, 1), (-1, 1), (-2, 3), (-5, 2), (3, 7)]
 
 
