@@ -317,9 +317,9 @@ def test_zygmund_skip_matches_multi_tip_reference(entries, K):
 
 
 def test_zygmund_skip_fires_and_keeps_ties():
-    """The fan at 1/2 (mass 0.25) cannot beat the sup 4.0 that the fan at
-    oo reached, and is skipped; a later fan that only ties the sup keeps
-    the earlier witness."""
+    """The fan at 1/2 (mass 0.25) cannot beat the sup 4.0 of the edge
+    {0, oo}, and is skipped; a later fan that only ties the sup keeps the
+    earlier witness."""
     half = ExtRational(1, 2)
     sdot = ShearFunction([(fan_edge(INFINITY, 0), 4.0),
                           (fan_edge(half, 2), 0.25)])
@@ -333,7 +333,7 @@ def test_zygmund_skip_fires_and_keeps_ties():
 
 @pytest.mark.parametrize("mass, K, best, skip", [
     (1.0, 1, 2.0, True),
-    (1.0, 1, 1.0, False),                   # no value can exceed best
+    (1.0, 1, 1.0, False),                   # M times the factor > best
     (1e306, 1, 2e306, True),                # 2K M = 2e306, finite
     (1e306, 200, 2e306, False),             # 2K M = 4e308 overflows
     (1e308, 1, math.inf, False),            # 2K M = 2e308 overflows
