@@ -53,9 +53,38 @@ class CliError(Exception):
         self.code = code
 
 
+def _endpoint(raw, where: str) -> tuple[int, int]:
+    """A JSON endpoint as a reduced (num, den) pair: the sign on the
+    numerator, the gcd divided out, and [k, 0] read as oo = (1, 0)."""
+    # two JSON integers, not floats or booleans
+    if not (isinstance(raw, list) and len(raw) == 2 and
+            type(raw[0]) is type(raw[1]) is int):
+        raise CliError(f"{where}: endpoint {json.dumps(raw)} is not "
+                       "a pair of integers", where)
+    num, den = raw
+    if den:
+        if den < 0:
+            num, den = -num, -den
+        g = math.gcd(num, den)
+        if g > 1:
+            num //= g
+            den //= g
+    elif num:
+        num = 1
+    else:
+        raise CliError(f"{where}: bad endpoint (0/0 is not a point of the "
+                       "circle)", where)
+    return num, den
+
+
 def parse_shear_file(path: str) -> ShearFunction:
-    """Load and validate a shear JSON file."""
-    from .farey import ExtRational, FareyEdge
+    """Load and validate a shear JSON file.
+
+    Endpoints stay integer (num, den) pairs from the file to the
+    ShearFunction: each is reduced (_endpoint), adjacency is one
+    cross-multiplication, and the edge is stored under its key.  An
+    ExtRational is built only to word a diagnostic."""
+    from .farey import ExtRational
     from .fields import ShearFunction, _edge_key
     try:
         with open(path) as fh:
@@ -76,25 +105,14 @@ def parse_shear_file(path: str) -> ShearFunction:
         for key in ("p", "q", "value"):
             if key not in entry:
                 raise CliError(f"{where} is missing '{key}'", f"{where}.{key}")
-        ends = []
-        for raw in entry["p"], entry["q"]:
-            # two JSON integers, not floats or booleans
-            if not (isinstance(raw, list) and len(raw) == 2 and
-                    type(raw[0]) is type(raw[1]) is int):
-                raise CliError(f"{where}: endpoint {json.dumps(raw)} is not "
-                               "a pair of integers", where)
-            try:
-                ends.append(ExtRational(*raw))
-            except ZeroDivisionError as exc:
-                raise CliError(f"{where}: bad endpoint ({exc})", where)
-        try:
-            edge = FareyEdge(*ends)     # ShearFunction orients it
-        except ValueError as exc:
-            raise CliError(f"{where}: {exc}", where)
-        key = _edge_key(*ends)
+        u, v = _endpoint(entry["p"], where), _endpoint(entry["q"], where)
+        if abs(u[0] * v[1] - v[0] * u[1]) != 1:
+            raise CliError(f"{where}: {ExtRational(*u)} and {ExtRational(*v)}"
+                           " are not Farey-adjacent", where)
+        key = _edge_key(u, v)
         if key in seen:
-            raise CliError(f"{where}: duplicate edge {ends[0]}, {ends[1]}",
-                           where)
+            raise CliError(f"{where}: duplicate edge {ExtRational(*u)}, "
+                           f"{ExtRational(*v)}", where)
         seen.add(key)
         value = entry["value"]
         # a JSON number only: bool is an int subclass, strings convert
@@ -107,7 +125,7 @@ def parse_shear_file(path: str) -> ShearFunction:
             value = math.inf
         if not math.isfinite(value):
             raise CliError(f"{where}: value is not finite", f"{where}.value")
-        sdot._put(key, edge, value)
+        sdot._put(key, value)
     return sdot
 
 
@@ -259,7 +277,7 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_fourier(args) -> int:
-    from .farey import INFINITY, ONE, ZERO, ExtRational, left_sum
+    from .farey import left_sum
     from .fields import halved_terms
     from .fourier import fourier_coefficients
     lo, hi = args.n_min, args.n_max
@@ -272,14 +290,16 @@ def cmd_fourier(args) -> int:
     coefficients = fourier_coefficients(
         halved_terms(sdot, args.max_order, args.window), range(lo, hi + 1))
     rows = [(n, c.real, c.imag) for n, c in enumerate(coefficients, lo)]
-    low = {ZERO, INFINITY, ONE, ExtRational(-1)}     # Farey order <= 2
-    shears = list(sdot)
+    low = {(0, 1), (1, 0), (1, 1), (-1, 1)}     # Farey order <= 2
+    support = sdot._index()[0]      # (u, v, value, ends) as in edges()
     # each |v| scaled by a power of two so the masses cannot overflow; the
     # scaling is exact, so the fraction keeps its bits
-    scale = -math.frexp(max((abs(v) for _, v in shears), default=0.0))[1]
-    low_mass = left_sum(math.ldexp(abs(v), scale) for e, v in shears
-                        if e.initial in low or e.terminal in low)
-    total_mass = left_sum(math.ldexp(abs(v), scale) for _, v in shears)
+    scale = -math.frexp(max((abs(v) for _, _, v, _ in support),
+                            default=0.0))[1]
+    low_mass = left_sum(math.ldexp(abs(v), scale) for p, q, v, _ in support
+                        if p in low or q in low)
+    total_mass = left_sum(math.ldexp(abs(v), scale)
+                          for _, _, v, _ in support)
     _emit(args.format, args.output, ["n", "re", "im"], rows,
           _meta(max_order=args.max_order, window=args.window,
                 low_order_shear_fraction=low_mass / (total_mass or 1.0)))

@@ -16,7 +16,9 @@ by the integers so that consecutive edges are adjacent, ``e_0`` has initial
 point ``p`` and ``e_1`` has terminal point ``p``; when ``p`` is itself a
 vertex of the base triangle this anchoring is still unambiguous and we keep
 it (the adjacent pair with opposite roles at ``p`` is unique).  One
-Stern-Brocot walk gives a tip its Farey order and its fan map (fan_frame).
+Stern-Brocot walk on the integers gives a tip its Farey order and the
+entries of its fan map (fan_entries); fan_moebius and _stern_brocot
+dress the same walk in IntegerMoebius and ExtRational.
 
 All arithmetic is exact over Python integers; denominators of deep vertices
 grow like Fibonacci numbers, so fixed-width integers would overflow around
@@ -224,16 +226,23 @@ def in_ccw_arc(u, w, v) -> bool:
     return _before(v, u) and (_before(u, w) or _before(w, v))
 
 
+def runs_forward(un: int, ud: int, vn: int, vd: int) -> bool:
+    """True when u -> v is the canonical orientation of the edge {u, v},
+    u = un/ud and v = vn/vd reduced with oo as 1/0: the integer rule of
+    the module docstring, the smaller finite end first, n -> oo for n >= 1
+    and oo -> n otherwise."""
+    if vd == 0:
+        return un >= 1
+    if ud == 0:
+        return vn < 1
+    return un * vd < vn * ud
+
+
 def oriented_edge(u: ExtRational, v: ExtRational) -> FareyEdge:
-    """The canonically oriented tessellation edge on {u, v}, by the integer
-    rule (see the module docstring): the smaller finite end first, n -> oo
-    for n >= 1 and oo -> n otherwise.  A pair that is not Farey-adjacent
-    raises FareyEdge's ValueError."""
-    if u.is_infinity:
-        u, v = v, u
-    if v.is_infinity:
-        return FareyEdge(u, v) if u.num >= 1 else FareyEdge(v, u)
-    if u.num * v.den < v.num * u.den:
+    """The canonically oriented tessellation edge on {u, v} (see
+    runs_forward).  A pair that is not Farey-adjacent raises FareyEdge's
+    ValueError."""
+    if runs_forward(u.num, u.den, v.num, v.den):
         return FareyEdge(u, v)
     return FareyEdge(v, u)
 
@@ -262,31 +271,39 @@ def mediant(p, q, infinity_sign: int = 1) -> ExtRational:
     return ExtRational(pn + qn, pd + qd)
 
 
-def _stern_brocot(p: ExtRational) -> tuple[int, ExtRational, ExtRational]:
-    """(order, lo, hi) of a finite nonzero p from its continued fraction.
+def _walk(num: int, den: int):
+    """(order, lo, hi) of a finite nonzero reduced num/den from its
+    continued fraction, lo and hi as (num, den) pairs.
 
     The Stern-Brocot walk towards |p| starts at lo = 0/1, hi = 1/0 and
     replaces one endpoint by the mediant until the mediant is |p|.  Each
     partial quotient q of |p| is a block of q steps in one direction, taken
     at once, so the cost is O(log) in the size of p; the last block stops one
     step short, where lo and hi are the parents.  The order is 1 plus the
-    sum of the partial quotients.  For negative p the result is mirrored.
+    sum of the partial quotients.  For negative p the result is mirrored
+    (hi may then be (-1, 0), which is oo).
     """
-    x, y = abs(p.num), p.den
-    lo, hi = (0, 1), (1, 0)
+    x, y = abs(num), den
+    lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 0
     order, right = 1, True
     while y:
         q, r = divmod(x, y)
         order += q
         steps = q if r else q - 1
         if right:
-            lo = (lo[0] + steps * hi[0], lo[1] + steps * hi[1])
+            lo_n, lo_d = lo_n + steps * hi_n, lo_d + steps * hi_d
         else:
-            hi = (hi[0] + steps * lo[0], hi[1] + steps * lo[1])
+            hi_n, hi_d = hi_n + steps * lo_n, hi_d + steps * lo_d
         x, y, right = y, r, not right
-    sign = -1 if p.num < 0 else 1
-    return (order, ExtRational(sign * lo[0], lo[1]),
-            ExtRational(sign * hi[0], hi[1]))
+    sign = -1 if num < 0 else 1
+    return order, (sign * lo_n, lo_d), (sign * hi_n, hi_d)
+
+
+def _stern_brocot(p: ExtRational) -> tuple[int, ExtRational, ExtRational]:
+    """(order, lo, hi) of a finite nonzero p: _walk with the parents as
+    ExtRationals."""
+    order, lo, hi = _walk(p.num, p.den)
+    return order, ExtRational(*lo), ExtRational(*hi)
 
 
 def farey_order(p) -> int:
@@ -337,8 +354,10 @@ def enumerate_edges(max_order: int) -> list[FareyEdge]:
 # fans
 # ---------------------------------------------------------------------------
 
-def fan_frame(p) -> tuple[int, IntegerMoebius]:
-    """(Farey order, fan map B) of a tip p, both from one Stern-Brocot walk.
+def fan_entries(num: int, den: int) -> tuple[int, int, int, int, int]:
+    """(order, a, b, c, d) of the tip p = num/den, reduced with oo as 1/0:
+    its Farey order and the entries of its fan map B = (a b; c d), both
+    from one Stern-Brocot walk.
 
     B carries the fan at oo onto the fan at p: it sends oo to p and 0 to
     the terminal endpoint of e_0 at p, which is 1 at p = 0 and otherwise
@@ -346,20 +365,21 @@ def fan_frame(p) -> tuple[int, IntegerMoebius]:
     p < 0 the mirrored walk puts it below).  So B maps the edge (n, oo)
     onto the n-th fan edge at p, orientation included.
     """
-    if p.is_infinity:
-        return 1, IDENTITY
-    if p == ZERO:
-        order, a = 1, ONE
+    if den == 0:
+        return 1, 1, 0, 0, 1
+    if num == 0:
+        order, (an, ad) = 1, (1, 1)
     else:
-        order, lo, hi = _stern_brocot(p)
-        a = hi if p.num > 0 else lo
-    det = p.num * a.den - a.num * p.den   # +-1 by adjacency
-    return order, IntegerMoebius(p.num, det * a.num, p.den, det * a.den)
+        order, lo, hi = _walk(num, den)
+        an, ad = hi if num > 0 else lo
+    det = num * ad - an * den   # +-1 by adjacency
+    return order, num, det * an, den, det * ad
 
 
 def fan_moebius(p) -> IntegerMoebius:
-    """The fan map of fan_frame: it carries the fan at oo onto that at p."""
-    return fan_frame(p)[1]
+    """The fan map of fan_entries: it carries the fan at oo onto that at p."""
+    _, *entries = fan_entries(p.num, p.den)
+    return IntegerMoebius(*entries)
 
 
 def fan_edge(p, n: int) -> FareyEdge:

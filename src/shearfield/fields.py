@@ -9,8 +9,12 @@ standard fan at infinity around by integer Moebius maps yields the field of
 the whole shear function as an absolutely convergent sum over fan tips in
 increasing Farey order.
 
-One Stern-Brocot walk per tip gives its Farey order and the fan map whose
-integer entries index its edges.  The Zygmund-type checks live here as
+A shear function keeps its values under integer keys, its edges' ends as
+(num, den) pairs, and builds its fan index from them on the integers: the
+orientation rule, one Stern-Brocot walk per tip for its Farey order and
+the fan map whose entries index its edges, one float pair per edge and one
+ExtRational per tip.  FareyEdges are built only when a caller asks for
+them.  halved_terms reads that index.  The Zygmund-type checks live here as
 well: the fan-wise averaged-coefficient condition that characterizes
 admissible shear functions (read from 4K - 3 shears per support edge; a
 fan whose mass M = sum |s| bounds its sums below the sup found so far,
@@ -23,10 +27,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import defaultdict
 from typing import NamedTuple
 
-from .farey import (ExtRational, FareyEdge, Value, fan_frame, left_sum,
-                    oriented_edge)
+from .farey import (ExtRational, FareyEdge, Value, fan_entries, left_sum,
+                    runs_forward)
 
 DELTA_GAP = 2.0 * math.log(1.0 + math.sqrt(2.0))  # distance between nested fan walls
 
@@ -35,95 +40,119 @@ DELTA_GAP = 2.0 * math.log(1.0 + math.sqrt(2.0))  # distance between nested fan 
 # shear functions
 # ---------------------------------------------------------------------------
 
-def _edge_key(u: ExtRational, v: ExtRational):
-    """The key of the unordered edge {u, v}: its ends as (num, den) pairs,
-    the smaller pair first."""
-    u, v = (u.num, u.den), (v.num, v.den)
-    return (u, v) if u < v else (v, u)
+def _edge_key(u, v):
+    """The key of the unordered edge {u, v}, u and v reduced (num, den)
+    pairs with oo as (1, 0): the flat tuple of both, the smaller pair
+    first."""
+    return u + v if u < v else v + u
 
 
 class ShearFunction:
     """Finite-support real-valued function on (unoriented) tessellation edges.
 
-    The canonically oriented support and the fan index of every tip are
-    built on first use and kept until the next set().
+    Values are kept under integer keys: the edge's ends as reduced
+    (num, den) pairs, oo as (1, 0), the smaller pair first (_edge_key).
+    set() takes a FareyEdge to its key; parse_shear_file puts the keys it
+    reads off a file.  The index (_index) is built from the keys on first
+    use and kept until the next change.  FareyEdges are built only when
+    edges(), fan() or iteration asks for them.
     """
 
     def __init__(self, assignments=None):
-        self._data = {}             # edge key -> (value, edge as set)
+        self._data = {}             # edge key -> value
         self._cache = None
         if assignments:
             for edge, value in assignments:
                 self.set(edge, value)
 
     def set(self, edge: FareyEdge, value: float):
-        self._put(_edge_key(edge.initial, edge.terminal), edge, value)
+        i, t = edge.initial, edge.terminal
+        self._put(_edge_key((i.num, i.den), (t.num, t.den)), value)
 
-    def _put(self, key, edge: FareyEdge, value: float):
-        """set() with the edge's key already taken, as parse_shear_file
+    def _put(self, key, value: float):
+        """set() on an edge key (see _edge_key), as parse_shear_file
         takes it to find duplicates."""
         if value == 0.0:
             self._data.pop(key, None)
         else:
-            self._data[key] = (float(value), edge)
+            self._data[key] = float(value)
         self._cache = None
 
     def value(self, edge: FareyEdge) -> float:
-        entry = self._data.get(_edge_key(edge.initial, edge.terminal))
-        return entry[0] if entry else 0.0
+        i, t = edge.initial, edge.terminal
+        return self._data.get(_edge_key((i.num, i.den), (t.num, t.den)), 0.0)
 
     def _index(self):
-        """The pair (support, fans): the support as (edge, value) pairs, each
-        edge canonically oriented, in key order; and tip -> (Farey order,
-        [(fan index, value, edge), ...]), tips in (order, circular
-        position), each fan's edges in support order.
+        """The pair (support, tips), read off the integer keys.
 
-        Fans are keyed by (num, den) while they are gathered.  The fan map
-        B = (a b; c d) of tip p carries {n, oo} onto its n-th fan edge
-        {p, q}, so n = B^-1(q) = (d q.num - b q.den) / (a q.den - c q.num),
-        whose denominator is p.num q.den - p.den q.num = +-1 by adjacency:
-        n is the product of the two."""
+        support holds (u, v, value, ends) for each edge in key order: u -> v
+        its canonical orientation (farey.runs_forward) as (num, den) pairs,
+        ends its float ends, or the error edge_ends raises for them, which
+        halved_terms raises when it keeps the edge.  tips maps each tip's
+        (num, den) to (tip, order, fan), tip an ExtRational, in increasing
+        (order, circular position) (tip_sort_key); fan holds (fan index,
+        value, ends, support position) for each edge at the tip, in support
+        order.
+
+        One integer walk per tip gives its order and fan map
+        B = (a b; c d) (farey.fan_entries).  B carries {n, oo} onto the
+        n-th fan edge {p, q}, so n = B^-1(q) = (d q.num - b q.den) /
+        (a q.den - c q.num), whose denominator is p.num q.den - p.den q.num
+        = +-1 by adjacency: n is the product of the two."""
         if self._cache is None:
-            support, fans = [], {}
+            support, fans = [], defaultdict(list)
             for key in sorted(self._data):
-                value, edge = self._data[key]
-                edge = oriented_edge(edge.initial, edge.terminal)
-                support.append((edge, value))
-                for p, q in ((edge.initial, edge.terminal),
-                             (edge.terminal, edge.initial)):
-                    fan = fans.get((p.num, p.den))
-                    if fan is None:
-                        fan = fans[p.num, p.den] = (p, [])
-                    fan[1].append((q.num, q.den, value, edge))
+                un, ud, vn, vd = key
+                if not runs_forward(un, ud, vn, vd):
+                    un, ud, vn, vd = vn, vd, un, ud
+                u, v, value = (un, ud), (vn, vd), self._data[key]
+                try:
+                    ends = (un / ud if ud else math.inf,
+                            vn / vd if vd else math.inf)
+                    check_ends(ends)
+                except (OverflowError, ValueError) as exc:
+                    ends = exc
+                fans[u].append((vn, vd, value, ends, len(support)))
+                fans[v].append((un, ud, value, ends, len(support)))
+                support.append((u, v, value, ends))
             tips = []
-            for p, fan in fans.values():
-                order, B = fan_frame(p)     # one walk per tip
-                a, b, c, d = B.a, B.b, B.c, B.d
-                fan[:] = [((d * qn - b * qd) * (a * qd - c * qn), v, e)
-                          for qn, qd, v, e in fan]
-                tips.append((tip_sort_key(p, order), fan))
-            tips.sort(key=lambda tip: tip[0])
-            self._cache = (support, {p: (order, fan)
-                                     for (order, _, p), fan in tips})
+            for p, fan in fans.items():
+                order, a, b, c, d = fan_entries(*p)     # one walk per tip
+                tip = ExtRational(*p)
+                tips.append((tip_sort_key(tip, order), p, [
+                    ((d * qn - b * qd) * (a * qd - c * qn), value, ends, j)
+                    for qn, qd, value, ends, j in fan]))
+            tips.sort()     # tips are distinct, so only their keys compare
+            self._cache = (support, {p: (tip, order, fan) for
+                                     (order, _, tip), p, fan in tips})
         return self._cache
 
     def edges(self) -> list[FareyEdge]:
         """Support edges, canonically oriented, in deterministic order."""
-        return [e for e, _ in self._index()[0]]
+        return [_farey_edge(u, v) for u, v, _, _ in self._index()[0]]
 
     def fan(self, tip) -> list[tuple[int, float, FareyEdge]]:
         """(fan index, value, edge) of each support edge at tip."""
-        entry = self._index()[1].get(tip)
-        return entry[1] if entry else []
+        support, tips = self._index()
+        entry = tips.get((tip.num, tip.den))
+        return [(n, value, _farey_edge(*support[j][:2]))
+                for n, value, _, j in entry[2]] if entry else []
 
     def support_tips(self) -> list[ExtRational]:
-        return list(self._index()[1])
+        return [tip for tip, _, _ in self._index()[1].values()]
 
     def __len__(self):
         return len(self._data)
 
     def __iter__(self):
-        return iter(self._index()[0])
+        """(edge, value) of each support edge, in edges() order."""
+        return iter([(_farey_edge(u, v), value)
+                     for u, v, value, _ in self._index()[0]])
+
+
+def _farey_edge(u, v) -> FareyEdge:
+    """The FareyEdge u -> v of two (num, den) pairs."""
+    return FareyEdge(ExtRational(*u), ExtRational(*v))
 
 
 def tip_sort_key(p: ExtRational, order: int):
@@ -357,18 +386,20 @@ def halved_terms(sdot: ShearFunction, max_order: int, N: int) -> list[HalfTerm]:
     <= max_order in increasing (order, circular position), each with its
     fan edges of index |n| <= N at half their shear.  Field, Hilbert,
     shear-series and Fourier evaluation all sum this list in this order.
-    An edge's two terms share one ends tuple, taken when the first is kept."""
-    terms, ends = [], {}            # id(edge) -> edge_ends(edge)
+    It reads the index of sdot: an edge's two terms share the one ends
+    tuple _index took, and a kept edge whose ends name no field raises
+    edge_ends' error here."""
+    terms = []
     if N <= 0:
         return terms
-    for order, fan in sdot._index()[1].values():
+    for _, order, fan in sdot._index()[1].values():
         if order > max_order:
             break
-        for n, value, edge in fan:
+        for n, value, ends, _ in fan:
             if abs(n) <= N:
-                if id(edge) not in ends:
-                    ends[id(edge)] = edge_ends(edge)
-                terms.append(HalfTerm(order, 0.5 * value, ends[id(edge)]))
+                if isinstance(ends, Exception):
+                    raise ends
+                terms.append(HalfTerm(order, 0.5 * value, ends))
     return terms
 
 
@@ -404,7 +435,8 @@ class ZygmundReport(Value):
 
 def fan_shears_at_tip(sdot: ShearFunction, tip) -> dict[int, float]:
     """Shear values of sdot on the fan at tip, indexed by fan position."""
-    return {n: value for n, value, _ in sdot.fan(tip)}
+    entry = sdot._index()[1].get((tip.num, tip.den))
+    return {n: value for n, value, _, _ in entry[2]} if entry else {}
 
 
 def averaged_coefficient_sum(shears, m: int, k: int) -> float:

@@ -17,7 +17,7 @@ from shearfield.farey import (INFINITY, ONE, ZERO, ExtRational,
 from shearfield.fields import (FieldExpr, ShearFunction, assemble_field,
                                averaged_coefficient_sum, edge_ends,
                                fan_field_eval, halved_terms, tail_bound,
-                               zygmund_quotient_sup)
+                               zygmund_condition_sup, zygmund_quotient_sup)
 from shearfield.fourier import (CircleArc, assemble_circle_field,
                                 cayley_angle, circle_elementary_eval,
                                 edge_to_arc, elementary_fourier,
@@ -518,3 +518,50 @@ def test_criterion_11_recovered_shears_interpolate_x_log_x():
         assert err <= 1e-15
     report(11, "shears of x log|x| rebuild it",
            f"n = 6, 8, 10, max vertex err {worst:.1e}")
+
+
+# ---------------------------------------------------------------------------
+# 12. the fan condition separates a Zygmund field from one outside
+# ---------------------------------------------------------------------------
+
+def test_criterion_12_fan_condition_separates_fields():
+    """The fan-averaged condition tells a Zygmund field from one that is
+    not.  Each field's shears s(e) = shear_recover(V, Q_e) on every edge
+    of Farey order <= 10 (2,045 edges, set one at a time into a
+    ShearFunction) give the sup over all tips, m and k <= K of |A(m, k)|:
+    - V = x log|x|, a Zygmund field: 1.386 and 1.648 at K = 1, 2, then
+      1.7582 for every K from 3 to 10, so bounded;
+    - V = |x|^(1/2) - x, Hoelder-1/2 at 0 and so outside the class:
+      2 sqrt(K), reached at the tip 0 with m = 1 and k = K.
+    Measured over n = 6..12 and K <= n: x log|x| reads 1.7582 for K >= 3
+    up to n = 11 and 1.7626 at n = 12 (1.763 at n = 14), hence the bound
+    1.77; |x|^(1/2) - x is within 2.3e-16 relative of 2 sqrt(K) at every
+    n and K, with that witness.  n = 10 is the smallest order with
+    thousands of edges, and both fields take about 0.1 s."""
+    def x_log_x(x):
+        return 0.0 if x == 0.0 else x * math.log(abs(x))
+
+    def root_less_x(x):
+        return math.sqrt(abs(x)) - x
+
+    edges = enumerate_edges(10)
+    ladder = {}
+    for V in (x_log_x, root_less_x):
+        sdot = ShearFunction()
+        for e in edges:
+            sdot.set(e, shear_recover(V, edge_quadrilateral(e), 0.0))
+        tips = sdot.support_tips()
+        ladder[V] = [zygmund_condition_sup(sdot, tips, K)
+                     for K in range(1, 11)]
+    bounded = [r.sup_value for r in ladder[x_log_x]]
+    assert max(bounded) <= 1.77
+    assert bounded[-1] - bounded[4] <= 1e-12      # flat from K = 5 to 10
+    worst = 0.0
+    for K, r in enumerate(ladder[root_less_x], 1):
+        err = abs(r.sup_value / (2.0 * math.sqrt(K)) - 1.0)
+        assert err <= 1e-15
+        assert r.witness == (ZERO, 1, K)
+        worst = max(worst, err)
+    report(12, "fan condition separates fields",
+           f"n = 10, K <= 10: x log|x| <= {max(bounded):.4f}, "
+           f"|x|^1/2 - x = 2 sqrt(K) to {worst:.1e}")

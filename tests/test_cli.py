@@ -508,6 +508,124 @@ def test_fourier_reads_each_arc_once(tmp_path, monkeypatch):
         (c.real.hex(), c.imag.hex()) for c in want]
 
 
+def test_front_end_builds_no_edge_objects(tmp_path, monkeypatch):
+    """From the benchmark's grid file to its 120 halved terms the shear
+    function stays on integer (num, den) pairs: parse_shear_file, the
+    index and halved_terms build no FareyEdge and no IntegerMoebius, and
+    one ExtRational per fan tip at most (for support_tips, the tip sort
+    and the Zygmund witness)."""
+    from shearfield import farey
+    from shearfield.fields import halved_terms
+    path = _bench_grid_shears(tmp_path)
+    built = dict.fromkeys(["ExtRational", "FareyEdge", "IntegerMoebius"], 0)
+    for name in built:
+        cls = getattr(farey, name)
+
+        def counted(self, *args, _init=cls.__init__, _name=name):
+            built[_name] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    sdot = parse_shear_file(path)
+    terms = halved_terms(sdot, 6, 20)
+    tips = len(sdot._index()[1])
+    assert (len(terms), tips) == (120, 32)
+    assert built["FareyEdge"] == built["IntegerMoebius"] == 0
+    assert built["ExtRational"] <= tips
+
+
+# JSON endpoints left unreduced: 1/2 as [2, 4], and oo as [-1, 0] and [5, 0]
+_UNREDUCED = [([2, 4], [1, 1], 0.5), ([-1, 0], [-1, 1], -2.0),
+              ([5, 0], [10 ** 400, 1], 1.5)]
+
+
+def _ends_view(ends):
+    """Float ends as they are, or the error edge_ends raised for them as
+    (type name, message)."""
+    if isinstance(ends, Exception):
+        return type(ends).__name__, str(ends)
+    return ends
+
+
+def _reference_index(edge_values):
+    """(support, tips) of ShearFunction._index for the (edge, value) pairs,
+    built from oriented_edge, fan_index, tip_sort_key and edge_ends."""
+    from shearfield.farey import farey_order, fan_index, oriented_edge
+    from shearfield.fields import edge_ends, tip_sort_key
+    pairs = lambda e: ((e.initial.num, e.initial.den),
+                       (e.terminal.num, e.terminal.den))
+    support = sorted(((oriented_edge(e.initial, e.terminal), v)
+                      for e, v in edge_values),
+                     key=lambda ev: sorted(pairs(ev[0])))
+    rows = []
+    for e, v in support:
+        try:
+            ends = edge_ends(e)
+        except (OverflowError, ValueError) as exc:
+            ends = exc
+        rows.append((e, v, _ends_view(ends)))
+    tips = sorted({p for e, _ in support for p in (e.initial, e.terminal)},
+                  key=lambda p: tip_sort_key(p, farey_order(p)))
+    return ([(*pairs(e), v, ends) for e, v, ends in rows],
+            [(p, farey_order(p), [
+                (fan_index(p, e.terminal if e.initial == p else e.initial),
+                 v, pairs(e), ends)
+                for e, v, ends in rows if p in (e.initial, e.terminal)])
+             for p in tips])
+
+
+def _index_view(sdot):
+    """ShearFunction._index in _reference_index's form."""
+    support, tips = sdot._index()
+    assert list(tips) == [(tip.num, tip.den) for tip, _, _ in tips.values()]
+    return ([(u, v, value, _ends_view(ends))
+             for u, v, value, ends in support],
+            [(tip, order, [(n, value, support[j][:2], _ends_view(ends))
+                           for n, value, ends, j in fan])
+             for tip, order, fan in tips.values()])
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.sampled_from(_FAN_TIPS + [(10 ** 400, 1)]),
+                          st.integers(min_value=-40, max_value=40),
+                          st.sampled_from([1, -1, 2, 5]),
+                          st.sampled_from([1, -1, 3]), st.booleans()),
+                max_size=12))
+def test_integer_index_matches_reference(tmp_path, picks):
+    """ShearFunction's integer index, built through set() and through
+    parse_shear_file, equals the one that oriented_edge, fan_index,
+    tip_sort_key and edge_ends give: the same support and tip order,
+    orders, fan indices, values and float ends, or the same error where
+    edge_ends has none (a tip at 10^400).  Tips oo, 0 and negative ones
+    are drawn, each edge in either orientation, and the file writes its
+    endpoints unreduced (scaled by -1, 2, 3 or 5), [2, 4], [-1, 0] and
+    [5, 0] among them."""
+    from shearfield.farey import ExtRational, FareyEdge, fan_edge
+    from shearfield.fields import ShearFunction
+    entries, edges = [], {}
+
+    def add(p, q, value):
+        e = FareyEdge(ExtRational(*p), ExtRational(*q))
+        if edges.setdefault(e.unordered(), (e, value))[0] is e:
+            entries.append({"p": p, "q": q, "value": value})
+
+    for p, q, value in _UNREDUCED:
+        add(p, q, value)
+    for k, (tip, n, a, b, flip) in enumerate(picks):
+        e = fan_edge(ExtRational(*tip), n)
+        p, q = (e.terminal, e.initial) if flip else (e.initial, e.terminal)
+        add([a * p.num, a * p.den], [b * q.num, b * q.den],
+            (k + 1) * (-0.75) ** k)
+    by_set = ShearFunction()
+    for e, value in edges.values():
+        by_set.set(e, value)
+    by_file = parse_shear_file(write_shears(tmp_path, entries))
+    want = _reference_index(edges.values())
+    assert _index_view(by_set) == want
+    assert _index_view(by_file) == want
+
+
 def test_zygmund_check(tmp_path):
     path = write_shears(tmp_path,
                         [{"p": [0, 1], "q": [1, 0], "value": 1.5}])

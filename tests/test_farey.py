@@ -47,7 +47,7 @@ def test_farey_order_examples():
 
 
 def test_farey_parents():
-    """The parents that fan_frame reads off the Stern-Brocot walk."""
+    """The parents that fan_entries reads off the Stern-Brocot walk."""
     parents = lambda p: _stern_brocot(p)[1:]
     assert set(parents(ONE)) == {ZERO, INFINITY}
     assert set(parents(ExtRational(1, 2))) == {ZERO, ONE}
