@@ -53,46 +53,39 @@ class CliError(Exception):
         self.code = code
 
 
-def _endpoint(raw, where: str) -> tuple[int, int]:
-    """A JSON endpoint as a reduced (num, den) pair: the sign on the
-    numerator, the gcd divided out, and [k, 0] read as oo = (1, 0)."""
-    # two JSON integers, not floats or booleans
+def _endpoint(raw, where: str) -> list:
+    """A JSON endpoint, checked to be two JSON integers (not floats or
+    booleans); parse_shear_file reduces it (farey.reduced)."""
     if not (isinstance(raw, list) and len(raw) == 2 and
             type(raw[0]) is type(raw[1]) is int):
         raise CliError(f"{where}: endpoint {json.dumps(raw)} is not "
                        "a pair of integers", where)
-    num, den = raw
-    if den:
-        if den < 0:
-            num, den = -num, -den
-        g = math.gcd(num, den)
-        if g > 1:
-            num //= g
-            den //= g
-    elif num:
-        num = 1
-    else:
-        raise CliError(f"{where}: bad endpoint (0/0 is not a point of the "
-                       "circle)", where)
-    return num, den
+    return raw
 
 
 def parse_shear_file(path: str) -> ShearFunction:
     """Load and validate a shear JSON file.
 
     Endpoints stay integer (num, den) pairs from the file to the
-    ShearFunction: each is reduced (_endpoint), adjacency is one
-    cross-multiplication, and the edge is stored under its key.  An
-    ExtRational is built only to word a diagnostic."""
-    from .farey import ExtRational
+    ShearFunction: each is checked (_endpoint) and reduced
+    (farey.reduced), adjacency is one cross-multiplication, and the edge
+    is stored under its key.  An ExtRational is built only to word a
+    diagnostic.  A file that cannot be read or decoded is an `input`
+    error."""
+    from .farey import ExtRational, reduced
     from .fields import ShearFunction, _edge_key
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:    # JSON is UTF-8
             doc = json.load(fh)
     except FileNotFoundError:
         raise CliError(f"no such file: {path}", "input")
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {path}: {exc}", "input")
+    except OSError as exc:      # a directory, no read permission
+        raise CliError(f"cannot read {path}: {exc.strerror or exc}",
+                       "input")
+    except ValueError as exc:   # not UTF-8, an integer past the digit limit
+        raise CliError(f"cannot read {path}: {exc}", "input")
     if not isinstance(doc, dict) or not isinstance(doc.get("edges"), list):
         raise CliError("shear file must be an object with an 'edges' list",
                        "edges")
@@ -105,7 +98,11 @@ def parse_shear_file(path: str) -> ShearFunction:
         for key in ("p", "q", "value"):
             if key not in entry:
                 raise CliError(f"{where} is missing '{key}'", f"{where}.{key}")
-        u, v = _endpoint(entry["p"], where), _endpoint(entry["q"], where)
+        try:
+            u = reduced(*_endpoint(entry["p"], where))
+            v = reduced(*_endpoint(entry["q"], where))
+        except ZeroDivisionError as exc:
+            raise CliError(f"{where}: bad endpoint ({exc})", where) from None
         if abs(u[0] * v[1] - v[0] * u[1]) != 1:
             raise CliError(f"{where}: {ExtRational(*u)} and {ExtRational(*v)}"
                            " are not Farey-adjacent", where)
@@ -193,24 +190,20 @@ def cmd_farey(args) -> int:
     if args.max_order > MAX_FAREY_ORDER:
         raise CliError(f"max-order must be at most {MAX_FAREY_ORDER}",
                        "max-order")
+    meta = _meta(max_order=args.max_order)
     if args.action == "vertices":
-        verts = enumerate_vertices(args.max_order)
-        rows = [(str(v), v.num, v.den, farey_order(v)) for v in verts]
-        _emit(args.format, args.output,
-              ["vertex", "num", "den", "order"], rows,
-              _meta(max_order=args.max_order))
-        return 0
-    # edges: every tessellation edge with both endpoints of order <= max_order
-    edges = enumerate_edges(args.max_order)
-    if args.format == "json":
-        # an edge serializes as the flat array [p_num, p_den, q_num, q_den]
-        _emit_json(args.output, _meta(max_order=args.max_order),
-                   [e.to_json() for e in edges])
-        return 0
-    rows = [tuple(e.to_json()) for e in edges]
-    _emit(args.format, args.output,
-          ["p_num", "p_den", "q_num", "q_den"], rows,
-          _meta(max_order=args.max_order))
+        header = ["vertex", "num", "den", "order"]
+        rows = [(str(v), v.num, v.den, farey_order(v))
+                for v in enumerate_vertices(args.max_order)]
+    else:
+        # every tessellation edge with both ends of order <= max_order, in
+        # JSON too the flat array [p_num, p_den, q_num, q_den]
+        header = ["p_num", "p_den", "q_num", "q_den"]
+        rows = [e.to_json() for e in enumerate_edges(args.max_order)]
+        if args.format == "json":
+            _emit_json(args.output, meta, rows)
+            return 0
+    _emit(args.format, args.output, header, rows, meta)
     return 0
 
 

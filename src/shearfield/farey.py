@@ -17,8 +17,8 @@ point ``p`` and ``e_1`` has terminal point ``p``; when ``p`` is itself a
 vertex of the base triangle this anchoring is still unambiguous and we keep
 it (the adjacent pair with opposite roles at ``p`` is unique).  One
 Stern-Brocot walk on the integers gives a tip its Farey order and the
-entries of its fan map (fan_entries); fan_moebius and _stern_brocot
-dress the same walk in IntegerMoebius and ExtRational.
+entries of its fan map (fan_entries); farey_order reads the order off
+it, and fan_moebius dresses the entries as an IntegerMoebius.
 
 All arithmetic is exact over Python integers; denominators of deep vertices
 grow like Fibonacci numbers, so fixed-width integers would overflow around
@@ -68,32 +68,33 @@ def left_sum(values, start=0.0):
     return total
 
 
+def reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den as a reduced (num, den) pair: the sign on the numerator, the
+    gcd divided out, and k/0 read as oo = (1, 0).  0/0 raises
+    ZeroDivisionError.  ExtRational and the shear-file reader both reduce
+    through here."""
+    if not den:
+        if not num:
+            raise ZeroDivisionError("0/0 is not a point of the circle")
+        return 1, 0
+    if den < 0:
+        num, den = -num, -den
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
 class ExtRational:
     """Reduced fraction on the extended real line; oo is stored as 1/0.
 
     Equal only to an ExtRational with the same (num, den), and hashed as
     that pair.  It writes Value's protocol out rather than inherit it: its
-    repr is the fraction (1/2, oo), and its equality and hash run on the
-    per-tip path (farey_order, the fan dicts)."""
+    repr is the fraction (1/2, oo), and its equality and hash read the
+    pair directly."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
-        num = int(num)
-        den = int(den)
-        if den == 0:
-            if num == 0:
-                raise ZeroDivisionError("0/0 is not a point of the circle")
-            num = 1  # canonical infinity
-        else:
-            if den < 0:
-                num, den = -num, -den
-            g = math.gcd(abs(num), den)
-            if g > 1:
-                num //= g
-                den //= g
-        self.num = num
-        self.den = den
+        self.num, self.den = reduced(int(num), int(den))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -175,9 +176,8 @@ class IntegerMoebius(Value):
         self.d = d
 
     def __call__(self, x: ExtRational) -> ExtRational:
-        """The map at an extended rational, exactly."""
-        if x.is_infinity:
-            return ExtRational(self.a, self.c)
+        """The map at an extended rational, exactly (oo = 1/0 goes to
+        a/c)."""
         return ExtRational(self.a * x.num + self.b * x.den,
                            self.c * x.num + self.d * x.den)
 
@@ -299,18 +299,11 @@ def _walk(num: int, den: int):
     return order, (sign * lo_n, lo_d), (sign * hi_n, hi_d)
 
 
-def _stern_brocot(p: ExtRational) -> tuple[int, ExtRational, ExtRational]:
-    """(order, lo, hi) of a finite nonzero p: _walk with the parents as
-    ExtRationals."""
-    order, lo, hi = _walk(p.num, p.den)
-    return order, ExtRational(*lo), ExtRational(*hi)
-
-
 def farey_order(p) -> int:
     """Order of a vertex under the mediant recursion: 0 and oo have order 1,
     1 and -1 order 2, and the mediant of adjacent vertices of maximal order
-    n has order n + 1."""
-    return 1 if p in (ZERO, INFINITY) else _stern_brocot(p)[0]
+    n has order n + 1 (the walk of fan_entries)."""
+    return fan_entries(p.num, p.den)[0]
 
 
 def _mediant_sweep(max_order: int):

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import defaultdict
-from typing import NamedTuple
 
 from .farey import (ExtRational, FareyEdge, Value, fan_entries, left_sum,
                     runs_forward)
@@ -344,29 +343,15 @@ def _panel_table(terms, quad, points):
 
 
 def fan_field_eval(shears, x: float) -> float:
-    """Field of a single fan at infinity: zero on [0, 1], slope added left
-    and right per the integer-indexed shears (index n >= 1 contributes
-    (x - n) for x > n, index n <= 0 contributes -(x - n) for x < n)."""
-    x = float(x)
-    total = 0.0
-    for n, s in shears.items():
-        if s == 0.0:
-            continue
-        if n >= 1:
-            if x > n:
-                total += s * (x - n)
-        else:
-            if x < n:
-                total -= s * (x - n)
-    return total
-
-
-class HalfTerm(NamedTuple):
-    """One halved elementary term of the truncated field sum."""
-
-    order: int          # Farey order of the tip
-    coef: float         # half the edge's shear
-    ends: tuple         # edge_ends(edge), edge canonically oriented
+    """Field of a single fan at infinity, zero on [0, 1]: the shear s of
+    each index n times the elementary field of its ray, (n, oo) for
+    n >= 1 (x - n for x > n) and (oo, n) for n <= 0 (-(x - n) for x < n),
+    summed in the shears' order; a term whose s or ray value is 0 is
+    skipped."""
+    x, inf = float(x), math.inf
+    rays = ((s, elementary_eval((n, inf) if n >= 1 else (inf, n), x))
+            for n, s in shears.items() if s != 0.0)
+    return left_sum(s * v for s, v in rays if v != 0.0)
 
 
 def tip_field(p, sdot: ShearFunction, N: int) -> FieldExpr:
@@ -381,14 +366,15 @@ def tip_field(p, sdot: ShearFunction, N: int) -> FieldExpr:
                      for n, value, edge in sdot.fan(p) if abs(n) <= N)
 
 
-def halved_terms(sdot: ShearFunction, max_order: int, N: int) -> list[HalfTerm]:
-    """The truncated field sum as one ordered term list: tips of Farey order
-    <= max_order in increasing (order, circular position), each with its
-    fan edges of index |n| <= N at half their shear.  Field, Hilbert,
-    shear-series and Fourier evaluation all sum this list in this order.
-    It reads the index of sdot: an edge's two terms share the one ends
-    tuple _index took, and a kept edge whose ends name no field raises
-    edge_ends' error here."""
+def halved_terms(sdot: ShearFunction, max_order: int, N: int) -> list:
+    """The truncated field sum as one ordered list of plain (order, coef,
+    ends) tuples: tips of Farey order <= max_order in increasing (order,
+    circular position), each with its fan edges of index |n| <= N, coef
+    half the edge's shear and ends edge_ends of the canonically oriented
+    edge.  Field, Hilbert, shear-series and Fourier evaluation all unpack
+    and sum this list in this order.  It reads the index of sdot: an
+    edge's two terms share the one ends tuple _index took, and a kept edge
+    whose ends name no field raises edge_ends' error here."""
     terms = []
     if N <= 0:
         return terms
@@ -399,13 +385,13 @@ def halved_terms(sdot: ShearFunction, max_order: int, N: int) -> list[HalfTerm]:
             if abs(n) <= N:
                 if isinstance(ends, Exception):
                     raise ends
-                terms.append(HalfTerm(order, 0.5 * value, ends))
+                terms.append((order, 0.5 * value, ends))
     return terms
 
 
 def assemble_field(terms) -> FieldExpr:
     """The field of a halved term list (see halved_terms)."""
-    return FieldExpr((t.coef, t.ends) for t in terms)
+    return FieldExpr((coef, ends) for _, coef, ends in terms)
 
 
 def tail_bound(n: int, C: float) -> float:

@@ -129,11 +129,11 @@ def fourier_coefficients(terms, ns) -> list[complex]:
     ends, as an edge's two halved terms share them; the terms' products
     are summed in list order."""
     totals, arcs = [0j] * len(ns), {}
-    for t in terms:
-        cs = arcs.get(t.ends)
+    for _, coef, ends in terms:
+        cs = arcs.get(ends)
         if cs is None:
-            cs = arcs[t.ends] = _arc_fourier(edge_to_arc(t.ends), ns)
-        totals = [total + t.coef * c for total, c in zip(totals, cs)]
+            cs = arcs[ends] = _arc_fourier(edge_to_arc(ends), ns)
+        totals = [total + coef * c for total, c in zip(totals, cs)]
     return totals
 
 
@@ -145,7 +145,7 @@ def field_fourier(terms, n: int) -> complex:
 def assemble_circle_field(terms):
     """Evaluable circle field of a halved term list, with its arc endpoints
     exposed for quadrature splitting."""
-    pieces = [(t.coef, edge_to_arc(t.ends)) for t in terms]
+    pieces = [(coef, edge_to_arc(ends)) for _, coef, ends in terms]
 
     def V(z: complex) -> complex:
         return left_sum((c * circle_elementary_eval(arc, z)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import operator
 from itertools import takewhile
-from typing import NamedTuple
 
 from .farey import FareyEdge, Value, edge_neighbors, in_ccw_arc, left_sum
 
@@ -304,17 +303,18 @@ def edge_quadrilateral(edge: FareyEdge) -> Quadrilateral:
     return Quadrilateral(a, i, c, t)
 
 
-class BracketPlan(NamedTuple):
+class BracketPlan(Value):
     """The recovery bracket of one quadrilateral with its infinite vertex
-    resolved: the finite vertices V is read at, the difference quotients
-    that remain, each (u, v, v - u) standing for [V(v)-V(u)]/(v-u), and
-    the span that multiplies the quadratic coefficient (None when every
-    vertex is finite)."""
+    resolved: the finite vertices V is read at (points), the difference
+    quotients that remain (plus, minus), each (u, v, v - u) standing for
+    [V(v)-V(u)]/(v-u), and the span that multiplies the quadratic
+    coefficient (None when every vertex is finite)."""
 
-    points: tuple
-    plus: tuple
-    minus: tuple
-    span: float | None
+    __slots__ = ("points", "plus", "minus", "span")
+
+    def __init__(self, points: tuple, plus: tuple, minus: tuple, span):
+        self.points, self.plus = points, plus
+        self.minus, self.span = minus, span
 
 
 def bracket_plan(Q: Quadrilateral) -> BracketPlan:
@@ -503,13 +503,13 @@ def hilbert_shear_series(terms, edge: FareyEdge, max_order: int) -> list[float]:
     over the quadrilateral of `edge`, scaled so that a unit shear on a
     single edge e returns exactly the bracket of e's normalized closed-form
     transform."""
-    kept = list(takewhile(lambda t: t.order <= max_order, terms))
+    kept = list(takewhile(lambda t: t[0] <= max_order, terms))
     plan = bracket_plan(edge_quadrilateral(edge))
-    ends, at = _end_columns(t.ends for t in kept)
+    ends, at = _end_columns(e for _, _, e in kept)
     (weights,), = edge_weights([plan], ends, [(0, 1)])
     partials = []
     total = 0.0
-    for t, w in zip(kept, map(weights.__getitem__, at)):
-        partials += [total / math.pi] * (t.order - 1 - len(partials))
-        total += t.coef * w
+    for (order, coef, _), w in zip(kept, map(weights.__getitem__, at)):
+        partials += [total / math.pi] * (order - 1 - len(partials))
+        total += coef * w
     return partials + [total / math.pi] * (max_order - len(partials))

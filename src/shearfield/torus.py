@@ -69,8 +69,8 @@ def edge_class(edge: FareyEdge) -> int:
     larger |num| + den) to one of u's two Stern-Brocot parents.  Walking
     the tree's gaps from (0, oo), the left child of a class-c gap has class
     c + 2 and the right child c + 1 (mod 3), so for u > 0 the walk to u's
-    gap, read off u's partial quotients as in farey._stern_brocot (the last
-    block one step short), reaches class c = (right steps) + 2 (left steps);
+    gap, read off u's partial quotients as in farey._walk (the last block
+    one step short), reaches class c = (right steps) + 2 (left steps);
     the edge is the right child, c + 1, when its other end is the parent
     farther from 0 (oo included), else the left child, c + 2.  An edge with
     u < 0 has the negative class of its mirror image.

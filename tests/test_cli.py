@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import errno
 import hashlib
 import inspect
 import io
@@ -412,6 +413,59 @@ def test_parse_shear_file_diagnostics(tmp_path, capsys, doc, message, field):
     assert json.loads(captured.err) == {"error": message, "field": field}
 
 
+def _not_utf8(tmp_path, monkeypatch):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"edges": [], "note": "\xe9"}')
+    return path, ("'utf-8' codec can't decode byte 0xe9 in position 23: "
+                  "invalid continuation byte")
+
+
+def _directory(tmp_path, monkeypatch):
+    return tmp_path, "Is a directory"
+
+
+def _unreadable(tmp_path, monkeypatch):
+    """A file with no read permission; where the process reads it anyway
+    (as root does), open refuses it as the system would for others."""
+    path = tmp_path / "locked.json"
+    path.write_text('{"edges": []}')
+    path.chmod(0)
+    if os.access(path, os.R_OK):
+        def locked(name, *args, **kwargs):
+            if name == str(path):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                                      name)
+            return open(name, *args, **kwargs)
+        monkeypatch.setattr(cli, "open", locked, raising=False)
+    return path, "Permission denied"
+
+
+def _too_many_digits(tmp_path, monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("no integer digit limit in this interpreter")
+    path = tmp_path / "digits.json"
+    path.write_text('{"edges": [{"p": [0, 1], "q": [1, 1%s], "value": 1}]}'
+                    % ("0" * limit))
+    return path, f"Exceeds the limit ({limit} digits)"
+
+
+@pytest.mark.parametrize("make", [_not_utf8, _directory, _unreadable,
+                                  _too_many_digits],
+                         ids=lambda f: f.__name__.lstrip("_"))
+def test_unreadable_shear_file_is_an_input_error(tmp_path, monkeypatch,
+                                                 capsys, make):
+    """A shear file that cannot be read or decoded exits 2 with field
+    `input`, as a missing file does, and one line naming the path."""
+    path, reason = make(tmp_path, monkeypatch)
+    assert run(["zygmund", "check", "--shears", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    diag = json.loads(captured.err)
+    assert diag["field"] == "input"
+    assert diag["error"].startswith(f"cannot read {path}: {reason}")
+
+
 def test_zygmund_overflow_is_never_skipped(tmp_path, capsys):
     """A fan whose running sums overflow is scanned even when its mass lies
     below the sup found so far.  The 4-cycle 0, 1, oo, -1 with shears
@@ -490,9 +544,9 @@ def test_fourier_reads_each_arc_once(tmp_path, monkeypatch):
                          6, 20)
     ns = range(0, 17)
     want = [0j] * len(ns)
-    for t in terms:
-        cs = fourier._arc_fourier(fourier.edge_to_arc(t.ends), ns)
-        want = [total + t.coef * c for total, c in zip(want, cs)]
+    for _, coef, ends in terms:
+        cs = fourier._arc_fourier(fourier.edge_to_arc(ends), ns)
+        want = [total + coef * c for total, c in zip(want, cs)]
     calls = []
     arc_fourier = fourier._arc_fourier
 

@@ -1,12 +1,14 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shearfield.farey import (ExtRational, FareyEdge, IDENTITY, INFINITY, ONE,
-                              ZERO, IntegerMoebius, _stern_brocot,
+                              ZERO, IntegerMoebius, _walk,
                               enumerate_edges, enumerate_vertices, fan_edge,
                               fan_edges, fan_index, fan_moebius, farey_order,
-                              in_ccw_arc, mediant, oriented_edge)
+                              in_ccw_arc, mediant, oriented_edge, reduced)
 
 
 def test_extrational_canonical():
@@ -16,6 +18,34 @@ def test_extrational_canonical():
     assert ExtRational(5, 0).num == 1 and ExtRational(5, 0).den == 0
     with pytest.raises(ZeroDivisionError):
         ExtRational(0, 0)
+
+
+_HUGE = 10 ** 400
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(-50, 50), st.integers(-_HUGE, _HUGE),
+                 st.sampled_from([0, _HUGE, -_HUGE, 6 * _HUGE])),
+       st.one_of(st.integers(-50, 50), st.integers(-_HUGE, _HUGE),
+                 st.sampled_from([0, _HUGE, -_HUGE, 4 * _HUGE])))
+def test_reduced_is_the_extrational_reduction(num, den):
+    """farey.reduced, the one reduction the shear-file reader and
+    ExtRational share: the sign on the numerator, the gcd divided out
+    (as Fraction reduces), k/0 read as (1, 0), and 0/0 an error."""
+    if num == den == 0:
+        for make in (reduced, ExtRational):
+            with pytest.raises(ZeroDivisionError,
+                               match="0/0 is not a point of the circle"):
+                make(num, den)
+        return
+    got = reduced(num, den)
+    p = ExtRational(num, den)
+    assert got == (p.num, p.den)
+    if den == 0:
+        assert got == (1, 0)
+    else:
+        f = Fraction(num, den)
+        assert got == (f.numerator, f.denominator)
 
 
 def test_extrational_order_excludes_infinity():
@@ -48,7 +78,7 @@ def test_farey_order_examples():
 
 def test_farey_parents():
     """The parents that fan_entries reads off the Stern-Brocot walk."""
-    parents = lambda p: _stern_brocot(p)[1:]
+    parents = lambda p: [ExtRational(*q) for q in _walk(p.num, p.den)[1:]]
     assert set(parents(ONE)) == {ZERO, INFINITY}
     assert set(parents(ExtRational(1, 2))) == {ZERO, ONE}
     assert set(parents(ExtRational(-1))) == {ZERO, INFINITY}
@@ -265,7 +295,7 @@ def test_order_of_mediant_with_parents(num, den):
     p = ExtRational(num, den)
     if p in (ZERO, INFINITY):
         return
-    u, v = _stern_brocot(p)[1:]
+    u, v = (ExtRational(*q) for q in _walk(p.num, p.den)[1:])
     assert mediant(u, v, infinity_sign=1 if (p.num >= 0) else -1) == p
     assert farey_order(p) == max(farey_order(u), farey_order(v)) + 1
     order, parents = stern_brocot_walk(p)

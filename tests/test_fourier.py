@@ -147,8 +147,8 @@ def test_coefficient_range_matches_per_n_sums_bit_for_bit():
     assert len(got) == len(ns)
     for n, c in zip(ns, got):
         want = 0j
-        for t in terms:
-            want += t.coef * elementary_fourier(edge_to_arc(t.ends), n)
+        for _, coef, ends in terms:
+            want += coef * elementary_fourier(edge_to_arc(ends), n)
         assert (c.real.hex(), c.imag.hex()) == (want.real.hex(),
                                                 want.imag.hex()), n
         assert field_fourier(terms, n) == c

@@ -41,7 +41,7 @@ def test_term_list_matches_per_tip_sums(entries, max_order, N):
     terms = halved_terms(sdot, max_order, N)
     tips = _per_tip(sdot, max_order, N)
     pieces = [t for _, F in tips for t in F.terms]
-    assert [(t.coef, t.ends) for t in terms] == pieces
+    assert [(coef, ends) for _, coef, ends in terms] == pieces
 
     V = assemble_field(terms)
     for x, h in zip(XS, hilbert_series_eval(terms, XS)):
@@ -75,8 +75,8 @@ def test_caches_follow_set():
     sdot.set(e2, -0.25)
     assert set(sdot.edges()) == {e1, e2}
     assert sdot.support_tips() == [ZERO, INFINITY, ONE, ExtRational(1, 2)]
-    assert [t.coef for t in halved_terms(sdot, 6, 10)
-            if t.ends == edge_ends(e2)] == [-0.125, -0.125]
+    assert [coef for _, coef, ends in halved_terms(sdot, 6, 10)
+            if ends == edge_ends(e2)] == [-0.125, -0.125]
 
     sdot.set(e1, 3.0)                   # new value on a cached edge
     assert fan_shears_at_tip(sdot, INFINITY) == {0: 3.0}
@@ -87,7 +87,8 @@ def test_caches_follow_set():
     assert sdot.support_tips() == [ONE, ExtRational(1, 2)]
     assert fan_shears_at_tip(sdot, INFINITY) == {}
     assert tip_field(ZERO, sdot, 10).terms == []
-    assert all(t.ends == edge_ends(e2) for t in halved_terms(sdot, 6, 10))
+    assert all(ends == edge_ends(e2)
+               for _, _, ends in halved_terms(sdot, 6, 10))
     assert list(sdot) == [(e2, -0.25)]
 
 

@@ -115,6 +115,21 @@ def test_no_builtin_sum_in_the_package():
     assert calls == []
 
 
+def test_no_module_imports_typing():
+    """No package module imports typing: the term lists are plain tuples
+    and the value classes are farey.Value subclasses, so a process that
+    loads the package does not pay for typing's import."""
+    package = Path(__file__).resolve().parent.parent / "src" / "shearfield"
+    imports = [f"{path.name}:{node.lineno}"
+               for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Import)
+               and any(a.name.split(".")[0] == "typing" for a in node.names)
+               or isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[0] == "typing"]
+    assert imports == []
+
+
 # instance, its field tuple, its repr (as the dataclasses printed them)
 VALUES = [
     (ExtRational(1, 2), (1, 2), "1/2"),
