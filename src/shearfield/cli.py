@@ -86,6 +86,9 @@ def parse_shear_file(path: str) -> ShearFunction:
                        "input")
     except ValueError as exc:   # not UTF-8, an integer past the digit limit
         raise CliError(f"cannot read {path}: {exc}", "input")
+    except RecursionError:      # arrays or objects nested past the stack
+        raise CliError(f"cannot read {path}: JSON nested too deeply",
+                       "input") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("edges"), list):
         raise CliError("shear file must be an object with an 'edges' list",
                        "edges")
@@ -213,7 +216,10 @@ def cmd_field(args) -> int:
     sdot = parse_shear_file(args.shears)
     bound = tail_bound(args.max_order + 1, 1.0)
     V = assemble_field(halved_terms(sdot, args.max_order, args.window))
-    rows = list(zip(grid, V.values(grid)))
+    try:
+        rows = list(zip(grid, V.values(grid)))
+    except OverflowError:       # a panel coefficient beyond the float range
+        raise _not_finite() from None
     _emit(args.format, args.output, ["x", "value"], rows,
           _meta(max_order=args.max_order, window=args.window,
                 unit_tail_bound=bound))
@@ -251,7 +257,11 @@ def cmd_hilbert(args) -> int:
     if args.action == "eval":
         if args.mode == "oracle":
             V = assemble_field(terms)
-            values = [hilbert_pv_oracle(V, x, args.tolerance) for x in grid]
+            try:
+                values = [hilbert_pv_oracle(V, x, args.tolerance)
+                          for x in grid]
+            except OverflowError:   # as in cmd_field
+                raise _not_finite() from None
         else:
             values = hilbert_series_eval(terms, grid)
         rows = list(zip(grid, values))

@@ -123,7 +123,7 @@ class ShearFunction:
                     for qn, qd, value, ends, j in fan]))
             tips.sort()     # tips are distinct, so only their keys compare
             self._cache = (support, {p: (tip, order, fan) for
-                                     (order, _, tip), p, fan in tips})
+                                     (order, _, _, tip), p, fan in tips})
         return self._cache
 
     def edges(self) -> list[FareyEdge]:
@@ -155,12 +155,19 @@ def _farey_edge(u, v) -> FareyEdge:
 
 
 def tip_sort_key(p: ExtRational, order: int):
-    """(order, arc, p): tips by their Farey order, then by circular position
-    from 0 counterclockwise, the arc being 0 for [0, oo), 1 for oo and 2 for
-    the negative reals.  Tips on one arc compare by ExtRational's exact
-    order; oo is alone on its arc, so it is never compared."""
+    """(order, arc, f, p): tips by their Farey order, then by circular
+    position from 0 counterclockwise, the arc being 0 for [0, oo), 1 for oo
+    and 2 for the negative reals.  On one arc, tips compare first by f, p
+    as a float (+-inf beyond the float range, inf at oo), and where f ties
+    by ExtRational's exact order: rounding is monotone, so f never puts
+    two tips the wrong way round.  oo is alone on its arc, so it is never
+    compared."""
     arc = 1 if p.is_infinity else 0 if p.num >= 0 else 2
-    return (order, arc, p)
+    try:
+        f = p.num / p.den if p.den else math.inf
+    except OverflowError:
+        f = math.inf if p.num > 0 else -math.inf
+    return (order, arc, f, p)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ function of z.  Its n-th coefficient in the plain exponential basis
 (1/2pi) Integral V(e^{i phi}) e^{-i n phi} d phi has a closed form whose
 three frequency factors degenerate at n = 2, 1, 0 into arc lengths; the
 quadrature oracle below integrates the defining formula directly.  A range
-of n costs one exponential table per distinct arc: the factors at
-m = 2 - n, 1 - n and -n are shared by neighbouring n, and an edge's two
-halved terms share one arc (fourier_coefficients).
+of n costs one exponential table per distinct endpoint angle: the factors
+at m = 2 - n, 1 - n and -n are shared by neighbouring n, arcs that meet
+share the exponentials of their common angle, and an edge's two halved
+terms share one arc (fourier_coefficients).
 
 Tessellation edges are carried to arcs by the boundary Cayley map sending
 0, 1, oo to 1, i, -1; an edge's support arc is the image of its half-plane
@@ -55,22 +56,24 @@ def circle_elementary_eval(arc: CircleArc, z: complex) -> complex:
     return (z - w0) * (z - w1) / (w0 - w1)
 
 
-def _freq_factor(m: int, phi0: float, phi1: float) -> complex:
-    """(e^{i m phi1} - e^{i m phi0}) / (i m), with limit phi1 - phi0 at m=0."""
-    if m == 0:
-        return complex(phi1 - phi0)
-    return (cmath.exp(1j * m * phi1) - cmath.exp(1j * m * phi0)) / (1j * m)
-
-
-def _arc_fourier(arc: CircleArc, ns) -> list[complex]:
+def _arc_fourier(arc: CircleArc, ns, tables: dict) -> list[complex]:
     """Closed-form coefficients of the elementary field of an arc at each n
-    of the list ns, from one table: w0, w1 and _freq_factor(m) for each
-    m in {2 - n, 1 - n, -n} are computed once and serve every n."""
+    of the list ns.  Each m of {2 - n, 1 - n, -n} has the frequency factor
+    (e^{i m phi1} - e^{i m phi0}) / (i m), with limit phi1 - phi0 at
+    m = 0, which serves every n.  tables maps an angle phi to its
+    {m: e^{i m phi}} over that m set, the same ns in every call that
+    shares it; it is filled on first use, so arcs that share an endpoint
+    angle share its exponentials."""
     phi0, phi1 = arc.phi0, arc.phi1
     w0, w1 = cmath.exp(1j * phi0), cmath.exp(1j * phi1)
     s, p, d = w0 + w1, w0 * w1, TWO_PI * (w0 - w1)
-    f = {m: _freq_factor(m, phi0, phi1)
-         for m in {k for n in ns for k in (2 - n, 1 - n, -n)}}
+    ms = {k for n in ns for k in (2 - n, 1 - n, -n)}
+    for phi in (phi0, phi1):
+        if phi not in tables:
+            tables[phi] = {m: cmath.exp(1j * m * phi) for m in ms}
+    E0, E1 = tables[phi0], tables[phi1]
+    f = {m: (E1[m] - E0[m]) / (1j * m) if m != 0 else complex(phi1 - phi0)
+         for m in ms}
     return [(f[2 - n] - s * f[1 - n] + p * f[-n]) / d for n in ns]
 
 
@@ -78,7 +81,7 @@ def elementary_fourier(arc: CircleArc, n: int) -> complex:
     """Closed-form n-th coefficient of the elementary field of an arc; at
     the singular frequencies n = 2, 1, 0 a factor takes its exact limit,
     the arc length."""
-    return _arc_fourier(arc, [n])[0]
+    return _arc_fourier(arc, [n], {})[0]
 
 
 def fourier_quadrature_oracle(V, n: int, breakpoints=()) -> complex:
@@ -124,15 +127,16 @@ def edge_to_arc(edge) -> CircleArc:
 def fourier_coefficients(terms, ns) -> list[complex]:
     """Coefficients at each n of ns (a list or range) of the truncated field
     sum of a halved term list (see fields.halved_terms), in one pass over
-    the terms.  Each distinct arc is read once: its coefficients come from
-    one exponential table (see _arc_fourier) and serve every term with its
-    ends, as an edge's two halved terms share them; the terms' products
-    are summed in list order."""
-    totals, arcs = [0j] * len(ns), {}
+    the terms.  Each distinct arc is read once (see _arc_fourier), and its
+    coefficients serve every term with its ends, as an edge's two halved
+    terms share them; each distinct endpoint angle takes one exponential
+    table, which every arc ending there reads.  The terms' products are
+    summed in list order."""
+    totals, arcs, tables = [0j] * len(ns), {}, {}
     for _, coef, ends in terms:
         cs = arcs.get(ends)
         if cs is None:
-            cs = arcs[ends] = _arc_fourier(edge_to_arc(ends), ns)
+            cs = arcs[ends] = _arc_fourier(edge_to_arc(ends), ns, tables)
         totals = [total + coef * c for total, c in zip(totals, cs)]
     return totals
 

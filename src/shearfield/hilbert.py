@@ -192,6 +192,8 @@ def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
     a values(xs) method (a FieldExpr or a closed transform) is evaluated at
     each rule's 21 nodes in one call, and at the growth probes and the
     poles in one call, so the oracle never calls it at a single point.
+    The bounded integrand is one pass over those nodes, each adding its
+    three poles' terms in pole order.
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError("tolerance must be finite and positive")
@@ -218,14 +220,16 @@ def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
 
     # (w_a, a, V(a)) for each pole a of the kernel
     poles = ((x - 1.0, 0.0, v0), (-x, 1.0, v1), (1.0, x, vx))
+    (w0, a0, va0), (w1, a1, va1), (w2, a2, va2) = poles
 
     def subtracted(xis: list) -> list:
-        vs = list(evaluate(xis))
-        # one column per pole; a node rounded onto a pole adds 0.0, which
-        # changes no bit of a sum that starts at +0.0
-        t0, t1, t2 = ([w * (v - va) / (xi - a) if xi != a else 0.0
-                       for xi, v in zip(xis, vs)] for w, a, va in poles)
-        return [((0.0 + p0) + p1) + p2 for p0, p1, p2 in zip(t0, t1, t2)]
+        # one pass per node, the poles' terms added in pole order; a node
+        # rounded onto a pole adds 0.0, which changes no bit of a sum that
+        # starts at +0.0
+        return [((0.0 + (w0 * (v - va0) / (xi - a0) if xi != a0 else 0.0))
+                 + (w1 * (v - va1) / (xi - a1) if xi != a1 else 0.0))
+                + (w2 * (v - va2) / (xi - a2) if xi != a2 else 0.0)
+                for xi, v in zip(xis, evaluate(xis))]
 
     R = 2.0 * max(1.0, abs(x), far)
     value = left_sum(w * va * math.log((R - a) / (R + a))

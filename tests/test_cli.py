@@ -450,8 +450,14 @@ def _too_many_digits(tmp_path, monkeypatch):
     return path, f"Exceeds the limit ({limit} digits)"
 
 
+def _nested_too_deeply(tmp_path, monkeypatch):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    return path, "JSON nested too deeply"
+
+
 @pytest.mark.parametrize("make", [_not_utf8, _directory, _unreadable,
-                                  _too_many_digits],
+                                  _too_many_digits, _nested_too_deeply],
                          ids=lambda f: f.__name__.lstrip("_"))
 def test_unreadable_shear_file_is_an_input_error(tmp_path, monkeypatch,
                                                  capsys, make):
@@ -537,7 +543,7 @@ def test_fan_index_is_the_fan_map_inverse(tmp_path, picks):
 def test_fourier_reads_each_arc_once(tmp_path, monkeypatch):
     """On the benchmark's grid file the 120 halved terms name 60 distinct
     arcs, and _arc_fourier runs once for each; the coefficients equal, bit
-    for bit, the loop that takes every term's table apart."""
+    for bit, the loop that takes every term's tables apart."""
     from shearfield import fourier
     from shearfield.fields import halved_terms
     terms = halved_terms(parse_shear_file(_bench_grid_shears(tmp_path)),
@@ -545,14 +551,14 @@ def test_fourier_reads_each_arc_once(tmp_path, monkeypatch):
     ns = range(0, 17)
     want = [0j] * len(ns)
     for _, coef, ends in terms:
-        cs = fourier._arc_fourier(fourier.edge_to_arc(ends), ns)
+        cs = fourier._arc_fourier(fourier.edge_to_arc(ends), ns, {})
         want = [total + coef * c for total, c in zip(want, cs)]
     calls = []
     arc_fourier = fourier._arc_fourier
 
-    def counted(arc, ns):
+    def counted(arc, ns, tables):
         calls.append(arc)
-        return arc_fourier(arc, ns)
+        return arc_fourier(arc, ns, tables)
 
     monkeypatch.setattr(fourier, "_arc_fourier", counted)
     got = fourier.fourier_coefficients(terms, ns)
@@ -560,6 +566,31 @@ def test_fourier_reads_each_arc_once(tmp_path, monkeypatch):
     assert len(calls) == len(set(calls)) == 60
     assert [(c.real.hex(), c.imag.hex()) for c in got] == [
         (c.real.hex(), c.imag.hex()) for c in want]
+
+
+def test_fourier_takes_exponentials_once_per_angle(tmp_path, monkeypatch):
+    """`fourier --n-max 16` on the benchmark's grid file makes at most 19
+    exponentials per distinct endpoint angle, one per m of the 19 in
+    {2 - n, 1 - n, -n}, plus e^{i phi0} and e^{i phi1} per arc: 747 for
+    its 60 arcs on 33 angles (2,280 with two per m per arc)."""
+    import cmath
+    from shearfield.fields import halved_terms
+    from shearfield.fourier import edge_to_arc
+    path = _bench_grid_shears(tmp_path)
+    arcs = {edge_to_arc(ends) for _, _, ends in
+            halved_terms(parse_shear_file(path), 6, 20)}
+    angles = {phi for arc in arcs for phi in (arc.phi0, arc.phi1)}
+    assert (len(arcs), len(angles)) == (60, 33)
+    calls = []
+    exp = cmath.exp
+
+    def counted(z):
+        calls.append(z)
+        return exp(z)
+
+    monkeypatch.setattr(cmath, "exp", counted)
+    assert run(["fourier", "--shears", path, "--n-max", "16"]) == 0
+    assert len(calls) <= 19 * len(angles) + 2 * len(arcs) == 747
 
 
 def test_front_end_builds_no_edge_objects(tmp_path, monkeypatch):
@@ -826,6 +857,24 @@ def test_overflowing_quadratic_coefficient_names_its_term(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("x,value\n")
 
 
+def test_field_beyond_float_range_exits_with_non_finite_diagnostic(
+        tmp_path, capsys):
+    """The shears 1e308 on {0, 1} and {1/2, 1} are finite, and so is each
+    term's c/(a - b), but their sum, the field's x^2 coefficient on
+    (1/2, 1), lies beyond the float range: the field, the oracle and the
+    closed form each exit 1 with the non-finite diagnostic, nothing on
+    stdout."""
+    path = write_shears(tmp_path, [{"p": [0, 1], "q": [1, 1], "value": 1e308},
+                                   {"p": [1, 2], "q": [1, 1], "value": 1e308}])
+    for command in (["field", "eval"], ["hilbert", "eval", "--mode", "oracle"],
+                    ["hilbert", "eval"]):
+        assert run([*command, "--shears", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "the result holds a non-finite value", "field": "value"}
+
+
 def test_wp_pair_negative_triple_as_separate_argument(capsys):
     attached = ["wp", "pair", "--depth", "3", "--t1=-3,2,1", "--t2=1,-2,1"]
     separate = ["wp", "pair", "--depth", "3", "--t1", "-3,2,1",
@@ -1081,15 +1130,18 @@ _GRID_X = ["--from", "-2.9", "--to", "3.1", "--samples", "7"]
      "035f01df8933ebc340f5c4ce4ee5005db3e83538b2cc72725a2e5f1ffc7e64ad"),
     (["hilbert", "eval"], _GRID_X,
      "eaece1677258cd394e29420d73c35ca730e76c1a288056033c4667fa8c3929a3"),
-], ids=["fourier", "zygmund", "field", "hilbert"])
+    (["hilbert", "eval", "--mode", "oracle"], _GRID_X,
+     "d401e7a67bb81ba660b11559dd91ad8f0249403faa7efa0eaaab52c1b4d1bf02"),
+], ids=["fourier", "zygmund", "field", "hilbert", "oracle"])
 def test_shear_file_stdout_golden_bytes(tmp_path, capsys, command, argv,
                                         digest):
     """The exact bytes the shear-file commands printed on the benchmark's
     grid file when every edge was oriented by its arc, every fan index had
-    a fan map of its own, the Zygmund scan read a dict per index and each
-    Fourier coefficient took its own exponentials: the integer orientation,
-    one fan map per tip, the windowed scan and one exponential table per
-    arc change no bit."""
+    a fan map of its own, the Zygmund scan read a dict per index, each
+    Fourier coefficient took its own exponentials and the oracle's
+    integrand took one list per pole: the integer orientation, one fan map
+    per tip, the windowed scan, one exponential table per endpoint angle
+    and one integrand pass per node change no bit."""
     assert run([*command, "--shears", _bench_grid_shears(tmp_path),
                 *argv]) == 0
     out = capsys.readouterr().out
