@@ -20,8 +20,8 @@ _EXPORTS = {
               "farey_order", "in_ccw_arc", "mediant", "oriented_edge"),
     "fields": ("FieldExpr", "ShearFunction", "assemble_field", "edge_ends",
                "elementary_eval", "fan_field_eval", "halved_terms",
-               "normalize_at", "tail_bound", "tip_field",
-               "zygmund_condition_sup", "zygmund_quotient_sup"),
+               "normalize_at", "tail_bound", "zygmund_condition_sup",
+               "zygmund_quotient_sup"),
     "fourier": ("CircleArc", "circle_elementary_eval", "edge_to_arc",
                 "elementary_fourier", "field_fourier",
                 "fourier_quadrature_oracle"),

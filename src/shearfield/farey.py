@@ -151,10 +151,6 @@ class FareyEdge(Value):
         self.initial = i
         self.terminal = t
 
-    def unordered(self):
-        key = lambda r: (r.num, r.den)
-        return tuple(sorted([self.initial, self.terminal], key=key))
-
     def to_json(self):
         """Serialize as [p_num, p_den, q_num, q_den]; oo is [1, 0]."""
         return [self.initial.num, self.initial.den,
@@ -194,9 +190,6 @@ class IntegerMoebius(Value):
 
     def map_edge(self, e: FareyEdge) -> FareyEdge:
         return FareyEdge(self(e.initial), self(e.terminal))
-
-
-IDENTITY = IntegerMoebius(1, 0, 0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ A shear function keeps its values under integer keys, its edges' ends as
 (num, den) pairs, and builds its fan index from them on the integers: the
 orientation rule, one Stern-Brocot walk per tip for its Farey order and
 the fan map whose entries index its edges, one float pair per edge and one
-ExtRational per tip.  FareyEdges are built only when a caller asks for
-them.  halved_terms reads that index.  The Zygmund-type checks live here as
-well: the fan-wise averaged-coefficient condition that characterizes
+ExtRational per tip.  FareyEdges are built only for edges() and
+iteration.  halved_terms reads that index.  The Zygmund-type checks live
+here as well: the fan-wise averaged-coefficient condition that characterizes
 admissible shear functions (read from 4K - 3 shears per support edge; a
 fan whose mass M = sum |s| bounds its sums below the sup found so far,
 with the rounding factor 1 + (len(fan) + 4K) 2^-50, is skipped unless
@@ -54,7 +54,7 @@ class ShearFunction:
     set() takes a FareyEdge to its key; parse_shear_file puts the keys it
     reads off a file.  The index (_index) is built from the keys on first
     use and kept until the next change.  FareyEdges are built only when
-    edges(), fan() or iteration asks for them.
+    edges() or iteration asks for them.
     """
 
     def __init__(self, assignments=None):
@@ -76,10 +76,6 @@ class ShearFunction:
         else:
             self._data[key] = float(value)
         self._cache = None
-
-    def value(self, edge: FareyEdge) -> float:
-        i, t = edge.initial, edge.terminal
-        return self._data.get(_edge_key((i.num, i.den), (t.num, t.den)), 0.0)
 
     def _index(self):
         """The pair (support, tips), read off the integer keys.
@@ -130,18 +126,8 @@ class ShearFunction:
         """Support edges, canonically oriented, in deterministic order."""
         return [_farey_edge(u, v) for u, v, _, _ in self._index()[0]]
 
-    def fan(self, tip) -> list[tuple[int, float, FareyEdge]]:
-        """(fan index, value, edge) of each support edge at tip."""
-        support, tips = self._index()
-        entry = tips.get((tip.num, tip.den))
-        return [(n, value, _farey_edge(*support[j][:2]))
-                for n, value, _, j in entry[2]] if entry else []
-
     def support_tips(self) -> list[ExtRational]:
         return [tip for tip, _, _ in self._index()[1].values()]
-
-    def __len__(self):
-        return len(self._data)
 
     def __iter__(self):
         """(edge, value) of each support edge, in edges() order."""
@@ -230,7 +216,8 @@ class FieldExpr:
     that name none (equal, NaN or -inf) raise ValueError.
 
     The field is one quadratic on each panel between consecutive
-    breakpoints.  The first call builds a table of those quadratics, each
+    breakpoints, the list of the terms' finite ends, sorted once in the
+    constructor.  The first call builds a table of those quadratics, each
     expanded about a breakpoint (see _panel_table); every point then costs
     one bisection and one Horner step, and values(xs) takes a whole list
     of points in one call.  A FieldExpr is not mutated after its first
@@ -241,6 +228,8 @@ class FieldExpr:
         self.terms = [(float(c), ends) for c, ends in terms if c != 0.0]
         for _, ends in self.terms:
             check_ends(ends)
+        self.breakpoints = sorted({p for _, ends in self.terms for p in ends
+                                   if p != math.inf})
         self.quad = (float(quad[0]), float(quad[1]), float(quad[2]))
         self._table = None
 
@@ -252,7 +241,7 @@ class FieldExpr:
         Horner step per point (__call__ is the one-point case)."""
         if self._table is None:
             self._table = _panel_table(self.terms, self.quad,
-                                       self.breakpoints())
+                                       self.breakpoints)
         cuts, rows = self._table
         out = []
         for x in xs:
@@ -261,11 +250,6 @@ class FieldExpr:
             t = x - m
             out.append((c2 * t + c1) * t + c0)
         return out
-
-    def breakpoints(self) -> list[float]:
-        """The finite endpoints of the terms, sorted."""
-        return sorted({p for _, ends in self.terms for p in ends
-                       if p != math.inf})
 
     def plus_quad(self, quad) -> "FieldExpr":
         a2, a1, a0 = self.quad
@@ -359,18 +343,6 @@ def fan_field_eval(shears, x: float) -> float:
     rays = ((s, elementary_eval((n, inf) if n >= 1 else (inf, n), x))
             for n, s in shears.items() if s != 0.0)
     return left_sum(s * v for s, v in rays if v != 0.0)
-
-
-def tip_field(p, sdot: ShearFunction, N: int) -> FieldExpr:
-    """Field contributed by the fan with tip p, with halved shears on fan
-    indices |n| <= N.  Vanishes at 0, 1 and infinity by construction; a
-    degenerate window (N <= 0) is the zero field, not an error.  No command
-    calls it: it is the per-tip reference that the tests check
-    halved_terms against."""
-    if N <= 0:
-        return FieldExpr()
-    return FieldExpr((0.5 * value, edge_ends(edge))
-                     for n, value, edge in sdot.fan(p) if abs(n) <= N)
 
 
 def halved_terms(sdot: ShearFunction, max_order: int, N: int) -> list:

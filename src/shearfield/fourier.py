@@ -61,17 +61,18 @@ def _arc_fourier(arc: CircleArc, ns, tables: dict) -> list[complex]:
     of the list ns.  Each m of {2 - n, 1 - n, -n} has the frequency factor
     (e^{i m phi1} - e^{i m phi0}) / (i m), with limit phi1 - phi0 at
     m = 0, which serves every n.  tables maps an angle phi to its
-    {m: e^{i m phi}} over that m set, the same ns in every call that
-    shares it; it is filled on first use, so arcs that share an endpoint
-    angle share its exponentials."""
+    {m: e^{i m phi}} over that m set and m = 1, the same ns in every call
+    that shares it; it is filled on first use, so arcs that share an
+    endpoint angle share its exponentials, the ends w0 = e^{i phi0} and
+    w1 = e^{i phi1} among them."""
     phi0, phi1 = arc.phi0, arc.phi1
-    w0, w1 = cmath.exp(1j * phi0), cmath.exp(1j * phi1)
-    s, p, d = w0 + w1, w0 * w1, TWO_PI * (w0 - w1)
     ms = {k for n in ns for k in (2 - n, 1 - n, -n)}
     for phi in (phi0, phi1):
         if phi not in tables:
-            tables[phi] = {m: cmath.exp(1j * m * phi) for m in ms}
+            tables[phi] = {m: cmath.exp(1j * m * phi) for m in {1, *ms}}
     E0, E1 = tables[phi0], tables[phi1]
+    w0, w1 = E0[1], E1[1]
+    s, p, d = w0 + w1, w0 * w1, TWO_PI * (w0 - w1)
     f = {m: (E1[m] - E0[m]) / (1j * m) if m != 0 else complex(phi1 - phi0)
          for m in ms}
     return [(f[2 - n] - s * f[1 - n] + p * f[-n]) / d for n in ns]

@@ -184,7 +184,9 @@ def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
     1, |x| and |breakpoints|, the principal value is then the integral of
     the bounded sum of w_a (V(xi) - V(a))/(xi - a), taken between
     consecutive breakpoints and poles, plus the closed form sum of
-    w_a V(a) log((R-a)/(R+a)); V need not vanish at 0 or 1.  Raises
+    w_a V(a) log((R-a)/(R+a)); V need not vanish at 0 or 1.  The
+    breakpoints are V's list of them where it has one (a FieldExpr or a
+    closed transform), else none.  Raises
     PVConvergenceError, before any quadrature, when |x| or a breakpoint
     exceeds PV_REACH, and when the summed quadrature error estimate does
     not meet the tolerance, as where V jumps at a pole and no principal
@@ -200,7 +202,7 @@ def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
     from .quadrature import quad    # on first use: other commands never load it
 
     x = float(x)
-    brk = set(getattr(V, "breakpoints", list)() or [])
+    brk = set(getattr(V, "breakpoints", ()))
     far = max(map(abs, brk), default=0.0)
     if not (abs(x) <= PV_REACH and far <= PV_REACH):
         raise PVConvergenceError()

@@ -30,15 +30,14 @@ def write_shears(tmp_path, edges, name="shears.json"):
 def test_parse_empty(tmp_path):
     path = write_shears(tmp_path, [])
     sdot = parse_shear_file(path)
-    assert len(sdot) == 0
+    assert list(sdot) == []
 
 
 def test_parse_single_edge(tmp_path):
     path = write_shears(tmp_path, [{"p": [0, 1], "q": [1, 0], "value": 1.0}])
     sdot = parse_shear_file(path)
-    assert len(sdot) == 1
     from shearfield.farey import ExtRational, INFINITY, oriented_edge
-    assert sdot.value(oriented_edge(ExtRational(0), INFINITY)) == 1.0
+    assert list(sdot) == [(oriented_edge(ExtRational(0), INFINITY), 1.0)]
 
 
 def test_parse_rejects_non_farey_edge(tmp_path):
@@ -515,26 +514,33 @@ def test_zygmund_reads_tips_beyond_float_range(tmp_path, capsys):
 _FAN_TIPS = [(1, 0), (0, 1), (1, 1), (-1, 1), (-2, 3), (-5, 2), (3, 7)]
 
 
+def _unoriented(e):
+    """The key of an edge as a set of two ends, whatever its orientation."""
+    return frozenset((e.initial, e.terminal))
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(st.tuples(st.sampled_from(_FAN_TIPS),
                           st.integers(min_value=-40, max_value=40)),
                 min_size=1, max_size=12))
 def test_fan_index_is_the_fan_map_inverse(tmp_path, picks):
-    """For every support edge of a shear file, ShearFunction.fan gives at
-    each of its two tips the index farey.fan_index gives, tips oo, 0 and
-    negative ones included."""
+    """For every support edge of a shear file, the fan entries of
+    ShearFunction's index give at each of its two tips the index
+    farey.fan_index gives, tips oo, 0 and negative ones included."""
     from shearfield.farey import ExtRational, fan_edge, fan_index
     edges = {}
     for (num, den), n in picks:
         e = fan_edge(ExtRational(num, den), n)
-        edges.setdefault(e.unordered(), e)
+        edges.setdefault(_unoriented(e), e)
     sdot = parse_shear_file(write_shears(
         tmp_path, _edge_entries(edges.values(), range(1, len(edges) + 1))))
+    support, tips = sdot._index()
     seen = 0
-    for tip in sdot.support_tips():
-        for n, value, e in sdot.fan(tip):
-            other = e.terminal if e.initial == tip else e.initial
+    for tip, _, fan in tips.values():
+        for n, _, _, j in fan:
+            u, v = support[j][:2]
+            other = ExtRational(*(v if u == (tip.num, tip.den) else u))
             assert n == fan_index(tip, other)
             seen += 1
     assert seen == 2 * len(edges)
@@ -569,10 +575,11 @@ def test_fourier_reads_each_arc_once(tmp_path, monkeypatch):
 
 
 def test_fourier_takes_exponentials_once_per_angle(tmp_path, monkeypatch):
-    """`fourier --n-max 16` on the benchmark's grid file makes at most 19
+    """`fourier --n-max 16` on the benchmark's grid file makes 19
     exponentials per distinct endpoint angle, one per m of the 19 in
-    {2 - n, 1 - n, -n}, plus e^{i phi0} and e^{i phi1} per arc: 747 for
-    its 60 arcs on 33 angles (2,280 with two per m per arc)."""
+    {2 - n, 1 - n, -n}, and the arcs read their ends e^{i phi0} and
+    e^{i phi1} at m = 1 of those tables: 627 for its 60 arcs on 33 angles
+    (747 with the ends taken per arc, 2,280 with two per m per arc)."""
     import cmath
     from shearfield.fields import halved_terms
     from shearfield.fourier import edge_to_arc
@@ -590,7 +597,7 @@ def test_fourier_takes_exponentials_once_per_angle(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cmath, "exp", counted)
     assert run(["fourier", "--shears", path, "--n-max", "16"]) == 0
-    assert len(calls) <= 19 * len(angles) + 2 * len(arcs) == 747
+    assert len(calls) == 19 * len(angles) == 627
 
 
 def test_front_end_builds_no_edge_objects(tmp_path, monkeypatch):
@@ -692,7 +699,7 @@ def test_integer_index_matches_reference(tmp_path, picks):
 
     def add(p, q, value):
         e = FareyEdge(ExtRational(*p), ExtRational(*q))
-        if edges.setdefault(e.unordered(), (e, value))[0] is e:
+        if edges.setdefault(_unoriented(e), (e, value))[0] is e:
             entries.append({"p": p, "q": q, "value": value})
 
     for p, q, value in _UNREDUCED:

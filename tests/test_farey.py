@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shearfield.farey import (ExtRational, FareyEdge, IDENTITY, INFINITY, ONE,
+from shearfield.farey import (ExtRational, FareyEdge, INFINITY, ONE,
                               ZERO, IntegerMoebius, _walk,
                               enumerate_edges, enumerate_vertices, fan_edge,
                               fan_edges, fan_index, fan_moebius, farey_order,
@@ -132,7 +132,7 @@ def test_fan_anchoring_convention():
 
 
 def test_fan_moebius_examples():
-    assert fan_moebius(INFINITY) == IDENTITY
+    assert fan_moebius(INFINITY) == IntegerMoebius(1, 0, 0, 1)
     B = fan_moebius(ZERO)
     # x -> 1/(1 - x), i.e. rows (0, 1), (-1, 1) up to projective sign
     assert B(ZERO) == ONE and B(INFINITY) == ZERO
@@ -143,7 +143,7 @@ def test_fan_moebius_examples():
 
 
 def test_apply_moebius_examples():
-    assert IDENTITY(ExtRational(5)) == ExtRational(5)
+    assert IntegerMoebius(1, 0, 0, 1)(ExtRational(5)) == ExtRational(5)
     B = IntegerMoebius(0, 1, -1, 1)
     assert B(INFINITY) == ZERO
     T = IntegerMoebius(1, 1, 0, 1)

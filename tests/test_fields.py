@@ -14,9 +14,10 @@ from shearfield.fields import (DELTA_GAP, FieldExpr, ShearFunction,
                                _cannot_beat, assemble_field, averaged_coefficient_sum,
                                elementary_eval, fan_field_eval,
                                fan_shears_at_tip, halved_terms, normalize_at,
-                               tail_bound, tip_field, tip_sort_key,
+                               tail_bound, tip_sort_key,
                                zygmund_condition_sup, zygmund_quotient_sup)
 from shearfield.hilbert import edge_quadrilateral, shear_recover
+from test_halved_terms import tip_field
 
 INF = math.inf
 RNG = np.random.default_rng(7)
@@ -142,7 +143,7 @@ def test_tip_field_support_and_normalization():
         from shearfield.farey import fan_edge
         sdot.set(fan_edge(p, n), float(RNG.uniform(-1, 1)))
     F = tip_field(p, sdot, 5)
-    pts = F.breakpoints()
+    pts = F.breakpoints
     lo, hi = min(pts), max(pts)
     for x in [lo - 0.5, lo - 2.0, hi + 0.5, hi + 2.0]:
         assert F(x) == 0.0
@@ -589,7 +590,7 @@ def test_field_table_matches_definition():
         F = FieldExpr(terms, quad)
         xs = list(rng.uniform(-8.0, 8.0, size=20))
         xs += list(rng.uniform(0.0, 1e-3, size=10)) + [1e12, -1e12]
-        for p in F.breakpoints():
+        for p in F.breakpoints:
             xs += [p, math.nextafter(p, -INF), math.nextafter(p, INF)]
         _assert_matches_definition(F, xs)
 
@@ -598,13 +599,13 @@ def test_field_derived_after_first_call_get_fresh_tables():
     rng = np.random.default_rng(5)
     F = FieldExpr(_mixed_terms(rng, 30))
     G = FieldExpr(_mixed_terms(rng, 10), quad=(0.5, -1.0, 2.0))
-    xs = list(rng.uniform(-6.0, 6.0, size=25)) + F.breakpoints()
+    xs = list(rng.uniform(-6.0, 6.0, size=25)) + F.breakpoints
     _assert_matches_definition(F, xs)
     _assert_matches_definition(G, xs)
     for derived in (F.plus_quad((1.5, -0.25, 3.0)),
                     G.plus_quad((-0.5, 1.0, -2.0)),
                     normalize_at(F, 0.0, 1.0, 2.0)):
-        _assert_matches_definition(derived, xs + derived.breakpoints())
+        _assert_matches_definition(derived, xs + derived.breakpoints)
     _assert_matches_definition(F, xs)
 
 

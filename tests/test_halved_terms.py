@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shearfield.farey import (ExtRational, INFINITY, ONE, ZERO,
-                              enumerate_edges, farey_order, oriented_edge)
+                              enumerate_edges, fan_index, farey_order,
+                              oriented_edge)
 from shearfield.fields import (FieldExpr, ShearFunction, assemble_field,
-                               edge_ends, fan_shears_at_tip, halved_terms,
-                               tip_field)
+                               edge_ends, fan_shears_at_tip, halved_terms)
 from shearfield.fourier import edge_to_arc, elementary_fourier, field_fourier
 from shearfield.hilbert import (delta_weight, edge_quadrilateral,
                                 elementary_hilbert, hilbert_series_eval,
@@ -20,6 +20,24 @@ POOL = enumerate_edges(5)
 XS = (-2.9, -0.7, 0.3, 0.55, 1.6, 3.1)
 NS = (-5, 0, 1, 2, 7)
 TARGET = oriented_edge(ZERO, ONE)
+
+
+def tip_field(p, sdot, N):
+    """The field of the fan with tip p, with halved shears on fan indices
+    |n| <= N, by the Moebius route: sdot's support edges in order, those
+    with an end at p, each kept when farey.fan_index of its other end is
+    in the window.  It reads neither the fan entries nor the integer
+    fan-index formula of ShearFunction's index, which halved_terms reads.
+    A degenerate window (N <= 0) is the zero field, as in halved_terms."""
+    if N <= 0:
+        return FieldExpr()
+    terms = []
+    for e, value in sdot:
+        if p in (e.initial, e.terminal):
+            other = e.terminal if e.initial == p else e.initial
+            if abs(fan_index(p, other)) <= N:
+                terms.append((0.5 * value, edge_ends(e)))
+    return FieldExpr(terms)
 
 
 def _per_tip(sdot, max_order, N):
@@ -103,5 +121,5 @@ def test_edge_and_its_ends_name_one_field(edge, target):
     arc, arc_of_ends = edge_to_arc(edge), edge_to_arc(ends)
     assert (arc.phi0.hex(), arc.phi1.hex()) == (arc_of_ends.phi0.hex(),
                                                 arc_of_ends.phi1.hex())
-    assert FieldExpr([(1.0, ends)]).breakpoints() == sorted(
+    assert FieldExpr([(1.0, ends)]).breakpoints == sorted(
         p for p in ends if math.isfinite(p))

@@ -213,7 +213,7 @@ def test_oracle_raises_when_the_quadrature_does_not_settle():
     def V(x):
         return 1.0 if 2.5 < x < 3.5 else 0.0
 
-    V.breakpoints = lambda: [2.5, 3.5]
+    V.breakpoints = [2.5, 3.5]
     with pytest.raises(PVConvergenceError) as exc:
         hilbert_pv_oracle(V, 2.5)
     assert exc.value.residual > 1e-5

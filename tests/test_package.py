@@ -2,8 +2,12 @@
 
 import ast
 import importlib
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,8 +26,8 @@ EXPORTS = {
               "farey_order", "in_ccw_arc", "mediant", "oriented_edge"],
     "fields": ["FieldExpr", "ShearFunction", "assemble_field", "edge_ends",
                "elementary_eval", "fan_field_eval", "halved_terms",
-               "normalize_at", "tail_bound", "tip_field",
-               "zygmund_condition_sup", "zygmund_quotient_sup"],
+               "normalize_at", "tail_bound", "zygmund_condition_sup",
+               "zygmund_quotient_sup"],
     "fourier": ["CircleArc", "circle_elementary_eval", "edge_to_arc",
                 "elementary_fourier", "field_fourier",
                 "fourier_quadrature_oracle"],
@@ -41,7 +45,6 @@ EXPORTS = {
 # to it as an independent reference
 REFERENCES = {
     "elementary_eval": "test_fields.py::test_field_table_matches_definition",
-    "tip_field": "test_halved_terms.py::test_term_list_matches_per_tip_sums",
 }
 
 
@@ -85,6 +88,155 @@ def test_every_export_is_used_outside_its_module():
         path, func = test.split("::")
         text = (root / "tests" / path).read_text()
         assert f"def {func}(" in text and re.search(rf"\b{name}\b", text)
+
+
+# Run in a fresh interpreter: every command through cli.run on a small
+# shear file, the failing inputs whose error paths nothing else takes,
+# then the six demos.  Prints the (file, first line) of each code object
+# under src/shearfield that was called.
+CENSUS = r"""
+import contextlib, io, json, runpy, sys
+from pathlib import Path
+
+root, work = Path(sys.argv[1]), Path(sys.argv[2])
+called = set()
+
+
+def profile(frame, event, arg):
+    if event == "call":
+        called.add(frame.f_code)
+
+
+sys.setprofile(profile)
+from shearfield import cli
+
+
+def shears(name, edges):
+    path = work / name
+    path.write_text(json.dumps({"edges": [{"p": p, "q": q, "value": v}
+                                          for p, q, v in edges]}))
+    return str(path)
+
+
+BIG = 10 ** 400
+small = shears("small.json", [([0, 1], [1, 0], 1.0), ([0, 1], [1, 1], -0.5),
+                              ([1, 2], [1, 1], 0.25), ([-1, 1], [0, 1], 0.3)])
+huge = shears("huge.json", [([0, 1], [1, 1], 1e308), ([1, 2], [1, 1], 1e308)])
+# tips BIG + 2 and (2 BIG + 1)/2: one Farey order, one arc, both beyond the
+# float range, so only ExtRational's exact order sorts them
+deep = shears("deep.json", [([BIG + 2, 1], [1, 0], 1.0),
+                            ([BIG, 1], [2 * BIG + 1, 2], 1.0)])
+grid = ["--samples", "3"]
+runs = [
+    ["farey", "vertices", "--max-order", "3"],
+    ["farey", "edges", "--max-order", "3", "--format", "json"],
+    ["field", "eval", "--shears", small, *grid],
+    ["zygmund", "check", "--shears", small],
+    ["hilbert", "eval", "--shears", small, *grid],
+    ["hilbert", "eval", "--mode", "oracle", "--shears", small, *grid],
+    ["hilbert", "shear", "--shears", small, "--edge", "0,1,1,1"],
+    ["fourier", "--shears", small, "--n-max", "4"],
+    ["wp", "pair", "--depth", "2"],
+    ["wp", "gram", "--depth", "2"],
+    ["nope"],
+    ["-h"],
+    ["field", "eval"],
+    ["field", "eval", "--shears", str(work / "missing.json")],
+    ["field", "eval", "--shears", huge, *grid],
+    ["hilbert", "eval", "--mode", "oracle", "--shears", huge, *grid],
+    ["hilbert", "eval", "--mode", "oracle", "--shears", small,
+     "--from=1e12", "--to=2e12", *grid],
+    ["zygmund", "check", "--shears", deep],
+]
+with contextlib.redirect_stdout(io.StringIO()), \
+        contextlib.redirect_stderr(io.StringIO()):
+    for argv in runs:
+        try:
+            cli.run(argv)
+        except SystemExit:      # -h
+            pass
+    for demo in sorted((root / "demos").glob("demo_*.py")):
+        runpy.run_path(str(demo), run_name="__main__")
+sys.setprofile(None)
+package = str(root / "src" / "shearfield")
+print(json.dumps(sorted({(code.co_filename, code.co_firstlineno)
+                         for code in called
+                         if code.co_filename.startswith(package)})))
+"""
+
+# the functions in src/ that the census does not reach, each with why it
+# stays; a reason that names a test (file::name) names one in a file that
+# calls the function
+_PROTOCOL = "the value protocol that tests compare and hash by"
+_CRITERION_7 = ("criterion 7: "
+                "test_acceptance.py::test_criterion_7_fan_zygmund_bound")
+_TRACER = "bench/tracer.py's install wraps it by name"
+UNREACHED = {
+    "shearfield.__dir__": "dir(shearfield) lists the lazy exports",
+    "cli.main": "the console script (pyproject.toml's project.scripts)",
+    **dict.fromkeys(["farey.Value._fields", "farey.Value.__eq__",
+                     "farey.Value.__hash__", "farey.Value.__repr__",
+                     "farey.ExtRational.__hash__"], _PROTOCOL),
+    "farey.fan_index":
+        "criterion 2: test_acceptance.py::test_criterion_2_round_trip_recovery",
+    "farey.IntegerMoebius.inverse": "the one step of farey.fan_index",
+    "fields.elementary_eval": "the reference FieldExpr's panel table is held "
+        "to: test_fields.py::test_field_table_matches_definition",
+    **dict.fromkeys(["fields.fan_field_eval", "fields.zygmund_quotient_sup",
+                     "fields.averaged_coefficient_sum"], _CRITERION_7),
+    "fields.ShearFunction.edges": _TRACER,
+    "farey.IntegerMoebius.compose": _TRACER,
+    "torus.edge_class": "ROADMAP item 1 reuses its rule: "
+        "test_torus.py::test_edge_class_is_the_tree_recursion",
+}
+
+
+def _functions(path: Path, module: str) -> dict:
+    """(file, first line) -> dotted name of every def in one module, its
+    first line the first decorator's where it has any, as co_firstlineno
+    counts it."""
+    found = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    first = min([child.lineno] + [d.lineno for d in
+                                                  child.decorator_list])
+                    found[str(path), first] = name
+                visit(child, name)
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text()), module)
+    return found
+
+
+def test_every_function_is_reached(tmp_path):
+    """Every function in src/ is run by a command, a failing input or a
+    demo, or stays for a reason listed in UNREACHED, which holds no
+    function the census reaches and no name that is gone."""
+    root = Path(__file__).resolve().parent.parent
+    package = root / "src" / "shearfield"
+    functions = {}
+    for path in sorted(package.glob("*.py")):
+        module = "shearfield" if path.stem == "__init__" else path.stem
+        functions.update(_functions(path, module))
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", CENSUS, str(root), str(tmp_path)],
+        capture_output=True, text=True, env=env, cwd=root, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    reached = {functions.get(tuple(key)) for key in json.loads(proc.stdout)}
+    unreached = {name for name in functions.values() if name not in reached}
+    assert sorted(unreached) == sorted(UNREACHED)
+    for name, reason in UNREACHED.items():
+        for path, func in re.findall(r"(\w+\.py)::(\w+)", reason):
+            text = (root / "tests" / path).read_text()
+            assert f"def {func}(" in text, reason
+            assert re.search(rf"\b{name.rsplit('.', 1)[1]}\b", text), name
 
 
 def test_left_sum_adds_left_to_right_uncompensated():

@@ -153,7 +153,7 @@ def test_field_values_is_call_bit_for_bit(field):
     .hex(): on breakpoints, on panel midpoints, next to both, and beyond
     the outermost breakpoints."""
     V = field()
-    brk = V.breakpoints()
+    brk = V.breakpoints
     xs = [brk[0] - 1.0, brk[-1] + 1.0, -1e9, 1e9]
     for p, q in zip(brk, brk[1:]):
         m = 0.5 * p + 0.5 * q

@@ -39,13 +39,18 @@ def test_cusp_condition_tolerance_scales_with_the_shears():
     assert not cusp_condition_check((1.0, 1.0, 1.0))
 
 
+def _unoriented(e):
+    """The key of an edge as a set of two ends, whatever its orientation."""
+    return frozenset((e.initial, e.terminal))
+
+
 def _tree_classes(max_order):
     """Class of every edge with endpoints of order <= max_order, by the
     gap recursion: {0, oo} is class 0, and in the gap (lo, hi) of class c
     the left child {lo, m} gets c + 2 and the right child {m, hi} c + 1
     (mod 3), m the mediant; the negative side is the mirror image, each
     mirrored edge of the negated class."""
-    classes = {oriented_edge(ZERO, INFINITY).unordered(): 0}
+    classes = {_unoriented(oriented_edge(ZERO, INFINITY)): 0}
 
     def walk(lo, hi, c, order):
         m = (lo[0] + hi[0], lo[1] + hi[1])
@@ -53,7 +58,7 @@ def _tree_classes(max_order):
             for sign in (1, -1):
                 edge = oriented_edge(ExtRational(sign * a[0], a[1]),
                                      ExtRational(sign * b[0], b[1]))
-                classes[edge.unordered()] = sign * k % 3
+                classes[_unoriented(edge)] = sign * k % 3
             if order < max_order:
                 walk(a, b, k, order + 1)
 
@@ -66,7 +71,7 @@ def test_edge_class_is_the_tree_recursion():
     classes = _tree_classes(12)
     assert len(edges) == len(classes) == 8189
     for e in edges:
-        assert edge_class(e) == classes[e.unordered()], e
+        assert edge_class(e) == classes[_unoriented(e)], e
 
 
 def test_edge_classes_partition_base_triangle():
@@ -131,22 +136,22 @@ def test_reduced_words_are_the_breadth_first_walk():
 def test_lift_edges_depth_zero_and_growth():
     lifted = lift_edges(0)
     assert len(lifted) == 3
-    assert {e.unordered() for e, _ in lifted} == \
-        {e.unordered() for e in EDGES}
+    assert {_unoriented(e) for e, _ in lifted} == \
+        {_unoriented(e) for e in EDGES}
     for d in (1, 2, 3, 4):
         lifted = lift_edges(d)
         assert len(lifted) <= 2 * 3 * 3 ** d
         assert len(lifted) == 3 * (2 * 3 ** d - 1)   # free action, no overlap
         # distinct words give distinct edges, with no dedup in the walk
-        assert len({e.unordered() for e, _ in lifted}) == len(lifted)
+        assert len({_unoriented(e) for e, _ in lifted}) == len(lifted)
 
 
 def test_lift_edges_triangle_closure():
     """Every word's three fundamental-edge images appear together."""
-    lifted = {e.unordered() for e, _ in lift_edges(3)}
+    lifted = {_unoriented(e) for e, _ in lift_edges(3)}
     for g in _words(3):
         for e in EDGES:
-            assert g.map_edge(e).unordered() in lifted
+            assert _unoriented(g.map_edge(e)) in lifted
 
 
 def test_delta_weight_covering_invariance():
@@ -174,9 +179,9 @@ def _per_lift_shear_vector(t, depth):
     for g in _words(depth):
         for j, e in enumerate(EDGES):
             img = g.map_edge(e)
-            if img.unordered() in seen:
+            if _unoriented(img) in seen:
                 continue
-            seen.add(img.unordered())
+            seen.add(_unoriented(img))
             for i, Q in enumerate(quads):
                 want[i] += t[j] * delta_weight(img, Q) / math.pi
     return want
