@@ -41,7 +41,7 @@ for x in np.linspace(-1.5, 3.5, 11):
     print(f"  {x:+.2f}  {V(x):+.6f}")
 
 print(f"\ntruncation by Farey order n carries the geometric tail bound, "
-      f"e.g. unit-constant bound at n=7: {tail_bound(7, 1.0):.2e}")
+      f"e.g. unit-constant bound at n=7: {tail_bound(7):.2e}")
 
 print("\nround trip through the recovery bracket:")
 for e, v in zip(edges, values):

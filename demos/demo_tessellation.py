@@ -11,7 +11,7 @@ for v in enumerate_vertices(4):
 print()
 print("Mediants build the next generation:")
 print("  mediant(0, oo)  =", mediant(ExtRational(0), INFINITY))
-print("  mediant(0, -oo) =", mediant(ExtRational(0), INFINITY, infinity_sign=-1))
+print("  mediant(oo, 0)  =", mediant(INFINITY, ExtRational(0)))
 print("  mediant(1/2, 1) =", mediant(ExtRational(1, 2), ExtRational(1)))
 
 print()

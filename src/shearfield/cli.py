@@ -214,7 +214,7 @@ def cmd_field(args) -> int:
     from .fields import assemble_field, halved_terms, tail_bound
     grid = _grid(args)
     sdot = parse_shear_file(args.shears)
-    bound = tail_bound(args.max_order + 1, 1.0)
+    bound = tail_bound(args.max_order + 1)
     V = assemble_field(halved_terms(sdot, args.max_order, args.window))
     try:
         rows = list(zip(grid, V.values(grid)))
@@ -273,7 +273,7 @@ def cmd_hilbert(args) -> int:
     partials = hilbert_shear_series(terms, args.edge, args.max_order)
     _emit_json(args.output,
                _meta(max_order=args.max_order, window=args.window,
-                     unit_tail_bound=tail_bound(args.max_order + 1, 1.0)),
+                     unit_tail_bound=tail_bound(args.max_order + 1)),
                {"edge": args.edge.to_json(), "value": partials[-1],
                 "partials_by_order": partials})
     return 0
@@ -294,15 +294,15 @@ def cmd_fourier(args) -> int:
         halved_terms(sdot, args.max_order, args.window), range(lo, hi + 1))
     rows = [(n, c.real, c.imag) for n, c in enumerate(coefficients, lo)]
     low = {(0, 1), (1, 0), (1, 1), (-1, 1)}     # Farey order <= 2
-    support = sdot._index()[0]      # (u, v, value, ends) as in edges()
+    support = sdot._index()[0]      # (u, v, value) as in edges()
     # each |v| scaled by a power of two so the masses cannot overflow; the
     # scaling is exact, so the fraction keeps its bits
-    scale = -math.frexp(max((abs(v) for _, _, v, _ in support),
+    scale = -math.frexp(max((abs(v) for _, _, v in support),
                             default=0.0))[1]
-    low_mass = left_sum(math.ldexp(abs(v), scale) for p, q, v, _ in support
+    low_mass = left_sum(math.ldexp(abs(v), scale) for p, q, v in support
                         if p in low or q in low)
     total_mass = left_sum(math.ldexp(abs(v), scale)
-                          for _, _, v, _ in support)
+                          for _, _, v in support)
     _emit(args.format, args.output, ["n", "re", "im"], rows,
           _meta(max_order=args.max_order, window=args.window,
                 low_order_shear_fraction=low_mass / (total_mass or 1.0)))

@@ -3,7 +3,10 @@
 Vertices are extended rationals (with a single point at infinity, stored as
 1/0), edges join Farey-adjacent fractions ``p/q``, ``r/s`` with
 ``|p*s - r*q| = 1``, and the tessellation is swept out from the base triangle
-(0, 1, oo) by repeated mediants.
+(0, 1, oo) by repeated mediants.  In a mediant oo takes its sign from its
+position, -1/0 as the first argument and +1/0 as the second, so the mediant
+of two adjacent vertices in counterclockwise order is the vertex born on
+the arc between them: that of a vertex's parents is the vertex.
 
 Every edge carries a canonical orientation: the edge points to the left as
 seen from the base triangle, which concretely means the counterclockwise
@@ -244,24 +247,19 @@ def oriented_edge(u: ExtRational, v: ExtRational) -> FareyEdge:
 # mediants and the Farey order
 # ---------------------------------------------------------------------------
 
-def mediant(p, q, infinity_sign: int = 1) -> ExtRational:
+def mediant(p, q) -> ExtRational:
     """Mediant (a+c)/(b+d) of two Farey-adjacent extended rationals.
 
-    The single point oo enters mediant arithmetic as +1/0 on the positive
-    side of the circle and as -1/0 on the negative side; ``infinity_sign``
-    selects the side and is ignored when neither argument is infinite.
+    oo takes its side from its position: as p, where a counterclockwise
+    arc from p starts, it enters as -1/0; as q, where an arc to q ends,
+    as +1/0.  So mediant(oo, 0) is -1 and mediant(0, oo) is 1: with p
+    and q in counterclockwise order the mediant is the vertex born on the
+    arc from p to q.
     """
-    if infinity_sign not in (1, -1):
-        raise ValueError("infinity_sign must be +1 or -1")
-    pn, pd = p.num, p.den
-    qn, qd = q.num, q.den
-    if p.is_infinity:
-        pn = infinity_sign
-    if q.is_infinity:
-        qn = infinity_sign
-    if abs(pn * qd - qn * pd) != 1:
+    pn = -1 if p.is_infinity else p.num
+    if abs(pn * q.den - q.num * p.den) != 1:
         raise ValueError(f"{p} and {q} are not Farey-adjacent")
-    return ExtRational(pn + qn, pd + qd)
+    return ExtRational(pn + q.num, p.den + q.den)
 
 
 def _walk(num: int, den: int):
@@ -308,8 +306,7 @@ def _mediant_sweep(max_order: int):
     for _ in range(2, max_order + 1):
         nxt = []
         for u, v in zip(circle, circle[1:] + circle[:1]):
-            # oo is +1/0 on the positive side (before it), -1/0 after it
-            m = mediant(u, v, infinity_sign=-1 if u.is_infinity else 1)
+            m = mediant(u, v)
             nxt.extend((u, m))
             yield u, m, v
         circle = nxt
@@ -385,15 +382,3 @@ def fan_index(p, q) -> int:
     if pre.den != 1:
         raise ValueError(f"{q} is not adjacent to {p}")
     return pre.num
-
-
-def edge_neighbors(e: FareyEdge) -> tuple[ExtRational, ExtRational]:
-    """Third vertices of the two triangles adjacent to an edge.
-
-    For endpoints p/q and r/s these are the mediant (p+r)/(q+s) and the
-    difference vertex (p-r)/(q-s), each adjacent to both endpoints.
-    """
-    i, t = e.initial, e.terminal
-    m = ExtRational(i.num + t.num, i.den + t.den)
-    w = ExtRational(i.num - t.num, i.den - t.den)
-    return m, w

@@ -12,15 +12,15 @@ increasing Farey order.
 A shear function keeps its values under integer keys, its edges' ends as
 (num, den) pairs, and builds its fan index from them on the integers: the
 orientation rule, one Stern-Brocot walk per tip for its Farey order and
-the fan map whose entries index its edges, one float pair per edge and one
-ExtRational per tip.  FareyEdges are built only for edges() and
-iteration.  halved_terms reads that index.  The Zygmund-type checks live
-here as well: the fan-wise averaged-coefficient condition that characterizes
-admissible shear functions (read from 4K - 3 shears per support edge; a
-fan whose mass M = sum |s| bounds its sums below the sup found so far,
-with the rounding factor 1 + (len(fan) + 4K) 2^-50, is skipped unless
-2K M overflows), the sampled second-difference quotient, and the
-geometric tail estimate for truncation by Farey order.
+the fan map whose entries index its edges, and one ExtRational per tip.
+FareyEdges are built only for edges() and iteration.  halved_terms reads
+that index and takes one float pair per edge it keeps.  The Zygmund-type
+checks live here as well: the fan-wise averaged-coefficient condition
+that characterizes admissible shear functions (read from 4K - 3 shears
+per support edge; a fan whose mass M = sum |s| bounds its sums below the
+sup found so far, with the rounding factor 1 + (len(fan) + 4K) 2^-50, is
+skipped unless 2K M overflows), the sampled second-difference quotient,
+and the unit geometric tail bound for truncation by Farey order.
 """
 
 from __future__ import annotations
@@ -80,14 +80,13 @@ class ShearFunction:
     def _index(self):
         """The pair (support, tips), read off the integer keys.
 
-        support holds (u, v, value, ends) for each edge in key order: u -> v
-        its canonical orientation (farey.runs_forward) as (num, den) pairs,
-        ends its float ends, or the error edge_ends raises for them, which
-        halved_terms raises when it keeps the edge.  tips maps each tip's
-        (num, den) to (tip, order, fan), tip an ExtRational, in increasing
-        (order, circular position) (tip_sort_key); fan holds (fan index,
-        value, ends, support position) for each edge at the tip, in support
-        order.
+        support holds (u, v, value) for each edge in key order: u -> v its
+        canonical orientation (farey.runs_forward) as (num, den) pairs.
+        tips maps each tip's (num, den) to (tip, order, fan), tip an
+        ExtRational, in increasing (order, circular position)
+        (tip_sort_key); fan holds (fan index, value, support position) for
+        each edge at the tip, in support order.  The index holds no floats
+        of the ends: halved_terms takes them for the edges it keeps.
 
         One integer walk per tip gives its order and fan map
         B = (a b; c d) (farey.fan_entries).  B carries {n, oo} onto the
@@ -101,22 +100,16 @@ class ShearFunction:
                 if not runs_forward(un, ud, vn, vd):
                     un, ud, vn, vd = vn, vd, un, ud
                 u, v, value = (un, ud), (vn, vd), self._data[key]
-                try:
-                    ends = (un / ud if ud else math.inf,
-                            vn / vd if vd else math.inf)
-                    check_ends(ends)
-                except (OverflowError, ValueError) as exc:
-                    ends = exc
-                fans[u].append((vn, vd, value, ends, len(support)))
-                fans[v].append((un, ud, value, ends, len(support)))
-                support.append((u, v, value, ends))
+                fans[u].append((vn, vd, value, len(support)))
+                fans[v].append((un, ud, value, len(support)))
+                support.append((u, v, value))
             tips = []
             for p, fan in fans.items():
                 order, a, b, c, d = fan_entries(*p)     # one walk per tip
                 tip = ExtRational(*p)
                 tips.append((tip_sort_key(tip, order), p, [
-                    ((d * qn - b * qd) * (a * qd - c * qn), value, ends, j)
-                    for qn, qd, value, ends, j in fan]))
+                    ((d * qn - b * qd) * (a * qd - c * qn), value, j)
+                    for qn, qd, value, j in fan]))
             tips.sort()     # tips are distinct, so only their keys compare
             self._cache = (support, {p: (tip, order, fan) for
                                      (order, _, _, tip), p, fan in tips})
@@ -124,7 +117,7 @@ class ShearFunction:
 
     def edges(self) -> list[FareyEdge]:
         """Support edges, canonically oriented, in deterministic order."""
-        return [_farey_edge(u, v) for u, v, _, _ in self._index()[0]]
+        return [_farey_edge(u, v) for u, v, _ in self._index()[0]]
 
     def support_tips(self) -> list[ExtRational]:
         return [tip for tip, _, _ in self._index()[1].values()]
@@ -132,7 +125,7 @@ class ShearFunction:
     def __iter__(self):
         """(edge, value) of each support edge, in edges() order."""
         return iter([(_farey_edge(u, v), value)
-                     for u, v, value, _ in self._index()[0]])
+                     for u, v, value in self._index()[0]])
 
 
 def _farey_edge(u, v) -> FareyEdge:
@@ -351,19 +344,26 @@ def halved_terms(sdot: ShearFunction, max_order: int, N: int) -> list:
     circular position), each with its fan edges of index |n| <= N, coef
     half the edge's shear and ends edge_ends of the canonically oriented
     edge.  Field, Hilbert, shear-series and Fourier evaluation all unpack
-    and sum this list in this order.  It reads the index of sdot: an
-    edge's two terms share the one ends tuple _index took, and a kept edge
-    whose ends name no field raises edge_ends' error here."""
-    terms = []
+    and sum this list in this order.  It reads the index of sdot and takes
+    a kept edge's float ends once, so the edge's two terms share one ends
+    tuple; a kept edge whose ends name no field raises edge_ends' error,
+    a fresh one on every call."""
+    terms, ends_at = [], {}         # support position -> float ends
     if N <= 0:
         return terms
-    for _, order, fan in sdot._index()[1].values():
+    support, tips = sdot._index()
+    for _, order, fan in tips.values():
         if order > max_order:
             break
-        for n, value, ends, _ in fan:
+        for n, value, j in fan:
             if abs(n) <= N:
-                if isinstance(ends, Exception):
-                    raise ends
+                ends = ends_at.get(j)
+                if ends is None:
+                    (un, ud), (vn, vd), _ = support[j]
+                    ends = (un / ud if ud else math.inf,
+                            vn / vd if vd else math.inf)
+                    check_ends(ends)
+                    ends_at[j] = ends
                 terms.append((order, 0.5 * value, ends))
     return terms
 
@@ -373,13 +373,15 @@ def assemble_field(terms) -> FieldExpr:
     return FieldExpr((coef, ends) for _, coef, ends in terms)
 
 
-def tail_bound(n: int, C: float) -> float:
-    """Closed form of C * sum_{i>=n} i * exp(-(i-2)*delta/2) with
-    delta = 2 log(1 + sqrt 2), via the geometric-derivative identity."""
+def tail_bound(n: int) -> float:
+    """The unit tail bound: the closed form of sum_{i>=n} i *
+    exp(-(i-2)*delta/2) with delta = 2 log(1 + sqrt 2), via the
+    geometric-derivative identity.  A bound with constant C is C times
+    this value."""
     if n < 1:
         raise ValueError("tail index must be >= 1")
     q = math.exp(-DELTA_GAP / 2.0)
-    return C * q ** (n - 2) * (n * (1.0 - q) + q) / (1.0 - q) ** 2
+    return q ** (n - 2) * (n * (1.0 - q) + q) / (1.0 - q) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +403,7 @@ class ZygmundReport(Value):
 def fan_shears_at_tip(sdot: ShearFunction, tip) -> dict[int, float]:
     """Shear values of sdot on the fan at tip, indexed by fan position."""
     entry = sdot._index()[1].get((tip.num, tip.den))
-    return {n: value for n, value, _, _ in entry[2]} if entry else {}
+    return {n: value for n, value, _ in entry[2]} if entry else {}
 
 
 def averaged_coefficient_sum(shears, m: int, k: int) -> float:

@@ -97,7 +97,7 @@ def fourier_quadrature_oracle(V, n: int, breakpoints=()) -> complex:
         return [V(cmath.exp(1j * phi)) * cmath.exp(-1j * n * phi)
                 for phi in phis]
 
-    return left_sum((quad(integrand, lo, hi, 1e-13, 1e-13, limit=300)[0]
+    return left_sum((quad(integrand, lo, hi, 1e-13, limit=300)[0]
                      for lo, hi in zip(cuts[:-1], cuts[1:])), 0j) / TWO_PI
 
 

@@ -25,7 +25,8 @@ import math
 import operator
 from itertools import takewhile
 
-from .farey import FareyEdge, Value, edge_neighbors, in_ccw_arc, left_sum
+from .farey import (ExtRational, FareyEdge, Value, _before, in_ccw_arc,
+                    left_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +243,7 @@ def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
     gate = max(tolerance * 1e3, 1e-12)
     tol = min(PV_QUAD_TOL, gate / len(cuts))
     for a, b in zip(cuts, cuts[1:]):
-        piece, e = quad(subtracted, a, b, tol, tol, limit=200)
+        piece, e = quad(subtracted, a, b, tol, limit=200)
         value += piece
         err += e
 
@@ -259,7 +260,7 @@ def hilbert_pv_oracle(V, x: float, tolerance: float = 1e-8) -> float:
         right, left = f(xis), f([-xi for xi in xis])
         return [(fr + fl) / u ** 2 for u, fr, fl in zip(us, right, left)]
 
-    tail, e = quad(tails, 0.0, 1.0 / R, tol, tol, limit=200)
+    tail, e = quad(tails, 0.0, 1.0 / R, tol, limit=200)
     err += e
     if not err < gate * max(1.0, abs(value)):
         raise PVConvergenceError(err)
@@ -299,13 +300,17 @@ def edge_quadrilateral(edge: FareyEdge) -> Quadrilateral:
     """The quadrilateral formed by the two tessellation triangles adjacent
     to an edge, labeled with the edge as diagonal (b, d) = (initial,
     terminal) and c the off-diagonal vertex on the arc swept from initial
-    to terminal."""
-    m, w = edge_neighbors(edge)
+    to terminal.
+
+    For ends p/q and r/s (oo = 1/0) the third vertices are the mediant
+    (p+r)/(q+s) and the difference vertex (p-r)/(q-s).  The mediant lies
+    between the ends on the line cut at oo, so it is c exactly when the
+    initial end comes first there: one exact comparison, for either
+    orientation of the edge."""
     i, t = edge.initial, edge.terminal
-    if in_ccw_arc(i, m, t):
-        c, a = m, w
-    else:
-        c, a = w, m
+    m = ExtRational(i.num + t.num, i.den + t.den)
+    w = ExtRational(i.num - t.num, i.den - t.den)
+    c, a = (m, w) if _before(i, t) else (w, m)
     return Quadrilateral(a, i, c, t)
 
 

@@ -3,11 +3,12 @@
 The 21-point Gauss-Kronrod rule and error estimate of QUADPACK's qk21
 under global adaptive bisection: the interval with the largest error
 estimate is bisected until the summed estimate meets
-max(epsabs, epsrel |value|) or `limit` intervals exist (R. Piessens et
-al., QUADPACK, Springer 1983).  The arithmetic follows qk21 and qagse
-step by step, without qagse's epsilon extrapolation and its roundoff and
-small-interval exits; where those do not act, the value is qagse's bit
-for bit.
+max(tol, tol |value|) or `limit` intervals exist (R. Piessens et al.,
+QUADPACK, Springer 1983).  One tolerance serves as both of qagse's
+epsabs and epsrel, as every caller sets them equal.  The arithmetic
+follows qk21 and qagse step by step, without qagse's epsilon
+extrapolation and its roundoff and small-interval exits; where those do
+not act, the value is qagse's with epsabs = epsrel = tol, bit for bit.
 """
 
 from __future__ import annotations
@@ -67,9 +68,10 @@ def _qk21(f, a, b):
     return resk * h, err, resasc
 
 
-def quad(f, a: float, b: float, epsabs: float, epsrel: float,
-         limit: int) -> tuple:
-    """(value, error) of the integral of f over [a, b].
+def quad(f, a: float, b: float, tol: float, limit: int) -> tuple:
+    """(value, error) of the integral of f over [a, b], bisected until the
+    error estimate is at most max(tol, tol |value|), that is tol times
+    max(1, |value|).
 
     f is batched: it takes a list of nodes and returns the list of its
     values there, real or complex.  When `limit` intervals exist the best
@@ -78,7 +80,7 @@ def quad(f, a: float, b: float, epsabs: float, epsrel: float,
     error NaN, so the bisection runs to `limit` and returns NaN."""
     value, err, resasc = _qk21(f, a, b)
     if (limit <= 1 or err == 0.0
-            or (err <= max(epsabs, epsrel * abs(value)) and err != resasc)):
+            or (err <= max(tol, tol * abs(value)) and err != resasc)):
         return value, err
     # parts[k] is the value of the interval in slot k; the result is their
     # sum in slot order, as qagse forms it
@@ -101,6 +103,6 @@ def quad(f, a: float, b: float, epsabs: float, epsrel: float,
             parts.append(v2)
         heapq.heappush(heap, (-e1, left, lo, mid))
         heapq.heappush(heap, (-e2, right, mid, hi))
-        if errsum <= max(epsabs, epsrel * abs(area)):
+        if errsum <= max(tol, tol * abs(area)):
             break
     return left_sum(parts), errsum

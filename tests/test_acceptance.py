@@ -306,10 +306,10 @@ def test_criterion_6_tail_bound():
         assert measured[3] > 0.0
         # one constant, fitted on the first two truncation orders; the
         # remaining orders are out-of-sample and test the geometric rate
-        C_fit = max(measured[3] / tail_bound(3, 1.0),
-                    measured[4] / tail_bound(4, 1.0))
+        C_fit = max(measured[3] / tail_bound(3),
+                    measured[4] / tail_bound(4))
         for n in range(3, 8):
-            assert measured[n] <= C_fit * tail_bound(n, 1.0) * (1 + 1e-9)
+            assert measured[n] <= C_fit * tail_bound(n) * (1 + 1e-9)
         checked += 1
     report(6, "tail bound", f"{checked} shear functions, orders 3..7 "
                             f"dominated by a single fitted geometric tail")
@@ -429,7 +429,7 @@ def test_transform_is_conjugation_on_the_fourier_side():
                 xs = [math.tan(0.5 * t) for t in thetas]
                 return [2j / (1.0 - 1j * x) ** 2 * h * cmath.exp(-1j * m * t)
                         for x, t, h in zip(xs, thetas, H.values(xs))]
-            got = sum(quad(w_H, lo, hi, 1e-13, 1e-13, limit=300)[0]
+            got = sum(quad(w_H, lo, hi, 1e-13, limit=300)[0]
                       for lo, hi in zip(cuts, cuts[1:])) / (2.0 * math.pi)
             want = -1j * math.copysign(1.0, m - 1) * elementary_fourier(
                 edge_to_arc(e), m)

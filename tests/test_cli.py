@@ -13,7 +13,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from shearfield import cli
@@ -538,7 +538,7 @@ def test_fan_index_is_the_fan_map_inverse(tmp_path, picks):
     support, tips = sdot._index()
     seen = 0
     for tip, _, fan in tips.values():
-        for n, _, _, j in fan:
+        for n, _, j in fan:
             u, v = support[j][:2]
             other = ExtRational(*(v if u == (tip.num, tip.den) else u))
             assert n == fan_index(tip, other)
@@ -631,38 +631,31 @@ _UNREDUCED = [([2, 4], [1, 1], 0.5), ([-1, 0], [-1, 1], -2.0),
               ([5, 0], [10 ** 400, 1], 1.5)]
 
 
-def _ends_view(ends):
-    """Float ends as they are, or the error edge_ends raised for them as
-    (type name, message)."""
-    if isinstance(ends, Exception):
-        return type(ends).__name__, str(ends)
-    return ends
+def _ends_view(call, *args):
+    """call(*args), or the error it raised as (type name, message)."""
+    try:
+        return call(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
 
 
 def _reference_index(edge_values):
     """(support, tips) of ShearFunction._index for the (edge, value) pairs,
-    built from oriented_edge, fan_index, tip_sort_key and edge_ends."""
+    built from oriented_edge, fan_index and tip_sort_key."""
     from shearfield.farey import farey_order, fan_index, oriented_edge
-    from shearfield.fields import edge_ends, tip_sort_key
+    from shearfield.fields import tip_sort_key
     pairs = lambda e: ((e.initial.num, e.initial.den),
                        (e.terminal.num, e.terminal.den))
     support = sorted(((oriented_edge(e.initial, e.terminal), v)
                       for e, v in edge_values),
                      key=lambda ev: sorted(pairs(ev[0])))
-    rows = []
-    for e, v in support:
-        try:
-            ends = edge_ends(e)
-        except (OverflowError, ValueError) as exc:
-            ends = exc
-        rows.append((e, v, _ends_view(ends)))
     tips = sorted({p for e, _ in support for p in (e.initial, e.terminal)},
                   key=lambda p: tip_sort_key(p, farey_order(p)))
-    return ([(*pairs(e), v, ends) for e, v, ends in rows],
+    return ([(*pairs(e), v) for e, v in support],
             [(p, farey_order(p), [
                 (fan_index(p, e.terminal if e.initial == p else e.initial),
-                 v, pairs(e), ends)
-                for e, v, ends in rows if p in (e.initial, e.terminal)])
+                 v, pairs(e))
+                for e, v in support if p in (e.initial, e.terminal)])
              for p in tips])
 
 
@@ -670,11 +663,22 @@ def _index_view(sdot):
     """ShearFunction._index in _reference_index's form."""
     support, tips = sdot._index()
     assert list(tips) == [(tip.num, tip.den) for tip, _, _ in tips.values()]
-    return ([(u, v, value, _ends_view(ends))
-             for u, v, value, ends in support],
-            [(tip, order, [(n, value, support[j][:2], _ends_view(ends))
-                           for n, value, ends, j in fan])
+    return (support,
+            [(tip, order, [(n, value, support[j][:2]) for n, value, j in fan])
              for tip, order, fan in tips.values()])
+
+
+def _kept_ends(e, value):
+    """The ends of the one-edge shear function {e: value} in every term
+    halved_terms keeps, each of its two fans taken whole."""
+    from shearfield.farey import farey_order, fan_index
+    from shearfield.fields import ShearFunction, halved_terms
+    ends = (e.initial, e.terminal)
+    order = max(map(farey_order, ends))
+    N = max(abs(fan_index(ends[0], ends[1])), abs(fan_index(*ends[::-1])))
+    terms = halved_terms(ShearFunction([(e, value)]), order, N)
+    assert len(terms) == 2
+    return {t[-1] for t in terms}
 
 
 @settings(max_examples=40, deadline=None,
@@ -686,15 +690,16 @@ def _index_view(sdot):
                 max_size=12))
 def test_integer_index_matches_reference(tmp_path, picks):
     """ShearFunction's integer index, built through set() and through
-    parse_shear_file, equals the one that oriented_edge, fan_index,
-    tip_sort_key and edge_ends give: the same support and tip order,
-    orders, fan indices, values and float ends, or the same error where
-    edge_ends has none (a tip at 10^400).  Tips oo, 0 and negative ones
-    are drawn, each edge in either orientation, and the file writes its
-    endpoints unreduced (scaled by -1, 2, 3 or 5), [2, 4], [-1, 0] and
-    [5, 0] among them."""
-    from shearfield.farey import ExtRational, FareyEdge, fan_edge
-    from shearfield.fields import ShearFunction
+    parse_shear_file, equals the one that oriented_edge, fan_index and
+    tip_sort_key give: the same support and tip order, orders, fan indices
+    and values.  halved_terms takes each edge's float ends as edge_ends
+    does, or raises the same error where edge_ends has none (a tip at
+    10^400).  Tips oo, 0 and negative ones are drawn, each edge in either
+    orientation, and the file writes its endpoints unreduced (scaled by
+    -1, 2, 3 or 5), [2, 4], [-1, 0] and [5, 0] among them."""
+    from shearfield.farey import (ExtRational, FareyEdge, fan_edge,
+                                  oriented_edge)
+    from shearfield.fields import ShearFunction, edge_ends
     entries, edges = [], {}
 
     def add(p, q, value):
@@ -716,6 +721,9 @@ def test_integer_index_matches_reference(tmp_path, picks):
     want = _reference_index(edges.values())
     assert _index_view(by_set) == want
     assert _index_view(by_file) == want
+    for e, value in edges.values():
+        assert _ends_view(_kept_ends, e, value) == _ends_view(
+            lambda e: {edge_ends(e)}, oriented_edge(e.initial, e.terminal))
 
 
 def test_zygmund_check(tmp_path):
@@ -1374,13 +1382,37 @@ _ENDPOINT = st.one_of(
 _FAREY_EDGES = [([0, 1], [1, 0]), ([1, 1], [1, 0]), ([0, 1], [1, 1]),
                 ([-1, 1], [0, 1]), ([-1, 0], [-1, 1]), ([1, 2], [1, 1]),
                 ([1, 3], [1, 2]), ([2, 1], [1, 0])]
-# finite values mostly, and now and then one large enough to overflow
+_BIG = 10 ** 20
+
+
+def _up_to_big(lo):
+    """Integers from lo to 10^20, their sizes spread over every power of
+    ten, as a plain integer range draws mostly small ones."""
+    return st.integers(0, 20).flatmap(lambda k: st.integers(lo, 10 ** k))
+
+
+def _parent_edge(num, den, upper):
+    """The Farey edge from num/den (finite, nonzero) to one of the two
+    parents its Stern-Brocot walk ends on."""
+    from shearfield.farey import _walk, reduced
+    p = reduced(num, den)
+    return list(p), list(_walk(*p)[2 if upper else 1])
+
+
+# a fan edge at a tip of numerator and denominator up to 10^20
+_DEEP_EDGE = st.builds(
+    _parent_edge, st.tuples(_up_to_big(1), st.sampled_from([1, -1])).map(
+        lambda nk: nk[0] * nk[1]), _up_to_big(1), st.booleans())
+# finite values mostly, some at the ends of the float range, and now and
+# then one large enough to overflow
 _HUGE = st.sampled_from([1e308, -1.5e308, 1e200, 1e154])
-_VALUE = _mostly(st.floats(-10.0, 10.0),
-                 st.one_of(_HUGE, st.floats(allow_nan=False), _JUNK))
+_VALUE = _mostly(
+    _mostly(st.floats(-10.0, 10.0),
+            st.sampled_from([5e-324, -5e-324, 1e308, -1e308])),
+    st.one_of(_HUGE, st.floats(allow_nan=False), _JUNK))
 _EDGE = _mostly(
     st.builds(lambda pq, v: {"p": pq[0], "q": pq[1], "value": v},
-              st.sampled_from(_FAREY_EDGES), _VALUE),
+              st.sampled_from(_FAREY_EDGES) | _DEEP_EDGE, _VALUE),
     st.one_of(st.fixed_dictionaries({"p": _ENDPOINT, "q": _ENDPOINT,
                                      "value": _VALUE}),
               st.dictionaries(st.sampled_from(["p", "q", "value"]),
@@ -1399,8 +1431,8 @@ def _number_text(ints):
 
 
 _OPTIONS = {
-    "--max-order": _number_text(st.integers(0, 4)),
-    "--window": _number_text(st.integers(-1, 3)),
+    "--max-order": _number_text(st.integers(0, 4) | _up_to_big(0)),
+    "--window": _number_text(st.integers(-1, 3) | _up_to_big(-1)),
     "--samples": _number_text(st.integers(0, 5)),
     "--from": _number_text(st.integers(-3, 3)),
     "--to": _number_text(st.integers(-3, 3)),
@@ -1461,9 +1493,29 @@ def _cli_calls(draw):
 _NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 
+def _shear_text(edges, values):
+    return json.dumps({"edges": [{"p": p, "q": q, "value": v}
+                                 for (p, q), v in zip(edges, values)]})
+
+
+# the corners of the generator's ranges: edges at tips +-1/10^20 with
+# shears +-1e308 and 5e-324, the edge at (10^20 - 1)/10^20 whose ends
+# round to one float, and --window and --max-order at 10^20
+_WIDE = _shear_text([_parent_edge(1, _BIG, False),
+                     _parent_edge(-1, _BIG, False), ([0, 1], [1, 0])],
+                    [1e308, -1e308, -5e-324])
+_ROUND = _shear_text([_parent_edge(_BIG - 1, _BIG, True)], [5e-324])
+_W, _M = f"--window={_BIG}", f"--max-order={_BIG}"
+
+
 @settings(max_examples=50, deadline=5000,
           suppress_health_check=[HealthCheck.too_slow])
 @given(call=_cli_calls())
+@example(call=(["field", "eval", _W, _M], _WIDE))
+@example(call=(["hilbert", "eval", _W, _M], _WIDE))
+@example(call=(["fourier", _W, _M], _WIDE))
+@example(call=(["zygmund", "check", _M], _WIDE))
+@example(call=(["hilbert", "shear", "--max-order=4", _W], _ROUND))
 def test_cli_fuzz_fails_cleanly_or_answers_finitely(tmp_path_factory, call):
     """Whatever the shear file and the arguments, the CLI either exits
     nonzero with exactly one JSON diagnostic line on stderr and nothing on
@@ -1473,7 +1525,7 @@ def test_cli_fuzz_fails_cleanly_or_answers_finitely(tmp_path_factory, call):
         path = tmp_path_factory.mktemp("fuzz") / "shears.json"
         if text is not None:           # None: the file does not exist
             path.write_text(text)
-        argv += ["--shears", str(path)]
+        argv = [*argv, "--shears", str(path)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)

@@ -57,7 +57,23 @@ def test_extrational_order_excludes_infinity():
 def test_mediant_examples():
     assert mediant(ZERO, ONE) == ExtRational(1, 2)
     assert mediant(ZERO, INFINITY) == ONE
-    assert mediant(ZERO, INFINITY, infinity_sign=-1) == ExtRational(-1)
+    assert mediant(INFINITY, ZERO) == ExtRational(-1)
+
+
+def test_mediant_of_parents_in_counterclockwise_order():
+    """oo takes its side from its position in mediant: the parents of
+    every vertex of order <= 12 but 0 and oo, from the Stern-Brocot walk
+    and put in counterclockwise order by the arc test, have the vertex as
+    their mediant; -3 comes from (oo, -2) and 3 from (2, oo)."""
+    assert mediant(INFINITY, ExtRational(-2)) == ExtRational(-3)
+    assert mediant(ExtRational(2), INFINITY) == ExtRational(3)
+    vertices = enumerate_vertices(12)[2:]
+    assert len(vertices) == 2 ** 12 - 2
+    for p in vertices:
+        u, v = (ExtRational(*q) for q in _walk(p.num, p.den)[1:])
+        if not in_ccw_arc(u, p, v):
+            u, v = v, u
+        assert mediant(u, v) == p
 
 
 def test_mediant_rejects_non_adjacent():
@@ -296,7 +312,9 @@ def test_order_of_mediant_with_parents(num, den):
     if p in (ZERO, INFINITY):
         return
     u, v = (ExtRational(*q) for q in _walk(p.num, p.den)[1:])
-    assert mediant(u, v, infinity_sign=1 if (p.num >= 0) else -1) == p
+    # the parents in counterclockwise order: the mirrored walk of p < 0
+    # gives them the other way round
+    assert (mediant(u, v) if p.num > 0 else mediant(v, u)) == p
     assert farey_order(p) == max(farey_order(u), farey_order(v)) + 1
     order, parents = stern_brocot_walk(p)
     assert farey_order(p) == order

@@ -209,12 +209,12 @@ def test_tail_bound_examples():
     assert DELTA_GAP == pytest.approx(2 * math.log(1 + math.sqrt(2)))
     assert DELTA_GAP == pytest.approx(1.76275, abs=1e-5)
     for n in range(1, 12):
-        assert tail_bound(n + 1, 1.3) < tail_bound(n, 1.3)
+        assert 1.3 * tail_bound(n + 1) < 1.3 * tail_bound(n)
     # closed form vs direct summation
     q = math.exp(-DELTA_GAP / 2)
     for n in (1, 2, 5, 9):
         brute = sum(i * q ** (i - 2) for i in range(n, 10 ** 6))
-        assert tail_bound(n, 1.0) == pytest.approx(brute, abs=1e-12)
+        assert tail_bound(n) == pytest.approx(brute, abs=1e-12)
 
 
 def test_zygmund_condition_sup_zero():
@@ -526,7 +526,7 @@ def test_tail_rate_is_not_uniform_over_shallow_nested_edges():
     assert missing > 0.5 / (8 * k)          # half a bump of width 1/k
     # ... which is far above the geometric tail at that order with the
     # constant any low-order fit would produce (unit-scale shears)
-    assert missing > tail_bound(order - 1, 0.05)
+    assert missing > 0.05 * tail_bound(order - 1)
 
 
 def test_degenerate_window_gives_zero_field():

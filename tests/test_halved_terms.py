@@ -1,7 +1,9 @@
 """The shared halved term list against per-tip sums, and the support cache."""
 
 import math
+import traceback
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,6 +110,25 @@ def test_caches_follow_set():
     assert all(ends == edge_ends(e2)
                for _, _, ends in halved_terms(sdot, 6, 10))
     assert list(sdot) == [(e2, -0.25)]
+
+
+def test_failing_edge_raises_a_fresh_error_per_call():
+    """A kept edge whose ends leave the float range ({10^400, oo}, kept
+    at the tip oo) raises a new OverflowError on every call, with the
+    same message and a traceback of the same length: no call holds on to
+    an earlier call's error or its frames."""
+    sdot = ShearFunction([(oriented_edge(ExtRational(10 ** 400), INFINITY),
+                           1.0)])
+    errors, depths = [], []
+    for _ in range(3):
+        with pytest.raises(OverflowError) as info:
+            halved_terms(sdot, 3, 10 ** 401)
+        errors.append(info.value)
+        depths.append(len(traceback.extract_tb(info.value.__traceback__)))
+    assert len({id(e) for e in errors}) == 3
+    assert {str(e) for e in errors} == {
+        "integer division result too large for a float"}
+    assert len(set(depths)) == 1
 
 
 @settings(max_examples=60, deadline=None)

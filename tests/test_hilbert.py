@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import shearfield.hilbert
-from shearfield.farey import (ExtRational, INFINITY, ONE, ZERO,
-                              enumerate_edges, oriented_edge)
+from shearfield.farey import (ExtRational, FareyEdge, INFINITY, ONE, ZERO,
+                              enumerate_edges, fan_edges, in_ccw_arc,
+                              oriented_edge)
 from shearfield.fields import (FieldExpr, ShearFunction, assemble_field,
                                edge_ends, halved_terms)
 from shearfield.hilbert import (PV_REACH, BracketPlan, PVConvergenceError,
@@ -316,6 +317,35 @@ def test_edge_quadrilateral_neighbors():
     e2 = oriented_edge(ZERO, ONE)
     Q2 = edge_quadrilateral(e2)
     assert Q2.points() == (INF, 0.0, 0.5, 1.0)
+
+
+def _arc_test_quadrilateral(edge):
+    """Reference: the two third vertices of an edge, the mediant and the
+    difference vertex, with c the one the three-way arc test puts on the
+    counterclockwise arc from the initial to the terminal end."""
+    i, t = edge.initial, edge.terminal
+    m = ExtRational(i.num + t.num, i.den + t.den)
+    w = ExtRational(i.num - t.num, i.den - t.den)
+    c, a = (m, w) if in_ccw_arc(i, m, t) else (w, m)
+    return Quadrilateral(a, i, c, t)
+
+
+def test_third_vertex_by_one_comparison_matches_arc_test():
+    """edge_quadrilateral, which takes the mediant as c exactly when the
+    initial end comes first on the line cut at oo, equals the arc-test
+    route on every edge of order <= 12 and on fan edges at oo, 0, negative
+    tips and random tips with denominators up to 10^6, each edge in both
+    orientations."""
+    rng = random.Random(34)
+    tips = [INFINITY, ZERO, ExtRational(-1), ExtRational(-7, 3)] + [
+        ExtRational(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+        for _ in range(40)]
+    edges = enumerate_edges(12) + [e for p in tips
+                                   for e in fan_edges(p, -6, 6)]
+    assert len(edges) == 8189 + 44 * 13
+    for e in edges:
+        for edge in (e, FareyEdge(e.terminal, e.initial)):
+            assert edge_quadrilateral(edge) == _arc_test_quadrilateral(edge)
 
 
 @pytest.mark.parametrize("points, plan", [

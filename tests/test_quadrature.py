@@ -45,7 +45,7 @@ def test_log_endpoint_singularity_converges_by_bisection():
         n[0] += 1
         return [math.log(t) for t in ts]
 
-    value, err = quad(f, 0.0, 1.0, 1e-11, 1e-11, limit=200)
+    value, err = quad(f, 0.0, 1.0, 1e-11, limit=200)
     assert abs(value + 1.0) < 1e-11
     assert err < 1e-11
     assert 2 < n[0] < 2 * 200
@@ -58,11 +58,11 @@ def test_complex_integrand():
     for n in (0, 3, 7):
         value, err = quad(batched(lambda p: complex(math.cos((3 - n) * p),
                                                     math.sin((3 - n) * p))),
-                          0.0, 2 * math.pi, 1e-13, 1e-13, limit=300)
+                          0.0, 2 * math.pi, 1e-13, limit=300)
         assert isinstance(value, complex)
         assert abs(value / (2 * math.pi) - (1.0 if n == 3 else 0.0)) < 1e-13
     value, _ = quad(batched(lambda t: (1 + 2j) * t ** 3 - 1j), 0.0, 2.0,
-                    1e-13, 1e-13, limit=50)
+                    1e-13, limit=50)
     assert abs(value - (4 + 6j)) < 1e-14
 
 
@@ -73,7 +73,7 @@ def test_nan_integrand_stops_at_limit():
         calls[0] += 1
         return [math.nan if 0.3 < t < 0.4 else t for t in ts]
 
-    value, err = quad(f, 0.0, 1.0, 1e-12, 1e-12, limit=50)
+    value, err = quad(f, 0.0, 1.0, 1e-12, limit=50)
     assert not math.isfinite(value)
     assert not err <= 1e-12
     assert calls[0] <= 2 * 50 - 1     # one rule, then two per bisection
@@ -133,7 +133,7 @@ def test_oracle_integrand_matches_scipy_quad():
               (tails, 0.0, 1e-3)]
     for g, a, b in pieces:
         want, _ = scipy_quad(g, a, b, limit=200, epsabs=1e-11, epsrel=1e-11)
-        got, _ = quad(batched(g), a, b, 1e-11, 1e-11, limit=200)
+        got, _ = quad(batched(g), a, b, 1e-11, limit=200)
         assert abs(got - want) <= 1e-13 * abs(want), (a, b)
 
 
