@@ -21,7 +21,8 @@ vertex of the base triangle this anchoring is still unambiguous and we keep
 it (the adjacent pair with opposite roles at ``p`` is unique).  One
 Stern-Brocot walk on the integers gives a tip its Farey order and the
 entries of its fan map (fan_entries); farey_order reads the order off
-it, and fan_moebius dresses the entries as an IntegerMoebius.
+it, fan_edge and fan_index read the entries as integers, and fan_moebius
+dresses them as an IntegerMoebius.
 
 All arithmetic is exact over Python integers; denominators of deep vertices
 grow like Fibonacci numbers, so fixed-width integers would overflow around
@@ -86,26 +87,17 @@ def reduced(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-class ExtRational:
+class ExtRational(Value):
     """Reduced fraction on the extended real line; oo is stored as 1/0.
 
-    Equal only to an ExtRational with the same (num, den), and hashed as
-    that pair.  It writes Value's protocol out rather than inherit it: its
-    repr is the fraction (1/2, oo), and its equality and hash read the
-    pair directly."""
+    Value's equality and hash read its slots (num, den), so it is equal
+    only to an ExtRational with the same pair and hashes as that pair.
+    Its repr is the fraction (1/2, oo)."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
         self.num, self.den = reduced(int(num), int(den))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.num, self.den) == (other.num, other.den)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     @property
     def is_infinity(self) -> bool:
@@ -179,9 +171,6 @@ class IntegerMoebius(Value):
         a/c)."""
         return ExtRational(self.a * x.num + self.b * x.den,
                            self.c * x.num + self.d * x.den)
-
-    def inverse(self) -> "IntegerMoebius":
-        return IntegerMoebius(self.d, -self.b, -self.c, self.a)
 
     def compose(self, other: "IntegerMoebius") -> "IntegerMoebius":
         return IntegerMoebius(
@@ -366,8 +355,11 @@ def fan_moebius(p) -> IntegerMoebius:
 
 
 def fan_edge(p, n: int) -> FareyEdge:
-    """The n-th edge of the fan with tip p (e_0 leaves p, e_1 enters p)."""
-    other = fan_moebius(p)(ExtRational(n, 1))
+    """The n-th edge of the fan with tip p (e_0 leaves p, e_1 enters p):
+    its far end is B(n) = (a n + b)/(c n + d), B = (a b; c d) the fan map
+    of fan_entries."""
+    _, a, b, c, d = fan_entries(p.num, p.den)
+    other = ExtRational(a * n + b, c * n + d)
     return FareyEdge(other, p) if n >= 1 else FareyEdge(p, other)
 
 
@@ -377,8 +369,14 @@ def fan_edges(p, n_lo: int, n_hi: int) -> list[FareyEdge]:
 
 
 def fan_index(p, q) -> int:
-    """Index n with fan_edge(p, n) joining p and q (q adjacent to p)."""
-    pre = fan_moebius(p).inverse()(q)
-    if pre.den != 1:
+    """Index n with fan_edge(p, n) joining p and q (q adjacent to p).
+
+    With B = (a b; c d) the fan map of fan_entries, n = B^-1(q) =
+    (d q.num - b q.den) / (a q.den - c q.num), and q is adjacent to p
+    exactly when that denominator, p.num q.den - p.den q.num, is +-1: n is
+    then the product of the two, as ShearFunction._index reads it."""
+    _, a, b, c, d = fan_entries(p.num, p.den)
+    det = a * q.den - c * q.num
+    if abs(det) != 1:
         raise ValueError(f"{q} is not adjacent to {p}")
-    return pre.num
+    return (d * q.num - b * q.den) * det

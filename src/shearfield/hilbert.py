@@ -25,8 +25,7 @@ import math
 import operator
 from itertools import takewhile
 
-from .farey import (ExtRational, FareyEdge, Value, _before, in_ccw_arc,
-                    left_sum)
+from .farey import ExtRational, FareyEdge, Value, in_ccw_arc, left_sum
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +301,17 @@ def edge_quadrilateral(edge: FareyEdge) -> Quadrilateral:
     terminal) and c the off-diagonal vertex on the arc swept from initial
     to terminal.
 
-    For ends p/q and r/s (oo = 1/0) the third vertices are the mediant
-    (p+r)/(q+s) and the difference vertex (p-r)/(q-s).  The mediant lies
-    between the ends on the line cut at oo, so it is c exactly when the
-    initial end comes first there: one exact comparison, for either
-    orientation of the edge."""
+    For i = p/q and t = r/s (oo = 1/0) the edge's frame is the integer
+    matrix g = (r p; s q), with g(0) = i and g(oo) = t; its other two
+    images g(1) and g(-1) are the third vertices, the mediant
+    (p+r)/(q+s) and the difference vertex (p-r)/(q-s).  The quadrilateral
+    is g applied to (-1, 0, 1, oo) when det g = r q - p s > 0, and to
+    (1, 0, -1, oo) otherwise: one integer sign, for either orientation of
+    the edge and with no case for oo."""
     i, t = edge.initial, edge.terminal
     m = ExtRational(i.num + t.num, i.den + t.den)
     w = ExtRational(i.num - t.num, i.den - t.den)
-    c, a = (m, w) if _before(i, t) else (w, m)
+    c, a = (m, w) if t.num * i.den - i.num * t.den > 0 else (w, m)
     return Quadrilateral(a, i, c, t)
 
 

@@ -7,16 +7,19 @@ report lines; every tolerance is pinned here and nowhere else.
 import cmath
 import json
 import math
+import random
 import time
 
 import numpy as np
 
 from shearfield.farey import (INFINITY, ONE, ZERO, ExtRational,
-                              enumerate_edges, enumerate_vertices, fan_index,
-                              farey_order, oriented_edge)
+                              enumerate_edges, enumerate_vertices,
+                              fan_entries, fan_index, farey_order,
+                              oriented_edge)
 from shearfield.fields import (FieldExpr, ShearFunction, assemble_field,
                                averaged_coefficient_sum, edge_ends,
-                               fan_field_eval, halved_terms, tail_bound,
+                               fan_field_eval, fan_shears_at_tip,
+                               halved_terms, tail_bound,
                                zygmund_condition_sup, zygmund_quotient_sup)
 from shearfield.fourier import (CircleArc, assemble_circle_field,
                                 cayley_angle, circle_elementary_eval,
@@ -565,3 +568,84 @@ def test_criterion_12_fan_condition_separates_fields():
     report(12, "fan condition separates fields",
            f"n = 10, K <= 10: x log|x| <= {max(bounded):.4f}, "
            f"|x|^1/2 - x = 2 sqrt(K) to {worst:.1e}")
+
+
+# ---------------------------------------------------------------------------
+# 13. the fan condition is the field's second difference in each fan chart
+# ---------------------------------------------------------------------------
+
+def _fan_chart_spread(sdot, tips, pad, K):
+    """(largest spread, largest |difference|) over the tips: the spread of
+    (W(m+k) + W(m-k) - 2 W(m) - k A_p(m, k)) / k^2 over m in the fan's
+    support +- pad and 1 <= k <= K, W the field V of every halved term of
+    sdot pulled back by the tip's fan map, skipping m where W has a pole
+    at m or m +- k."""
+    V = assemble_field(halved_terms(sdot, 10 ** 6, 10 ** 6))
+    spread = big = 0.0
+    for tip in tips:
+        _, a, b, c, d = fan_entries(tip.num, tip.den)
+        W = lambda x: (c * x + d) ** 2 * V((a * x + b) / (c * x + d))
+        shears = fan_shears_at_tip(sdot, tip)
+        rest = []
+        for m in range(min(shears) - pad, max(shears) + pad + 1):
+            for k in range(1, K + 1):
+                if 0 in (c * (m - k) + d, c * m + d, c * (m + k) + d):
+                    continue
+                diff = W(m + k) + W(m - k) - 2 * W(m)
+                big = max(big, abs(diff))
+                rest.append((diff - k * averaged_coefficient_sum(shears, m, k))
+                            / k ** 2)
+        spread = max(spread, max(rest) - min(rest))
+    return spread, big
+
+
+def test_criterion_13_fan_condition_is_the_second_difference():
+    """At each tip p the fan condition is the second difference of the
+    field V in p's fan chart, exactly up to a quadratic.
+
+    Let B = (a b; c d) be the fan map of p (fan_entries), which carries
+    the fan at oo onto the fan at p, and W(x) = (cx + d)^2 V(Bx) the
+    pullback of the vector field V by B.  For integers m and k >= 1 with
+    no pole among m, m +- k,
+
+        W(m+k) + W(m-k) - 2 W(m) = k A_p(m, k) + 2 q_p k^2,
+
+    A_p the averaged coefficient sum of the unhalved fan shears at p (what
+    zygmund check scans) and q_p one constant per tip.  Pulled back by B
+    each elementary field is that of the image edge up to an sl(2) field,
+    a quadratic, so V's quadratic parts give 2 q_p k^2.  A ray (n, oo) or
+    (oo, n) of the fan at oo has the second difference (k - |m - n|)_+ at
+    the integers, and summed over the fan these give k A(m, k).  Every
+    other edge has both ends in one [n, n + 1], and up to a quadratic its
+    field vanishes at the integers.
+
+    So (difference - k A)/k^2 is one constant per tip.  Checked on four
+    files of 40 random edges of order <= 6 (random.Random(seed), seeds
+    1-4, shears uniform in [-1, 1]; 182 tips, m over the fan's support
+    +- 4, k <= 5) and on x log|x| read off the 2,045 edges of order <= 10
+    as in criterion 12 (every 25th of its 1,024 tips, 41 in all, m over
+    the support +- 3, k <= 4).  The spread is rounding, which scales with
+    the largest difference: measured at most 4.8e-16 times it over seeds
+    1-7 (at most 2.3e-13, against differences up to 1.5e3) and 4.1e-16 on
+    x log|x| (1.5e-11 against 3.6e4), hence the bound 2^-49 times it.  Halving
+    the shears in A, say, spreads it by 0.85 on seed 1."""
+    def x_log_x(x):
+        return 0.0 if x == 0.0 else x * math.log(abs(x))
+
+    pool = enumerate_edges(6)
+    runs = []
+    for seed in (1, 2, 3, 4):
+        rng = random.Random(seed)
+        sdot = ShearFunction([(e, rng.uniform(-1, 1))
+                              for e in rng.sample(pool, 40)])
+        runs.append(_fan_chart_spread(sdot, sdot.support_tips(), 4, 5))
+    sdot = ShearFunction()
+    for e in enumerate_edges(10):
+        sdot.set(e, shear_recover(x_log_x, edge_quadrilateral(e), 0.0))
+    runs.append(_fan_chart_spread(sdot, sdot.support_tips()[::25], 3, 4))
+    for spread, big in runs:
+        assert spread <= 2.0 ** -49 * big
+    report(13, "fan condition is the second difference",
+           f"4 random files and x log|x|: largest spread "
+           f"{max(s for s, _ in runs):.1e}, relative "
+           f"{max(s / b for s, b in runs):.1e}")

@@ -332,10 +332,11 @@ def _arc_test_quadrilateral(edge):
 
 def test_third_vertex_by_one_comparison_matches_arc_test():
     """edge_quadrilateral, which takes the mediant as c exactly when the
-    initial end comes first on the line cut at oo, equals the arc-test
-    route on every edge of order <= 12 and on fan edges at oo, 0, negative
-    tips and random tips with denominators up to 10^6, each edge in both
-    orientations."""
+    edge's frame g = (r p; s q), for i = p/q -> t = r/s, has det g > 0,
+    equals the arc-test route on every edge of order <= 12 and on fan
+    edges at oo, 0, negative tips and random tips with denominators up to
+    10^6, each edge in both orientations; and it is the frame's image of
+    (-1, 0, 1, oo) when det g > 0, of (1, 0, -1, oo) otherwise."""
     rng = random.Random(34)
     tips = [INFINITY, ZERO, ExtRational(-1), ExtRational(-7, 3)] + [
         ExtRational(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
@@ -345,7 +346,15 @@ def test_third_vertex_by_one_comparison_matches_arc_test():
     assert len(edges) == 8189 + 44 * 13
     for e in edges:
         for edge in (e, FareyEdge(e.terminal, e.initial)):
-            assert edge_quadrilateral(edge) == _arc_test_quadrilateral(edge)
+            Q = edge_quadrilateral(edge)
+            assert Q == _arc_test_quadrilateral(edge)
+            p, q, r, s = edge.to_json()
+            g = [ExtRational(r * x + p * y, s * x + q * y)
+                 for x, y in ((-1, 1), (0, 1), (1, 1), (1, 0))]
+            assert g[1] == edge.initial and g[3] == edge.terminal
+            if r * q - p * s < 0:
+                g[0], g[2] = g[2], g[0]
+            assert (Q.a, Q.b, Q.c, Q.d) == tuple(g)
 
 
 @pytest.mark.parametrize("points, plan", [

@@ -13,11 +13,15 @@ from pathlib import Path
 import pytest
 
 import shearfield
-from shearfield.farey import (ExtRational, FareyEdge, IntegerMoebius, ONE,
-                              ZERO, left_sum, oriented_edge)
-from shearfield.fields import ZygmundReport
+from shearfield.farey import (INFINITY, ExtRational, FareyEdge,
+                              IntegerMoebius, ONE, ZERO, fan_index, left_sum,
+                              oriented_edge)
+from shearfield.fields import (FieldExpr, ZygmundReport,
+                               averaged_coefficient_sum, normalize_at,
+                               tail_bound, zygmund_quotient_sup)
 from shearfield.fourier import CircleArc
-from shearfield.hilbert import Quadrilateral, edge_quadrilateral
+from shearfield.hilbert import (Quadrilateral, closed_hilbert_field,
+                                delta_weight_hyperbolic, edge_quadrilateral)
 
 # the names `shearfield` exports, by the module that defines them
 EXPORTS = {
@@ -167,19 +171,17 @@ print(json.dumps(sorted({(code.co_filename, code.co_firstlineno)
 # the functions in src/ that the census does not reach, each with why it
 # stays; a reason that names a test (file::name) names one in a file that
 # calls the function
-_PROTOCOL = "the value protocol that tests compare and hash by"
+_PROTOCOL = "the value protocol that tests hash and print by"
 _CRITERION_7 = ("criterion 7: "
                 "test_acceptance.py::test_criterion_7_fan_zygmund_bound")
 _TRACER = "bench/tracer.py's install wraps it by name"
 UNREACHED = {
     "shearfield.__dir__": "dir(shearfield) lists the lazy exports",
     "cli.main": "the console script (pyproject.toml's project.scripts)",
-    **dict.fromkeys(["farey.Value._fields", "farey.Value.__eq__",
-                     "farey.Value.__hash__", "farey.Value.__repr__",
-                     "farey.ExtRational.__hash__"], _PROTOCOL),
+    **dict.fromkeys(["farey.Value.__hash__", "farey.Value.__repr__"],
+                    _PROTOCOL),
     "farey.fan_index":
         "criterion 2: test_acceptance.py::test_criterion_2_round_trip_recovery",
-    "farey.IntegerMoebius.inverse": "the one step of farey.fan_index",
     "fields.elementary_eval": "the reference FieldExpr's panel table is held "
         "to: test_fields.py::test_field_table_matches_definition",
     **dict.fromkeys(["fields.fan_field_eval", "fields.zygmund_quotient_sup",
@@ -334,4 +336,37 @@ def test_value_classes_with_equal_fields_differ_across_classes():
 def test_value_class_validation(make, error, message):
     with pytest.raises(error) as err:
         make()
+    assert str(err.value) == message
+
+
+_FIELD = FieldExpr([(1.0, (0.0, 1.0))])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: tail_bound(0), ValueError, "tail index must be >= 1"),
+    (lambda: averaged_coefficient_sum({0: 1.0}, 0, 0), ValueError,
+     "window k must be >= 1"),
+    (lambda: zygmund_quotient_sup(_FIELD, [0.5], [0.0]), ValueError,
+     "offsets t must be positive"),
+    (lambda: normalize_at(_FIELD, math.inf, 1.0, -math.inf), ValueError,
+     "at most one normalization point may be infinite"),
+    (lambda: closed_hilbert_field(_FIELD.plus_quad((1.0, 0.0, 0.0))),
+     ValueError, "closed-form transform is defined for fields with zero "
+     "quadratic part; normalize first"),
+    (lambda: Quadrilateral(-math.inf, 0.0, 1.0, math.inf), ValueError,
+     "at most one vertex may be infinite"),
+    (lambda: delta_weight_hyperbolic(
+        (-1.0, 1.0), edge_quadrilateral(oriented_edge(ZERO, INFINITY))),
+     ValueError, "edge crosses the diagonal; use the bracket route"),
+    (lambda: fan_index(ZERO, ExtRational(2, 3)), ValueError,
+     "2/3 is not adjacent to 0"),
+], ids=["tail_bound", "averaged_coefficient_sum", "zygmund_quotient_sup",
+        "normalize_at", "closed_hilbert_field", "Quadrilateral",
+        "delta_weight_hyperbolic", "fan_index"])
+def test_library_argument_errors(call, error, message):
+    """Each library function's check of its own arguments raises its error
+    with its message: the checks that no command and no other test
+    reaches."""
+    with pytest.raises(error) as err:
+        call()
     assert str(err.value) == message

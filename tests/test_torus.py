@@ -98,7 +98,8 @@ def test_covering_group_validation():
             assert edge_class(g.map_edge(e)) == k
         assert tuple(x % 2 for x in (g.a, g.b, g.c, g.d)) in a3
     a, b, a_inv, b_inv = GENERATORS
-    assert (a_inv, b_inv) == (a.inverse(), b.inverse())
+    for g, g_inv in ((a, a_inv), (b, b_inv)):
+        assert (g_inv.a, g_inv.b, g_inv.c, g_inv.d) == (g.d, -g.b, -g.c, g.a)
     ab, ba = a.compose(b), b.compose(a)
     entries = (ba.a, ba.b, ba.c, ba.d)
     assert (ab.a, ab.b, ab.c, ab.d) not in (entries,
