@@ -21,8 +21,9 @@ vertex of the base triangle this anchoring is still unambiguous and we keep
 it (the adjacent pair with opposite roles at ``p`` is unique).  One
 Stern-Brocot walk on the integers gives a tip its Farey order and the
 entries of its fan map (fan_entries); farey_order reads the order off
-it, fan_edge and fan_index read the entries as integers, and fan_moebius
-dresses them as an IntegerMoebius.
+it, fan_edge and frame_index read the entries as integers (fan_index
+and ShearFunction's index through frame_index), and fan_moebius dresses
+them as an IntegerMoebius.
 
 All arithmetic is exact over Python integers; denominators of deep vertices
 grow like Fibonacci numbers, so fixed-width integers would overflow around
@@ -368,15 +369,19 @@ def fan_edges(p, n_lo: int, n_hi: int) -> list[FareyEdge]:
     return [fan_edge(p, n) for n in range(n_lo, n_hi + 1)]
 
 
-def fan_index(p, q) -> int:
-    """Index n with fan_edge(p, n) joining p and q (q adjacent to p).
+def frame_index(a: int, b: int, c: int, d: int, qn: int, qd: int) -> int:
+    """Fan index of q = qn/qd at the tip whose fan map of fan_entries is
+    B = (a b; c d), for q adjacent to the tip.
 
-    With B = (a b; c d) the fan map of fan_entries, n = B^-1(q) =
-    (d q.num - b q.den) / (a q.den - c q.num), and q is adjacent to p
-    exactly when that denominator, p.num q.den - p.den q.num, is +-1: n is
-    then the product of the two, as ShearFunction._index reads it."""
-    _, a, b, c, d = fan_entries(p.num, p.den)
-    det = a * q.den - c * q.num
-    if abs(det) != 1:
+    B carries {n, oo} onto the n-th fan edge {p, q}, so n = B^-1(q) =
+    (d qn - b qd) / (a qd - c qn), whose denominator is
+    p.num qd - p.den qn = +-1 by adjacency: n is the product of the two."""
+    return (d * qn - b * qd) * (a * qd - c * qn)
+
+
+def fan_index(p, q) -> int:
+    """Index n with fan_edge(p, n) joining p and q (q adjacent to p), read
+    off p's fan map by frame_index."""
+    if abs(p.num * q.den - p.den * q.num) != 1:
         raise ValueError(f"{q} is not adjacent to {p}")
-    return (d * q.num - b * q.den) * det
+    return frame_index(*fan_entries(p.num, p.den)[1:], q.num, q.den)

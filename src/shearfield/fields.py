@@ -29,8 +29,8 @@ import math
 from bisect import bisect_right
 from collections import defaultdict
 
-from .farey import (ExtRational, FareyEdge, Value, fan_entries, left_sum,
-                    runs_forward)
+from .farey import (ExtRational, FareyEdge, Value, fan_entries, frame_index,
+                    left_sum, runs_forward)
 
 DELTA_GAP = 2.0 * math.log(1.0 + math.sqrt(2.0))  # distance between nested fan walls
 
@@ -89,10 +89,8 @@ class ShearFunction:
         of the ends: halved_terms takes them for the edges it keeps.
 
         One integer walk per tip gives its order and fan map
-        B = (a b; c d) (farey.fan_entries).  B carries {n, oo} onto the
-        n-th fan edge {p, q}, so n = B^-1(q) = (d q.num - b q.den) /
-        (a q.den - c q.num), whose denominator is p.num q.den - p.den q.num
-        = +-1 by adjacency: n is the product of the two."""
+        (farey.fan_entries), and farey.frame_index reads each fan index off
+        that map."""
         if self._cache is None:
             support, fans = [], defaultdict(list)
             for key in sorted(self._data):
@@ -108,7 +106,7 @@ class ShearFunction:
                 order, a, b, c, d = fan_entries(*p)     # one walk per tip
                 tip = ExtRational(*p)
                 tips.append((tip_sort_key(tip, order), p, [
-                    ((d * qn - b * qd) * (a * qd - c * qn), value, j)
+                    (frame_index(a, b, c, d, qn, qd), value, j)
                     for qn, qd, value, j in fan]))
             tips.sort()     # tips are distinct, so only their keys compare
             self._cache = (support, {p: (tip, order, fan) for

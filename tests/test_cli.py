@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from shearfield import cli
 from shearfield.cli import CliError, parse_shear_file, run
 from shearfield.farey import enumerate_edges
+from test_halved_terms import moebius_fan_index
 
 
 def write_shears(tmp_path, edges, name="shears.json"):
@@ -526,8 +527,9 @@ def _unoriented(e):
                 min_size=1, max_size=12))
 def test_fan_index_is_the_fan_map_inverse(tmp_path, picks):
     """For every support edge of a shear file, the fan entries of
-    ShearFunction's index give at each of its two tips the index
-    farey.fan_index gives, tips oo, 0 and negative ones included."""
+    ShearFunction's index give at each of its two tips the index of the
+    Moebius route (moebius_fan_index), which farey.fan_index also gives,
+    tips oo, 0 and negative ones included."""
     from shearfield.farey import ExtRational, fan_edge, fan_index
     edges = {}
     for (num, den), n in picks:
@@ -541,7 +543,8 @@ def test_fan_index_is_the_fan_map_inverse(tmp_path, picks):
         for n, _, j in fan:
             u, v = support[j][:2]
             other = ExtRational(*(v if u == (tip.num, tip.den) else u))
-            assert n == fan_index(tip, other)
+            assert n == moebius_fan_index(tip, other) == fan_index(tip,
+                                                                   other)
             seen += 1
     assert seen == 2 * len(edges)
 
@@ -641,8 +644,8 @@ def _ends_view(call, *args):
 
 def _reference_index(edge_values):
     """(support, tips) of ShearFunction._index for the (edge, value) pairs,
-    built from oriented_edge, fan_index and tip_sort_key."""
-    from shearfield.farey import farey_order, fan_index, oriented_edge
+    built from oriented_edge, moebius_fan_index and tip_sort_key."""
+    from shearfield.farey import farey_order, oriented_edge
     from shearfield.fields import tip_sort_key
     pairs = lambda e: ((e.initial.num, e.initial.den),
                        (e.terminal.num, e.terminal.den))
@@ -653,8 +656,8 @@ def _reference_index(edge_values):
                   key=lambda p: tip_sort_key(p, farey_order(p)))
     return ([(*pairs(e), v) for e, v in support],
             [(p, farey_order(p), [
-                (fan_index(p, e.terminal if e.initial == p else e.initial),
-                 v, pairs(e))
+                (moebius_fan_index(p, e.terminal if e.initial == p
+                                   else e.initial), v, pairs(e))
                 for e, v in support if p in (e.initial, e.terminal)])
              for p in tips])
 
@@ -690,13 +693,14 @@ def _kept_ends(e, value):
                 max_size=12))
 def test_integer_index_matches_reference(tmp_path, picks):
     """ShearFunction's integer index, built through set() and through
-    parse_shear_file, equals the one that oriented_edge, fan_index and
-    tip_sort_key give: the same support and tip order, orders, fan indices
-    and values.  halved_terms takes each edge's float ends as edge_ends
-    does, or raises the same error where edge_ends has none (a tip at
-    10^400).  Tips oo, 0 and negative ones are drawn, each edge in either
-    orientation, and the file writes its endpoints unreduced (scaled by
-    -1, 2, 3 or 5), [2, 4], [-1, 0] and [5, 0] among them."""
+    parse_shear_file, equals the one that oriented_edge,
+    moebius_fan_index (the Moebius route) and tip_sort_key give: the same
+    support and tip order, orders, fan indices and values.  halved_terms
+    takes each edge's float ends as edge_ends does, or raises the same
+    error where edge_ends has none (a tip at 10^400).  Tips oo, 0 and
+    negative ones are drawn, each edge in either orientation, and the file
+    writes its endpoints unreduced (scaled by -1, 2, 3 or 5), [2, 4],
+    [-1, 0] and [5, 0] among them."""
     from shearfield.farey import (ExtRational, FareyEdge, fan_edge,
                                   oriented_edge)
     from shearfield.fields import ShearFunction, edge_ends

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shearfield.farey import (ExtRational, INFINITY, ONE, ZERO,
-                              enumerate_edges, fan_index, farey_order,
+from shearfield.farey import (ExtRational, INFINITY, IntegerMoebius, ONE,
+                              ZERO, enumerate_edges, fan_moebius, farey_order,
                               oriented_edge)
 from shearfield.fields import (FieldExpr, ShearFunction, assemble_field,
                                edge_ends, fan_shears_at_tip, halved_terms)
@@ -24,12 +24,24 @@ NS = (-5, 0, 1, 2, 7)
 TARGET = oriented_edge(ZERO, ONE)
 
 
+def moebius_fan_index(p, q):
+    """The fan index of q at the tip p (q adjacent to p) by the Moebius
+    route: q's preimage under p's fan map B = farey.fan_moebius(p), taken
+    through the integer inverse (d -b; -c a), which must be an integer.
+    It reads neither farey.fan_index nor farey.frame_index, which
+    ShearFunction's index reads."""
+    B = fan_moebius(p)
+    pre = IntegerMoebius(B.d, -B.b, -B.c, B.a)(q)
+    assert pre.den == 1, (p, q, pre)
+    return pre.num
+
+
 def tip_field(p, sdot, N):
     """The field of the fan with tip p, with halved shears on fan indices
     |n| <= N, by the Moebius route: sdot's support edges in order, those
-    with an end at p, each kept when farey.fan_index of its other end is
-    in the window.  It reads neither the fan entries nor the integer
-    fan-index formula of ShearFunction's index, which halved_terms reads.
+    with an end at p, each kept when moebius_fan_index of its other end
+    is in the window.  It does not read the fan indices of
+    ShearFunction's index (farey.frame_index), which halved_terms reads.
     A degenerate window (N <= 0) is the zero field, as in halved_terms."""
     if N <= 0:
         return FieldExpr()
@@ -37,7 +49,7 @@ def tip_field(p, sdot, N):
     for e, value in sdot:
         if p in (e.initial, e.terminal):
             other = e.terminal if e.initial == p else e.initial
-            if abs(fan_index(p, other)) <= N:
+            if abs(moebius_fan_index(p, other)) <= N:
                 terms.append((0.5 * value, edge_ends(e)))
     return FieldExpr(terms)
 

@@ -320,6 +320,9 @@ def test_value_classes_with_equal_fields_differ_across_classes():
     assert len({ExtRational(1, 2), (1, 2)}) == 2
 
 
+_FIELD = FieldExpr([(1.0, (0.0, 1.0))])
+
+
 @pytest.mark.parametrize("make, error, message", [
     (lambda: IntegerMoebius(1, 1, 1, 1), ValueError,
      "integer Moebius map must have determinant 1"),
@@ -332,17 +335,8 @@ def test_value_classes_with_equal_fields_differ_across_classes():
     (lambda: CircleArc(0.0, 2 * math.pi), ValueError, "arc must be proper"),
     (lambda: Quadrilateral(1.0, 0.0, -1.0, math.inf), ValueError,
      "vertices are not in counterclockwise order (a, b, c, d)"),
-])
-def test_value_class_validation(make, error, message):
-    with pytest.raises(error) as err:
-        make()
-    assert str(err.value) == message
-
-
-_FIELD = FieldExpr([(1.0, (0.0, 1.0))])
-
-
-@pytest.mark.parametrize("call, error, message", [
+    (lambda: Quadrilateral(-math.inf, 0.0, 1.0, math.inf), ValueError,
+     "at most one vertex may be infinite"),
     (lambda: tail_bound(0), ValueError, "tail index must be >= 1"),
     (lambda: averaged_coefficient_sum({0: 1.0}, 0, 0), ValueError,
      "window k must be >= 1"),
@@ -353,20 +347,16 @@ _FIELD = FieldExpr([(1.0, (0.0, 1.0))])
     (lambda: closed_hilbert_field(_FIELD.plus_quad((1.0, 0.0, 0.0))),
      ValueError, "closed-form transform is defined for fields with zero "
      "quadratic part; normalize first"),
-    (lambda: Quadrilateral(-math.inf, 0.0, 1.0, math.inf), ValueError,
-     "at most one vertex may be infinite"),
     (lambda: delta_weight_hyperbolic(
         (-1.0, 1.0), edge_quadrilateral(oriented_edge(ZERO, INFINITY))),
      ValueError, "edge crosses the diagonal; use the bracket route"),
     (lambda: fan_index(ZERO, ExtRational(2, 3)), ValueError,
      "2/3 is not adjacent to 0"),
-], ids=["tail_bound", "averaged_coefficient_sum", "zygmund_quotient_sup",
-        "normalize_at", "closed_hilbert_field", "Quadrilateral",
-        "delta_weight_hyperbolic", "fan_index"])
-def test_library_argument_errors(call, error, message):
-    """Each library function's check of its own arguments raises its error
-    with its message: the checks that no command and no other test
-    reaches."""
+])
+def test_value_class_validation(make, error, message):
+    """Each value class's and library function's check of its arguments
+    raises its error with its message, the library checks among them that
+    no command reaches."""
     with pytest.raises(error) as err:
-        call()
+        make()
     assert str(err.value) == message
